@@ -17,10 +17,10 @@ from .errors import CicleError, DataError, TransportError
 from .evalreport import (CellMetrics, RunReport, build_report, cell_metrics, emit_report,
                          macro_f1, reduction_stats)
 from .llm_client import LlmClient, LlmConfig, LlmResponse, PromptMeta, parse_label
-from .pipeline import (DatasetSpec, PredictionRecord, RunConfig, classify_base,
+from .pipeline import (DatasetSpec, PredictionRecord, RunConfig, classify_base, classify_cell,
                        classify_cicle, classify_fewshot, run_experiment)
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
-from .selection import SelectionConfig, ShotSet, select_dense, select_random, select_sparse
+from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
 from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, cosine,
                         fit_tfidf, transform, transform_many)
 
@@ -31,10 +31,10 @@ __all__ = [
     "DatasetSpec", "DatasetSplit", "DataError", "DEFAULT_TEMPLATE", "EmbeddingClient",
     "EmbeddingConfig", "LabeledText", "LabelSpace", "LlmClient", "LlmConfig", "LlmResponse",
     "LogisticModel", "PredictionRecord", "PromptMeta", "PromptStats", "PromptTemplate",
-    "RunConfig", "RunReport", "SelectionConfig", "ShotSet", "SparseVector", "TfidfModel",
+    "RunConfig", "RunReport", "ShotPool", "ShotSet", "SparseVector", "TfidfModel",
     "TrainConfig", "TransportError", "apportion", "build_prompt", "build_report",
     "calibrate", "calibration_from_scores", "cell_metrics", "classify_base",
-    "classify_cicle", "classify_fewshot", "cosine", "emit_report", "fit_tfidf",
+    "classify_cell", "classify_cicle", "classify_fewshot", "cosine", "emit_report", "fit_tfidf",
     "load_dataset", "macro_f1", "nll_and_grad", "parse_label", "predict", "predict_proba",
     "predict_proba_many", "predict_set", "quantile_rank", "reduction_stats",
     "run_experiment", "select_dense", "select_random", "select_sparse", "stable_seed",

@@ -9,6 +9,7 @@ the form "error: <kind>: <message>".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -100,9 +101,16 @@ def _build_template(payload: dict, args) -> PromptTemplate:
     raise DataError("config template must be a path or an object")
 
 
+def _check_keys(raw: dict, cls, section: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise DataError(f"config {section} has unknown keys: {', '.join(unknown)}")
+
+
 def _build_llm(payload: dict, args) -> LlmConfig:
     raw = dict(payload.get("llm", {}))
     raw.pop("deterministic", None)
+    _check_keys(raw, LlmConfig, "llm")
     if args.oracle and args.llm_endpoint:
         raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
     if args.oracle:
@@ -122,6 +130,7 @@ def _build_llm(payload: dict, args) -> LlmConfig:
 
 def _build_embedding(payload: dict, args) -> EmbeddingConfig | None:
     raw = dict(payload.get("embedding") or {})
+    _check_keys(raw, EmbeddingConfig, "embedding")
     if args.embedding_endpoint:
         raw["endpoint"] = args.embedding_endpoint
     if args.embedding_cache:
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--embedding-endpoint", metavar="URL",
                    help="embedding service URL for the dense few-shot baseline")
     g.add_argument("--embedding-cache", metavar="DIR", help="embedding cache directory")
-    g.add_argument("--jobs", type=int, help="concurrent items per cell (default 1)")
+    g.add_argument("--jobs", type=int, help="concurrent LLM calls per cell (default 1)")
     g.add_argument("--force", action="store_true", help="recompute existing cell files")
 
     parser = argparse.ArgumentParser(
@@ -319,3 +328,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

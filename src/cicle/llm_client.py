@@ -38,7 +38,6 @@ class LlmConfig:
     deterministic: bool = True
     timeout: float = 60.0
     max_retries: int = 2
-    concurrency_limit: int = 4
     backoff: float = 0.5
     oracle_params: dict = field(default_factory=dict)
 
@@ -47,8 +46,6 @@ class LlmConfig:
             raise ValueError("deterministic decoding is required; set deterministic=True")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.concurrency_limit < 1:
-            raise ValueError(f"concurrency_limit must be >= 1, got {self.concurrency_limit}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -131,14 +128,17 @@ def register_oracle(name: str, fn: OracleFn) -> None:
 
 
 class LlmClient:
-    """Shareable completion client with a concurrency bound and a call counter."""
+    """Shareable completion client with a call counter.
+
+    The client puts no bound of its own on concurrent calls: callers bound
+    them with their thread count (``run_experiment`` with ``RunConfig.jobs``).
+    """
 
     def __init__(self, config: LlmConfig):
         self.config = config
         if not config.is_remote and config.endpoint not in ORACLES:
             raise ValueError(
                 f"unknown oracle {config.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
-        self._sem = threading.Semaphore(config.concurrency_limit)
         self._lock = threading.Lock()
         self._calls = 0
 
@@ -147,16 +147,15 @@ class LlmClient:
         return self._calls
 
     def complete(self, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
-        with self._sem:
-            with self._lock:
-                self._calls += 1
-            start = time.monotonic()
-            if self.config.is_remote:
-                raw, attempts = self._complete_remote(prompt, meta)
-            else:
-                raw = ORACLES[self.config.endpoint](prompt, meta, self.config.oracle_params)
-                attempts = 1
-            return LlmResponse(raw=raw, latency=time.monotonic() - start, attempts=attempts)
+        with self._lock:
+            self._calls += 1
+        start = time.monotonic()
+        if self.config.is_remote:
+            raw, attempts = self._complete_remote(prompt, meta)
+        else:
+            raw = ORACLES[self.config.endpoint](prompt, meta, self.config.oracle_params)
+            attempts = 1
+        return LlmResponse(raw=raw, latency=time.monotonic() - start, attempts=attempts)
 
     def _complete_remote(self, prompt: str, meta: PromptMeta | None) -> tuple[str, int]:
         cfg = self.config

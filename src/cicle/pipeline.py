@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .classifier import LogisticModel, TrainConfig, predict_proba, train
 from .conformal import ConformalCalibration, ConformalConfig, ConformalSet, calibrate, predict_set
@@ -31,9 +33,9 @@ from .corpus import (LabeledText, LabelSpace, file_sha256, load_frozen, stable_s
 from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
-from .selection import SelectionConfig, select_dense, select_random, select_sparse
-from .vectorize import (EmbeddingClient, EmbeddingConfig, TfidfModel, fit_tfidf, stack,
-                        transform, transform_many)
+from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
+from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, fit_tfidf,
+                        stack, transform, transform_many)
 
 log = logging.getLogger(__name__)
 
@@ -191,11 +193,23 @@ class PredictionRecord:
 
 
 def write_records(records: Sequence[PredictionRecord], path) -> None:
+    """Write one cell's records as JSONL, atomically.
+
+    The lines go to a temp file in the same directory, which then replaces
+    ``path``: a write that fails or is interrupted leaves no partial cell file
+    for a later run to reuse.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_records(path) -> list[PredictionRecord]:
@@ -219,30 +233,38 @@ def read_records(path) -> list[PredictionRecord]:
 class CellResources:
     """Everything one (dataset, size) cell shares across its strategies.
 
-    Model-side fields stay None when neither base nor cicle runs; baseline
-    fields stay None for the strategies that were not requested.
+    The test set is vectorized once under each fitted tf-idf model: base and
+    cicle share ``test_vectors``. Model-side fields stay None when neither
+    base nor cicle runs; baseline fields stay None for the strategies that
+    were not requested.
     """
 
     label_space: LabelSpace
+    test: list[LabeledText]
     task: str = "text classification"
     tfidf: TfidfModel | None = None
     model: LogisticModel | None = None
     calibration: ConformalCalibration | None = None
-    shot_pool: list[LabeledText] | None = None
-    shot_vectors: object | None = None
-    baseline_pool: list[LabeledText] | None = None
+    test_vectors: list[SparseVector] | None = None
+    shot_pool: ShotPool | None = None
+    shot_vectors: sp.csr_matrix | None = None
+    baseline_pool: ShotPool | None = None
     baseline_tfidf: TfidfModel | None = None
-    baseline_vectors: object | None = None
+    baseline_vectors: sp.csr_matrix | None = None
+    baseline_test_vectors: sp.csr_matrix | None = None
     baseline_embeddings: np.ndarray | None = None
 
 
-def build_cell(subsample: Sequence[LabeledText], label_space: LabelSpace, config: RunConfig,
-               cell_seed: int, task: str = "text classification",
+def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
+               label_space: LabelSpace, config: RunConfig, cell_seed: int,
+               task: str = "text classification",
                embed_client: EmbeddingClient | None = None,
                strategies: Sequence[str] | None = None) -> CellResources:
-    """Fit the per-cell models and shot pools needed by the given strategies."""
+    """Fit the per-cell models and shot pools needed by the given strategies,
+    and vectorize the test set under each fitted tf-idf model."""
     strategies = list(config.strategies if strategies is None else strategies)
-    res = CellResources(label_space=label_space, task=task)
+    res = CellResources(label_space=label_space, test=list(test), task=task)
+    test_texts = [t.text for t in res.test]
 
     if "base" in strategies or "cicle" in strategies:
         split = stratified_split(list(subsample), config.calib_fraction, cell_seed)
@@ -252,20 +274,22 @@ def build_cell(subsample: Sequence[LabeledText], label_space: LabelSpace, config
         X = stack(transform_many(res.tfidf, [t.text for t in split.train]))
         y = [label_space.position(t.label) for t in split.train]
         res.model = train(X, y, label_space, config.train)
-        res.shot_pool = split.train
-        res.shot_vectors = X
+        res.test_vectors = transform_many(res.tfidf, test_texts)
         if "cicle" in strategies:
+            res.shot_pool = ShotPool(split.train)
+            res.shot_vectors = X
             pairs = [(transform(res.tfidf, t.text), label_space.position(t.label))
                      for t in split.calibration]
             res.calibration = calibrate(res.model, pairs, ConformalConfig(alpha=config.alpha))
 
     fewshot = [s for s in strategies if s.startswith("fewshot-")]
     if fewshot:
-        res.baseline_pool = list(subsample)
-        texts = [t.text for t in res.baseline_pool]
+        res.baseline_pool = ShotPool(subsample)
+        texts = [t.text for t in subsample]
         if "fewshot-sparse" in fewshot:
             res.baseline_tfidf = fit_tfidf(texts)
             res.baseline_vectors = stack(transform_many(res.baseline_tfidf, texts))
+            res.baseline_test_vectors = stack(transform_many(res.baseline_tfidf, test_texts))
         if "fewshot-dense" in fewshot:
             if embed_client is None:
                 raise DataError("fewshot-dense requires an embedding endpoint")
@@ -273,9 +297,27 @@ def build_cell(subsample: Sequence[LabeledText], label_space: LabelSpace, config
     return res
 
 
-def classify_base(res: CellResources, item: LabeledText) -> PredictionRecord:
-    """Argmax of the base classifier; no conformal fields, no LLM."""
-    probs = predict_proba(res.model, transform(res.tfidf, item.text))
+@dataclass
+class LlmCall:
+    """A finished prompt awaiting its completion, and the record the answer fills in."""
+
+    record: PredictionRecord
+    prompt: str
+    meta: PromptMeta
+
+
+def _llm_call(res: CellResources, record: PredictionRecord, item: LabeledText, shots: ShotSet,
+              mode: str, config: RunConfig) -> LlmCall:
+    prompt, stats = build_prompt(config.template, shots, item, mode=mode, task=res.task)
+    record.prompt_stats = stats
+    meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
+                      last_shot_label=shots.last_shot_label(), item_id=item.id)
+    return LlmCall(record=record, prompt=prompt, meta=meta)
+
+
+def classify_base(res: CellResources, item: LabeledText, x: SparseVector) -> PredictionRecord:
+    """Argmax of the base classifier for one vectorized test item; no LLM."""
+    probs = predict_proba(res.model, x)
     return PredictionRecord(
         item_id=item.id,
         strategy="base",
@@ -285,57 +327,25 @@ def classify_base(res: CellResources, item: LabeledText) -> PredictionRecord:
     )
 
 
-def _complete_into(record: PredictionRecord, prompt: str, meta: PromptMeta,
-                   llm: LlmClient, labels: LabelSpace) -> PredictionRecord:
-    # transport failures score as Invalid; the run keeps going
-    try:
-        resp = llm.complete(prompt, meta)
-    except TransportError as exc:
-        log.warning("item %s: %s", record.item_id, exc)
-        record.error = str(exc)
-        return record
-    record.llm_raw = resp.raw
-    record.final_label = parse_label(resp.raw, labels)
-    return record
-
-
-def classify_fewshot(res: CellResources, item: LabeledText, strategy: str, llm: LlmClient,
-                     config: RunConfig, query_embedding=None) -> PredictionRecord:
-    """One LLM call with k shots for every class in label order."""
-    if strategy not in STRATEGIES or not strategy.startswith("fewshot-"):
-        raise ValueError(f"not a few-shot strategy: {strategy!r}")
-    classes = list(res.label_space.labels)
-    sel = SelectionConfig(k=config.k, strategy=strategy.split("-", 1)[1],
-                          seed=stable_seed(config.seed, "item", item.id))
-    if strategy == "fewshot-random":
-        shots = select_random(res.baseline_pool, classes, sel, exclude_id=item.id)
-    elif strategy == "fewshot-sparse":
-        qv = transform(res.baseline_tfidf, item.text)
-        shots = select_sparse(res.baseline_pool, res.baseline_vectors, qv, classes, sel,
-                              exclude_id=item.id)
-    else:
-        if query_embedding is None or res.baseline_embeddings is None:
-            raise DataError("fewshot-dense requires precomputed embeddings")
-        shots = select_dense(res.baseline_pool, res.baseline_embeddings, query_embedding,
-                             classes, sel, exclude_id=item.id)
-    prompt, stats = build_prompt(config.template, shots, item, mode="fewshot", task=res.task)
+def classify_fewshot(res: CellResources, item: LabeledText, strategy: str, shots: ShotSet,
+                     config: RunConfig) -> LlmCall:
+    """The few-shot prompt for one item: k shots for every class in label order."""
     record = PredictionRecord(
         item_id=item.id,
         strategy=strategy,
         gold_label=res.label_space.position(item.label),
         final_label=None,
-        prompt_stats=stats,
     )
-    meta = PromptMeta(classes=tuple(classes), gold_label=item.label,
-                      last_shot_label=shots.last_shot_label(), item_id=item.id)
-    return _complete_into(record, prompt, meta, llm, res.label_space)
+    return _llm_call(res, record, item, shots, "fewshot", config)
 
 
-def classify_cicle(res: CellResources, item: LabeledText, llm: LlmClient,
-                   config: RunConfig) -> PredictionRecord:
-    """Conformal gate: singleton sets bypass the LLM, larger sets get a pruned prompt."""
-    qv = transform(res.tfidf, item.text)
-    probs = predict_proba(res.model, qv)
+def classify_cicle(res: CellResources, item: LabeledText, x: SparseVector) -> PredictionRecord:
+    """Conformal gate for one vectorized item: a singleton set bypasses the LLM.
+
+    Any other record is returned with ``final_label`` None; its prompt, over
+    the set's classes only, is built once the whole cell is gated.
+    """
+    probs = predict_proba(res.model, x)
     cset = predict_set(res.calibration, probs)
     record = PredictionRecord(
         item_id=item.id,
@@ -348,35 +358,80 @@ def classify_cicle(res: CellResources, item: LabeledText, llm: LlmClient,
     if len(cset) == 1:
         record.bypassed = True
         record.final_label = cset.candidates[0][0]
-        return record
-    classes = [res.label_space.labels[i] for i in cset.classes()]
-    sel = SelectionConfig(k=config.k, strategy="sparse",
-                          seed=stable_seed(config.seed, "item", item.id))
-    shots = select_sparse(res.shot_pool, res.shot_vectors, qv, classes, sel, exclude_id=item.id)
-    prompt, stats = build_prompt(config.template, shots, item, mode="cicle", task=res.task)
-    record.prompt_stats = stats
-    meta = PromptMeta(classes=tuple(classes), gold_label=item.label,
-                      last_shot_label=shots.last_shot_label(), item_id=item.id)
-    return _complete_into(record, prompt, meta, llm, res.label_space)
+    return record
 
 
-def _classify_cell(res: CellResources, test: Sequence[LabeledText], strategy: str,
-                   llm: LlmClient | None, config: RunConfig,
-                   test_embeddings=None) -> list[PredictionRecord]:
+def _fewshot_shots(res: CellResources, strategy: str, config: RunConfig,
+                   test_embeddings) -> list[ShotSet]:
+    classes = [list(res.label_space.labels)] * len(res.test)
+    ids = [item.id for item in res.test]
+    if strategy == "fewshot-random":
+        seeds = [stable_seed(config.seed, "item", i) for i in ids]
+        return select_random(res.baseline_pool, classes, config.k, seeds, ids)
+    if strategy == "fewshot-sparse":
+        return select_sparse(res.baseline_pool, res.baseline_vectors, res.baseline_test_vectors,
+                             classes, config.k, ids)
+    if strategy == "fewshot-dense":
+        if test_embeddings is None or res.baseline_embeddings is None:
+            raise DataError("fewshot-dense requires precomputed embeddings")
+        return select_dense(res.baseline_pool, res.baseline_embeddings, test_embeddings,
+                            classes, config.k, ids)
+    raise ValueError(f"not a few-shot strategy: {strategy!r}")
+
+
+def _cicle_calls(res: CellResources, records: list[PredictionRecord],
+                 config: RunConfig) -> list[LlmCall]:
+    gated = [i for i, rec in enumerate(records) if not rec.bypassed]
+    if not gated:
+        return []
+    labels = res.label_space.labels
+    classes = [[labels[c] for c in records[i].conformal_set.classes()] for i in gated]
+    queries = stack([res.test_vectors[i] for i in gated])
+    shots = select_sparse(res.shot_pool, res.shot_vectors, queries, classes, config.k,
+                          [res.test[i].id for i in gated])
+    return [_llm_call(res, records[i], res.test[i], s, "cicle", config)
+            for i, s in zip(gated, shots)]
+
+
+def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
+    # transport failures score as Invalid; the run keeps going
+    record = call.record
+    try:
+        resp = llm.complete(call.prompt, call.meta)
+    except TransportError as exc:
+        log.warning("item %s: %s", record.item_id, exc)
+        record.error = str(exc)
+        return
+    record.llm_raw = resp.raw
+    record.final_label = parse_label(resp.raw, labels)
+
+
+def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, config: RunConfig,
+                  test_embeddings=None) -> list[PredictionRecord]:
+    """Classify the cell's test set under one strategy; records come in test order.
+
+    Two stages. All CPU work (probabilities, conformal sets, shot selection,
+    prompts) runs batched on the calling thread. Then the prompts go to the
+    LLM in test order, up to ``config.jobs`` calls in flight.
+    """
     if strategy == "base":
-        fn = lambda item: classify_base(res, item)
-    elif strategy == "cicle":
-        fn = lambda item: classify_cicle(res, item, llm, config)
-    elif strategy == "fewshot-dense":
-        lookup = {item.id: emb for item, emb in zip(test, test_embeddings)}
-        fn = lambda item: classify_fewshot(res, item, strategy, llm, config,
-                                           query_embedding=lookup[item.id])
+        return [classify_base(res, item, x) for item, x in zip(res.test, res.test_vectors)]
+    if strategy == "cicle":
+        records = [classify_cicle(res, item, x) for item, x in zip(res.test, res.test_vectors)]
+        calls = _cicle_calls(res, records, config)
     else:
-        fn = lambda item: classify_fewshot(res, item, strategy, llm, config)
-    if config.jobs <= 1 or strategy == "base":
-        return [fn(item) for item in test]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(fn, test))
+        shots = _fewshot_shots(res, strategy, config, test_embeddings)
+        calls = [classify_fewshot(res, item, strategy, s, config)
+                 for item, s in zip(res.test, shots)]
+        records = [call.record for call in calls]
+    complete = lambda call: _complete_into(call, llm, res.label_space)
+    if config.jobs <= 1 or len(calls) <= 1:
+        for call in calls:
+            complete(call)
+    else:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            list(pool.map(complete, calls))
+    return records
 
 
 def record_filename(dataset: str, size: int, seed: int, strategy: str) -> str:
@@ -412,7 +467,6 @@ def config_to_json(config: RunConfig) -> dict:
                 "max_new_tokens": config.llm.max_new_tokens,
                 "deterministic": config.llm.deterministic,
                 "timeout": config.llm.timeout, "max_retries": config.llm.max_retries,
-                "concurrency_limit": config.llm.concurrency_limit,
                 "backoff": config.llm.backoff, "oracle_params": config.llm.oracle_params},
         "embedding": embedding,
         "train": {"C": config.train.C, "tol": config.train.tol,
@@ -471,7 +525,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             cell_seed = stable_seed(config.seed, spec.name, size)
             try:
                 subsample = stratified_subsample(pool, size, cell_seed)
-                res = build_cell(subsample, space, config, cell_seed, task=spec.task,
+                res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
                                  embed_client=embed_client, strategies=pending)
             except (CicleError, ValueError, OSError) as exc:
                 log.error("cell %s size %d failed to build: %s", spec.name, size, exc)
@@ -479,8 +533,8 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             for strategy in pending:
                 path = config.records_dir / record_filename(spec.name, size, config.seed, strategy)
                 try:
-                    cell = _classify_cell(res, test, strategy, llm_client, config,
-                                          test_embeddings=test_embeddings)
+                    cell = classify_cell(res, strategy, llm_client, config,
+                                         test_embeddings=test_embeddings)
                 except (CicleError, ValueError, OSError) as exc:
                     log.error("cell %s size %d strategy %s failed: %s",
                               spec.name, size, strategy, exc)

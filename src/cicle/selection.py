@@ -1,9 +1,10 @@
 """Few-shot example selection: random, sparse-similarity, dense-similarity.
 
-All three strategies pick up to k shots per class, per query, and preserve
-the caller's class order exactly: the conformal pipeline passes classes in
-descending base-probability order, the plain few-shot baselines pass label
-order. The query item itself (matched by id) is never selected.
+Every strategy selects for a batch of queries at once and picks up to k shots
+per class for each query, preserving that query's class order exactly: the
+conformal pipeline passes classes in descending base-probability order, the
+plain few-shot baselines pass label order. A query's own item (matched by id)
+is never selected. Similarity ties go to the lower pool index.
 """
 
 from __future__ import annotations
@@ -11,30 +12,20 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import LabeledText
-from .vectorize import SparseVector, cosine
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("random", "sparse", "dense")
+# Query rows per block of sparse similarities: the dense block is at most
+# SIM_CHUNK_ROWS x pool size floats, so a whole test set never sits in memory.
+SIM_CHUNK_ROWS = 32
 
-
-@dataclass
-class SelectionConfig:
-    k: int = 2
-    strategy: str = "random"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+_NO_INDICES = np.empty(0, dtype=np.intp)
 
 
 @dataclass
@@ -56,13 +47,35 @@ class ShotSet:
         return None
 
 
-def _pool_by_class(pool: Sequence[LabeledText], exclude_id: str | None):
-    grouped: dict[str, list[int]] = {}
-    for i, item in enumerate(pool):
-        if exclude_id is not None and item.id == exclude_id:
-            continue
-        grouped.setdefault(item.label, []).append(i)
-    return grouped
+class ShotPool:
+    """A shot pool grouped once: label -> ascending pool indices, id -> pool index."""
+
+    def __init__(self, items: Sequence[LabeledText]):
+        self.items = list(items)
+        grouped: dict[str, list[int]] = {}
+        self._by_id: dict[str, int] = {}
+        for i, item in enumerate(self.items):
+            if item.id in self._by_id:
+                raise ValueError(f"shot pool contains duplicate id {item.id!r}")
+            self._by_id[item.id] = i
+            grouped.setdefault(item.label, []).append(i)
+        self._by_label = {label: np.array(idxs, dtype=np.intp) for label, idxs in grouped.items()}
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def candidates(self, label: str, exclude_id: str | None = None) -> np.ndarray:
+        """Ascending pool indices of ``label``, without the item whose id is ``exclude_id``."""
+        idxs = self._by_label.get(label, _NO_INDICES)
+        excluded = self._by_id.get(exclude_id)
+        if excluded is not None and self.items[excluded].label == label:
+            idxs = idxs[idxs != excluded]
+        return idxs
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _warn_short(cls: str, available: int, k: int) -> None:
@@ -72,75 +85,109 @@ def _warn_short(cls: str, available: int, k: int) -> None:
         log.warning("class %r has only %d pool items for k=%d; taking all", cls, available, k)
 
 
-def select_random(pool: Sequence[LabeledText], classes: Sequence[str],
-                  cfg: SelectionConfig, exclude_id: str | None = None) -> ShotSet:
-    """Uniform without-replacement sample of min(k, available) shots per class."""
-    grouped = _pool_by_class(pool, exclude_id)
-    rng = random.Random(cfg.seed)
-    per_class: list[tuple[str, list[LabeledText]]] = []
-    for cls in classes:
-        idxs = grouped.get(cls, [])
-        _warn_short(cls, len(idxs), cfg.k)
-        chosen = rng.sample(idxs, min(cfg.k, len(idxs)))
-        per_class.append((cls, [pool[i] for i in chosen]))
-    return ShotSet(per_class=per_class)
+def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
+                  seeds: Sequence[int], exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+    """Per query, a uniform without-replacement sample of min(k, available) shots per class.
 
-
-def _sparse_similarities(pool_vectors, query_vector: SparseVector) -> np.ndarray:
-    if sp.issparse(pool_vectors):
-        m = pool_vectors.tocsr()
-        if m.shape[1] != query_vector.dim:
-            raise ValueError(f"dimension mismatch: {m.shape[1]} != {query_vector.dim}")
-        dots = np.asarray(m @ query_vector.to_dense()).ravel()
-        row_norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
-        qn = query_vector.norm()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where((row_norms > 0) & (qn > 0), dots / (row_norms * qn), 0.0)
-        return sims
-    return np.array([cosine(v, query_vector) for v in pool_vectors])
-
-
-def _dense_similarities(pool_embeddings, query_embedding) -> np.ndarray:
-    q = np.asarray(query_embedding, dtype=float)
-    m = np.asarray(pool_embeddings, dtype=float)
-    if m.ndim != 2 or m.shape[1] != q.shape[0]:
-        raise ValueError(f"dimension mismatch: pool {m.shape} vs query {q.shape}")
-    row_norms = np.linalg.norm(m, axis=1)
-    qn = np.linalg.norm(q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where((row_norms > 0) & (qn > 0), (m @ q) / (row_norms * qn), 0.0)
-
-
-def _top_k_per_class(pool: Sequence[LabeledText], sims: np.ndarray, classes: Sequence[str],
-                     cfg: SelectionConfig, exclude_id: str | None) -> ShotSet:
-    if len(sims) != len(pool):
-        raise ValueError(f"{len(sims)} similarities for {len(pool)} pool items")
-    grouped = _pool_by_class(pool, exclude_id)
-    per_class: list[tuple[str, list[LabeledText]]] = []
-    for cls in classes:
-        idxs = grouped.get(cls, [])
-        _warn_short(cls, len(idxs), cfg.k)
-        # descending similarity; ties fall back to pool order
-        ranked = sorted(idxs, key=lambda i: (-sims[i], i))[: cfg.k]
-        per_class.append((cls, [pool[i] for i in ranked]))
-    return ShotSet(per_class=per_class)
-
-
-def select_sparse(pool: Sequence[LabeledText], pool_vectors, query_vector: SparseVector,
-                  classes: Sequence[str], cfg: SelectionConfig,
-                  exclude_id: str | None = None) -> ShotSet:
-    """Per class, the k pool items most cosine-similar to the query (tf-idf space).
-
-    ``pool_vectors`` is either a list of SparseVector or a prebuilt CSR matrix
-    with one row per pool item, under the same fitted tf-idf model as the query.
+    Query q draws from ``random.Random(seeds[q])``, class by class in its own
+    class order, excluding the pool item with id ``exclude_ids[q]``.
     """
-    sims = _sparse_similarities(pool_vectors, query_vector)
-    return _top_k_per_class(pool, sims, classes, cfg, exclude_id)
+    _check_k(k)
+    shot_sets = []
+    for order, seed, exclude_id in zip(classes, seeds, exclude_ids, strict=True):
+        rng = random.Random(seed)
+        per_class: list[tuple[str, list[LabeledText]]] = []
+        for cls in order:
+            idxs = pool.candidates(cls, exclude_id)
+            _warn_short(cls, len(idxs), k)
+            # sampling positions draws exactly what sampling the index list would
+            chosen = rng.sample(range(len(idxs)), min(k, len(idxs)))
+            per_class.append((cls, [pool.items[idxs[j]] for j in chosen]))
+        shot_sets.append(ShotSet(per_class=per_class))
+    return shot_sets
 
 
-def select_dense(pool: Sequence[LabeledText], pool_embeddings, query_embedding,
-                 classes: Sequence[str], cfg: SelectionConfig,
-                 exclude_id: str | None = None) -> ShotSet:
-    """As select_sparse, over dense embedding vectors."""
-    sims = _dense_similarities(pool_embeddings, query_embedding)
-    return _top_k_per_class(pool, sims, classes, cfg, exclude_id)
+def sparse_similarities(pool_vectors: sp.csr_matrix,
+                        queries: sp.csr_matrix) -> Iterator[np.ndarray]:
+    """Cosine similarity of each query row to every pool row, one array per query.
+
+    Queries go through ``queries @ pool_vectors.T`` SIM_CHUNK_ROWS rows at a
+    time. Each dot product sums the same nonzero products in the same
+    ascending-column order as the one-query product ``pool_vectors @ q``, and
+    the norms are computed the same way, so a row's similarities do not depend
+    on the rows batched with it. A zero-norm row or query scores 0.0.
+    """
+    if queries.shape[1] != pool_vectors.shape[1]:
+        raise ValueError(f"dimension mismatch: {pool_vectors.shape[1]} != {queries.shape[1]}")
+    pool_norms = np.sqrt(np.asarray(pool_vectors.multiply(pool_vectors).sum(axis=1)).ravel())
+    pool_t = pool_vectors.T.tocsr()
+    for start in range(0, queries.shape[0], SIM_CHUNK_ROWS):
+        chunk = queries[start:start + SIM_CHUNK_ROWS]
+        dots = (chunk @ pool_t).toarray()
+        query_norms = np.array([
+            np.sqrt(np.dot(chunk.data[s:e], chunk.data[s:e]))
+            for s, e in zip(chunk.indptr[:-1], chunk.indptr[1:])])[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = np.where((pool_norms > 0) & (query_norms > 0),
+                            dots / (pool_norms * query_norms), 0.0)
+        yield from sims
+
+
+def _dense_similarities(pool_embeddings,
+                        query_embeddings) -> Iterator[np.ndarray]:
+    m = np.asarray(pool_embeddings, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"dimension mismatch: pool embeddings have shape {m.shape}")
+    row_norms = np.linalg.norm(m, axis=1)
+    for query in query_embeddings:
+        q = np.asarray(query, dtype=float)
+        if q.shape != (m.shape[1],):
+            raise ValueError(f"dimension mismatch: pool {m.shape} vs query {q.shape}")
+        qn = np.linalg.norm(q)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            yield np.where((row_norms > 0) & (qn > 0), (m @ q) / (row_norms * qn), 0.0)
+
+
+def _top_k(pool: ShotPool, sims: np.ndarray, classes: Sequence[str], k: int,
+           exclude_id: str | None) -> ShotSet:
+    per_class: list[tuple[str, list[LabeledText]]] = []
+    for cls in classes:
+        idxs = pool.candidates(cls, exclude_id)
+        _warn_short(cls, len(idxs), k)
+        # idxs ascend, so a stable sort on -sim breaks ties by pool index
+        ranked = idxs[np.argsort(-sims[idxs], kind="stable")[:k]]
+        per_class.append((cls, [pool.items[i] for i in ranked]))
+    return ShotSet(per_class=per_class)
+
+
+def _select_by_similarity(pool: ShotPool, n_rows: int, rows: Iterator[np.ndarray],
+                          classes: Sequence[Sequence[str]], k: int,
+                          exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+    _check_k(k)
+    if n_rows != len(pool):
+        raise ValueError(f"{n_rows} similarities for {len(pool)} pool items")
+    return [_top_k(pool, sims, order, k, exclude_id)
+            for sims, order, exclude_id in zip(rows, classes, exclude_ids, strict=True)]
+
+
+def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,
+                  classes: Sequence[Sequence[str]], k: int,
+                  exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+    """Per query row and class, the k pool items most cosine-similar in tf-idf space.
+
+    ``pool_vectors`` has one row per pool item and ``queries`` one row per
+    query, both under the same fitted tf-idf model; ``classes[q]`` and
+    ``exclude_ids[q]`` belong to query row q.
+    """
+    return _select_by_similarity(pool, pool_vectors.shape[0],
+                                 sparse_similarities(pool_vectors, queries),
+                                 classes, k, exclude_ids)
+
+
+def select_dense(pool: ShotPool, pool_embeddings, query_embeddings,
+                 classes: Sequence[Sequence[str]], k: int,
+                 exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+    """As select_sparse, over dense embedding vectors (one query per entry)."""
+    return _select_by_similarity(pool, len(pool_embeddings),
+                                 _dense_similarities(pool_embeddings, query_embeddings),
+                                 classes, k, exclude_ids)

@@ -1,6 +1,9 @@
 """End-to-end tests for the prepare/run/report command line."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +257,42 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
     rc = main(["run", "--config", str(bad)])
     assert rc == 3
     assert "not valid JSON" in error_lines(capsys)[0]
+
+
+@pytest.mark.parametrize("section,key", [("llm", "concurrency_limit"),
+                                         ("embedding", "batchsize")])
+def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
+    config_path = tmp_path / "config.json"
+    body = {"endpoint": "http://127.0.0.1:9/v1"} if section == "embedding" else {}
+    config_path.write_text(json.dumps({
+        "datasets": [{"name": "toy", "path": str(write_toy(tmp_path))}],
+        section: {**body, key: 4},
+    }), encoding="utf-8")
+    rc = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert rc == 3
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: data:") and key in lines[0]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(module, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["cicle", "cicle.cli"])
+def test_python_dash_m_entry_points(module):
+    helped = run_module(module, "--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: cicle")
+    assert "prepare" in helped.stdout and "report" in helped.stdout
+    unknown = run_module(module, "frobnicate")
+    assert unknown.returncode == 2
+    assert "invalid choice" in unknown.stderr
 
 
 def test_csv_dataset_roundtrip(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tests for the completion client: oracles, parsing, and the HTTP wire."""
 
 import threading
-import time
 
 import pytest
 
@@ -15,7 +14,6 @@ from cicle.llm_client import (
     PromptMeta,
     complete,
     parse_label,
-    register_oracle,
 )
 
 from conftest import scripted_chat_app
@@ -44,7 +42,6 @@ def test_unknown_oracle_rejected_with_listing():
 @pytest.mark.parametrize("kwargs", [
     {"deterministic": False},
     {"max_new_tokens": 0},
-    {"concurrency_limit": 0},
     {"max_retries": -1},
 ])
 def test_config_validation(kwargs):
@@ -114,35 +111,6 @@ def test_call_count_is_thread_safe():
     for t in threads:
         t.join()
     assert client.call_count == 400
-
-
-def test_concurrency_limit_bounds_in_flight_calls():
-    active = 0
-    peak = 0
-    lock = threading.Lock()
-
-    def tracking(prompt, meta, params):
-        nonlocal active, peak
-        with lock:
-            active += 1
-            peak = max(peak, active)
-        time.sleep(0.02)
-        with lock:
-            active -= 1
-        return "x"
-
-    register_oracle("tracking-test", tracking)
-    try:
-        client = LlmClient(LlmConfig(endpoint="tracking-test", concurrency_limit=2))
-        threads = [threading.Thread(target=client.complete, args=("p",)) for _ in range(10)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        del ORACLES["tracking-test"]
-    assert peak <= 2
-    assert client.call_count == 10
 
 
 def test_module_level_complete():

@@ -1,6 +1,7 @@
 """Tests for the experiment pipeline: cells, records, orchestration."""
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +10,14 @@ import pytest
 from cicle.conformal import ConformalSet
 from cicle.corpus import file_sha256, freeze_dataset, stable_seed
 from cicle.errors import DataError
-from cicle.llm_client import LlmClient, LlmConfig
+from cicle.llm_client import ORACLES, LlmClient, LlmConfig, register_oracle
 from cicle.pipeline import (
     DEFAULT_SIZES,
     DatasetSpec,
     PredictionRecord,
     RunConfig,
     build_cell,
-    classify_base,
-    classify_cicle,
-    classify_fewshot,
+    classify_cell,
     config_to_json,
     read_records,
     record_filename,
@@ -46,8 +45,8 @@ def built_cell(strategies, n=160, overlap=0.0, seed=0, **cfg_kw):
     items = make_items(n, n_classes=4, seed=seed, overlap=overlap)
     space = space_for(items)
     config = make_config(sizes=[n], strategies=list(strategies), **cfg_kw)
-    res = build_cell(items, space, config, cell_seed=stable_seed(0, "toy", n))
     test = make_items(40, n_classes=4, seed=seed + 100, overlap=overlap, prefix="te")
+    res = build_cell(items, test, space, config, cell_seed=stable_seed(0, "toy", n))
     return space, config, res, test
 
 
@@ -65,8 +64,9 @@ def perfect():
 
 def test_classify_base_record_shape():
     space, config, res, test = built_cell(["base"])
-    for item in test:
-        rec = classify_base(res, item)
+    records = classify_cell(res, "base", None, config)
+    assert len(records) == len(test)
+    for item, rec in zip(test, records):
         assert rec.strategy == "base"
         assert rec.item_id == item.id
         assert rec.gold_label == space.position(item.label)
@@ -82,8 +82,7 @@ def test_classify_base_record_shape():
 def test_fewshot_perfect_oracle_hits_gold():
     space, config, res, test = built_cell(["fewshot-random"])
     llm = perfect()
-    for item in test:
-        rec = classify_fewshot(res, item, "fewshot-random", llm, config)
+    for item, rec in zip(test, classify_cell(res, "fewshot-random", llm, config)):
         assert rec.final_label == space.position(item.label)
         assert rec.llm_raw == item.label
         assert rec.base_probs is None
@@ -96,8 +95,7 @@ def test_fewshot_perfect_oracle_hits_gold():
 def test_fewshot_majority_oracle_picks_first_label():
     space, config, res, test = built_cell(["fewshot-sparse"])
     llm = LlmClient(LlmConfig(endpoint="majority"))
-    for item in test[:10]:
-        rec = classify_fewshot(res, item, "fewshot-sparse", llm, config)
+    for rec in classify_cell(res, "fewshot-sparse", llm, config):
         assert rec.final_label == 0
         assert rec.llm_raw == space.labels[0]
 
@@ -105,13 +103,13 @@ def test_fewshot_majority_oracle_picks_first_label():
 def test_classify_fewshot_rejects_other_strategies():
     space, config, res, test = built_cell(["fewshot-random"])
     with pytest.raises(ValueError, match="few-shot"):
-        classify_fewshot(res, test[0], "cicle", perfect(), config)
+        classify_cell(res, "fewshot-nearest", perfect(), config)
 
 
 def test_cicle_bypass_on_separable_data():
     space, config, res, test = built_cell(["base", "cicle"], alpha=0.2)
     llm = perfect()
-    records = [classify_cicle(res, item, llm, config) for item in test]
+    records = classify_cell(res, "cicle", llm, config)
     bypassed = [r for r in records if r.bypassed]
     assert len(bypassed) > len(records) * 0.8
     for rec in bypassed:
@@ -124,7 +122,7 @@ def test_cicle_bypass_on_separable_data():
 def test_cicle_prompts_carry_set_candidates():
     space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
     llm = perfect()
-    records = [classify_cicle(res, item, llm, config) for item in test]
+    records = classify_cell(res, "cicle", llm, config)
     prompted = [r for r in records if not r.bypassed]
     assert prompted
     for rec in prompted:
@@ -137,7 +135,7 @@ def test_cicle_prompts_carry_set_candidates():
 def test_perfect_oracle_identity_accuracy_equals_coverage():
     space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
     llm = perfect()
-    records = [classify_cicle(res, item, llm, config) for item in test]
+    records = classify_cell(res, "cicle", llm, config)
     for rec in records:
         covered = rec.conformal_set.contains(rec.gold_label)
         assert (rec.final_label == rec.gold_label) == covered
@@ -149,7 +147,7 @@ def test_perfect_oracle_identity_accuracy_equals_coverage():
 def test_llm_called_exactly_once_per_multiclass_set():
     space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
     llm = perfect()
-    records = [classify_cicle(res, item, llm, config) for item in test]
+    records = classify_cell(res, "cicle", llm, config)
     multi = sum(1 for r in records if len(r.conformal_set) >= 2)
     assert llm.call_count == multi
     assert multi == sum(1 for r in records if not r.bypassed)
@@ -161,7 +159,7 @@ def test_transport_failure_yields_invalid_records(serve):
     url = serve(scripted_chat_app([(500, "")]))
     space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
     llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
-    records = [classify_cicle(res, item, llm, config) for item in test]
+    records = classify_cell(res, "cicle", llm, config)
     prompted = [r for r in records if not r.bypassed]
     assert prompted
     for rec in prompted:
@@ -173,8 +171,8 @@ def test_transport_failure_yields_invalid_records(serve):
 def test_build_cell_dense_requires_embedding_client():
     items = make_items(80, n_classes=4)
     with pytest.raises(DataError, match="embedding"):
-        build_cell(items, space_for(items), make_config(strategies=["fewshot-dense"]),
-                   cell_seed=1)
+        build_cell(items, items[:5], space_for(items),
+                   make_config(strategies=["fewshot-dense"]), cell_seed=1)
 
 
 def test_record_json_roundtrip():
@@ -224,6 +222,22 @@ def test_write_read_records_roundtrip(tmp_path):
     path = tmp_path / "cell.jsonl"
     write_records(records, path)
     assert read_records(path) == records
+
+
+def test_write_records_leaves_no_partial_file(tmp_path):
+    good = PredictionRecord(item_id="a", strategy="base", gold_label=0, final_label=0)
+    bad = PredictionRecord(item_id="b", strategy="base", gold_label=0, final_label=0,
+                           base_probs=[object()])
+    path = tmp_path / "cell.jsonl"
+    with pytest.raises(TypeError):
+        write_records([good, good, bad, good], path)
+    assert list(tmp_path.iterdir()) == []
+
+    write_records([good], path)
+    with pytest.raises(TypeError):
+        write_records([good, bad], path)
+    assert read_records(path) == [good]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_read_records_reports_bad_line(tmp_path):
@@ -345,6 +359,73 @@ def test_run_experiment_parallel_is_byte_identical(tmp_path):
         a = (outputs[0] / "records" / name).read_bytes()
         b = (outputs[1] / "records" / name).read_bytes()
         assert a == b, name
+
+
+# sha256 of every record file of a small grid, pinned from the per-item
+# implementation that the batched cell path replaced; a change to any record
+# byte, at any --jobs, shows here.
+GOLDEN_RECORDS = {
+    "toy_80_0_base.jsonl": "4d23e4c5e49526ca449a35696428ad66e743f6353990d8e18a6d6870b34c76db",
+    "toy_80_0_cicle.jsonl": "b3b8d695b923ab8d71a91db60687a57542f3a7990dd0dc7d45fceafc1db3cb32",
+    "toy_80_0_fewshot-random.jsonl":
+        "9bf66576a40eddc76400c6ab6af14d903cc631cfe552aa9d20c9f342b6fc0731",
+    "toy_80_0_fewshot-sparse.jsonl":
+        "69e688b45334ed239db86eb729db034af47979a63655b166e908e79be700b181",
+    "toy_160_0_base.jsonl": "7a64e1bffcf2649007e6d374b22648ca04f1a059d3d3450a042710af0f7ef629",
+    "toy_160_0_cicle.jsonl": "e24e47ca3d244435653603c66c503d43adb924569dd984b8e539bd6d86c0e316",
+    "toy_160_0_fewshot-random.jsonl":
+        "a667f112ecb7edcb4f95e88d590777935f431998fad1b8225fec60d1741bcf46",
+    "toy_160_0_fewshot-sparse.jsonl":
+        "f825dad6c2f38964a5af23d454b20392651f877c0101c0c48fc05e4d849fed5c",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 6])
+def test_run_experiment_golden_bytes(tmp_path, jobs):
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    config = make_config(output=out, sizes=[80, 160], jobs=jobs,
+                         strategies=["base", "fewshot-random", "fewshot-sparse", "cicle"],
+                         llm=LlmConfig(endpoint="noisy"))
+    records = run_experiment(config)
+    cicle = [r for r in records if r.strategy == "cicle"]
+    assert 0 < sum(r.bypassed for r in cicle) < len(cicle)
+    digests = {p.name: file_sha256(p) for p in (out / "records").glob("*.jsonl")}
+    assert digests == GOLDEN_RECORDS
+
+
+def test_jobs_bounds_in_flight_llm_calls(tmp_path):
+    peaks = {}
+    for jobs in (2, 6):
+        state = {"active": 0, "peak": 0}
+        lock = threading.Lock()
+        full = threading.Event()
+
+        def tracking(prompt, meta, params):
+            with lock:
+                state["active"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+                if state["active"] >= jobs:
+                    full.set()
+            # hold each call until `jobs` calls are in flight at once, or give up
+            full.wait(timeout=0.5)
+            with lock:
+                state["active"] -= 1
+            return meta.gold_label
+
+        out = tmp_path / f"run{jobs}"
+        prepare(out)
+        register_oracle("tracking-test", tracking)
+        try:
+            records = run_experiment(make_config(
+                output=out, strategies=["fewshot-random"], jobs=jobs,
+                llm=LlmConfig(endpoint="tracking-test")))
+        finally:
+            del ORACLES["tracking-test"]
+        assert len(records) == 60
+        assert all(r.final_label == r.gold_label for r in records)
+        peaks[jobs] = state["peak"]
+    assert peaks == {2: 2, 6: 6}
 
 
 def test_run_experiment_fewshot_dense(tmp_path, serve):

@@ -1,17 +1,24 @@
 """Tests for few-shot example selection strategies."""
 
+import random
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.corpus import LabeledText
 from cicle.selection import (
-    SelectionConfig,
+    SIM_CHUNK_ROWS,
+    ShotPool,
     ShotSet,
     select_dense,
     select_random,
     select_sparse,
+    sparse_similarities,
 )
-from cicle.vectorize import fit_tfidf, stack, transform, transform_many
+from cicle.vectorize import SparseVector, fit_tfidf, stack, transform, transform_many
 
 from conftest import make_items
 
@@ -26,12 +33,31 @@ def small_pool():
     ]
 
 
+def ids(shots: ShotSet) -> list[list[str]]:
+    return [[it.id for it in items] for _, items in shots.per_class]
+
+
+def one_random(pool, classes, k, seed, exclude_id=None) -> ShotSet:
+    return select_random(ShotPool(pool), [classes], k, [seed], [exclude_id])[0]
+
+
+def one_sparse(pool, pool_vectors, query, classes, k, exclude_id=None) -> ShotSet:
+    return select_sparse(ShotPool(pool), pool_vectors, stack([query]), [classes], k,
+                         [exclude_id])[0]
+
+
 def test_config_validation():
-    SelectionConfig(k=1, strategy="sparse")
+    pool = ShotPool(small_pool())
     with pytest.raises(ValueError, match="k"):
-        SelectionConfig(k=0)
-    with pytest.raises(ValueError, match="strategy"):
-        SelectionConfig(strategy="nearest")
+        select_random(pool, [["fruit"]], 0, [0], [None])
+    with pytest.raises(ValueError, match="k"):
+        select_dense(pool, np.ones((5, 2)), np.ones((1, 2)), [["fruit"]], 0, [None])
+
+
+def test_shot_pool_rejects_duplicate_ids():
+    items = small_pool()
+    with pytest.raises(ValueError, match="duplicate id"):
+        ShotPool(items + [items[0]])
 
 
 def test_shot_set_helpers():
@@ -52,7 +78,7 @@ def test_last_shot_label_skips_empty_tail():
 def test_random_counts_and_class_order():
     pool = make_items(40, n_classes=4, seed=1)
     classes = ["charlie", "alpha", "delta", "bravo"]
-    shots = select_random(pool, classes, SelectionConfig(k=2, seed=5))
+    shots = one_random(pool, classes, 2, 5)
     assert shots.classes() == classes
     for cls, chosen in shots.per_class:
         assert len(chosen) == 2
@@ -62,26 +88,33 @@ def test_random_counts_and_class_order():
 def test_random_is_seed_deterministic():
     pool = make_items(40, n_classes=4, seed=1)
     classes = ["alpha", "bravo", "charlie", "delta"]
-    a = select_random(pool, classes, SelectionConfig(k=2, seed=5))
-    b = select_random(pool, classes, SelectionConfig(k=2, seed=5))
-    c = select_random(pool, classes, SelectionConfig(k=2, seed=6))
-    ids = lambda s: [[it.id for it in items] for _, items in s.per_class]
+    a, b, c = select_random(ShotPool(pool), [classes] * 3, 2, [5, 5, 6], [None] * 3)
     assert ids(a) == ids(b)
     assert ids(a) != ids(c)
 
 
+def test_random_matches_sampling_the_index_list():
+    pool = make_items(60, n_classes=3, seed=2)
+    classes = ["charlie", "alpha", "bravo"]
+    shots = one_random(pool, classes, 3, 11, exclude_id=pool[4].id)
+    rng = random.Random(11)
+    expected = []
+    for cls in classes:
+        idxs = [i for i, it in enumerate(pool) if it.label == cls and it.id != pool[4].id]
+        expected.append([pool[i].id for i in rng.sample(idxs, 3)])
+    assert ids(shots) == expected
+
+
 def test_random_excludes_query_item():
-    pool = small_pool()
-    shots = select_random(pool, ["fruit"], SelectionConfig(k=3, seed=0), exclude_id="a1")
+    shots = one_random(small_pool(), ["fruit"], 3, 0, exclude_id="a1")
     picked = [it.id for _, items in shots.per_class for it in items]
     assert "a1" not in picked
     assert sorted(picked) == ["a0", "a2"]
 
 
 def test_short_class_takes_all_and_warns(caplog):
-    pool = small_pool()
     with caplog.at_level("WARNING", logger="cicle.selection"):
-        shots = select_random(pool, ["veg", "meat"], SelectionConfig(k=3, seed=0))
+        shots = one_random(small_pool(), ["veg", "meat"], 3, 0)
     by_class = dict(shots.per_class)
     assert sorted(it.id for it in by_class["veg"]) == ["b0", "b1"]
     assert by_class["meat"] == []
@@ -93,26 +126,28 @@ def test_short_class_takes_all_and_warns(caplog):
 def sparse_fixture():
     pool = small_pool()
     tfidf = fit_tfidf([it.text for it in pool])
-    vectors = transform_many(tfidf, [it.text for it in pool])
+    vectors = stack(transform_many(tfidf, [it.text for it in pool]))
     return pool, tfidf, vectors
 
 
 def test_sparse_picks_most_similar():
     pool, tfidf, vectors = sparse_fixture()
     query = transform(tfidf, "apple orange pear")
-    shots = select_sparse(pool, vectors, query, ["fruit"], SelectionConfig(k=2, strategy="sparse"))
-    ids = [it.id for it in shots.per_class[0][1]]
-    assert ids[0] == "a0"
+    shots = one_sparse(pool, vectors, query, ["fruit"], 2)
+    assert ids(shots)[0][0] == "a0"
 
 
-def test_sparse_csr_and_list_paths_agree():
+def test_sparse_batch_matches_single_queries():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform(tfidf, "carrot banana")
-    cfg = SelectionConfig(k=2, strategy="sparse")
-    from_list = select_sparse(pool, vectors, query, ["fruit", "veg"], cfg)
-    from_csr = select_sparse(pool, stack(vectors), query, ["fruit", "veg"], cfg)
-    ids = lambda s: [[it.id for it in items] for _, items in s.per_class]
-    assert ids(from_list) == ids(from_csr)
+    texts = ["carrot banana", "apple", "kiwi leek", "nothing known", "pear onion"]
+    n = 2 * SIM_CHUNK_ROWS + 3
+    queries = [transform(tfidf, texts[i % len(texts)]) for i in range(n)]
+    classes = [["veg", "fruit"] if i % 2 else ["fruit", "veg"] for i in range(n)]
+    excluded = [pool[i % len(pool)].id if i % 3 else None for i in range(n)]
+    batch = select_sparse(ShotPool(pool), vectors, stack(queries), classes, 2, excluded)
+    assert len(batch) == n
+    for q, cls, ex, shots in zip(queries, classes, excluded, batch):
+        assert ids(shots) == ids(one_sparse(pool, vectors, q, cls, 2, exclude_id=ex))
 
 
 def test_sparse_tie_falls_back_to_pool_order():
@@ -122,29 +157,26 @@ def test_sparse_tie_falls_back_to_pool_order():
         LabeledText(id="x2", text="zzz yyy", label="c"),
     ]
     tfidf = fit_tfidf([it.text for it in pool])
-    vectors = transform_many(tfidf, [it.text for it in pool])
-    query = transform(tfidf, "zzz yyy")
-    shots = select_sparse(pool, vectors, query, ["c"], SelectionConfig(k=2, strategy="sparse"))
-    assert [it.id for it in shots.per_class[0][1]] == ["x0", "x1"]
+    vectors = stack(transform_many(tfidf, [it.text for it in pool]))
+    shots = one_sparse(pool, vectors, transform(tfidf, "zzz yyy"), ["c"], 2)
+    assert ids(shots) == [["x0", "x1"]]
 
 
 def test_sparse_zero_query_vector_is_safe():
     pool, tfidf, vectors = sparse_fixture()
     query = transform(tfidf, "nonsensetoken anothermiss")
     assert query.nnz == 0
-    shots = select_sparse(pool, stack(vectors), query, ["fruit"],
-                          SelectionConfig(k=2, strategy="sparse"))
+    shots = one_sparse(pool, vectors, query, ["fruit"], 2)
     # zero query means all similarities are zero; pool order wins
-    assert [it.id for it in shots.per_class[0][1]] == ["a0", "a1"]
+    assert ids(shots) == [["a0", "a1"]]
 
 
 def test_sparse_excludes_query_item():
     pool, tfidf, vectors = sparse_fixture()
     query = transform(tfidf, pool[0].text)
-    shots = select_sparse(pool, vectors, query, ["fruit"],
-                          SelectionConfig(k=3, strategy="sparse"), exclude_id="a0")
-    ids = [it.id for it in shots.per_class[0][1]]
-    assert "a0" not in ids and len(ids) == 2
+    shots = one_sparse(pool, vectors, query, ["fruit"], 3, exclude_id="a0")
+    picked = ids(shots)[0]
+    assert "a0" not in picked and len(picked) == 2
 
 
 def test_sparse_dimension_mismatch_rejected():
@@ -152,16 +184,14 @@ def test_sparse_dimension_mismatch_rejected():
     other = fit_tfidf(["completely different words here"])
     query = transform(other, "different words")
     with pytest.raises(ValueError, match="dimension"):
-        select_sparse(pool, stack(vectors), query, ["fruit"],
-                      SelectionConfig(k=1, strategy="sparse"))
+        one_sparse(pool, vectors, query, ["fruit"], 1)
 
 
 def test_sparse_similarity_count_mismatch_rejected():
     pool, tfidf, vectors = sparse_fixture()
     query = transform(tfidf, "apple")
     with pytest.raises(ValueError, match="pool items"):
-        select_sparse(pool, vectors[:3], query, ["fruit"],
-                      SelectionConfig(k=1, strategy="sparse"))
+        one_sparse(pool, vectors[:3], query, ["fruit"], 1)
 
 
 def test_dense_picks_most_similar():
@@ -174,8 +204,7 @@ def test_dense_picks_most_similar():
         [0.5, 0.5],
     ])
     query = np.array([1.0, 0.05])
-    shots = select_dense(pool, embeddings, query, ["fruit", "veg"],
-                         SelectionConfig(k=2, strategy="dense"))
+    shots = select_dense(ShotPool(pool), embeddings, [query], [["fruit", "veg"]], 2, [None])[0]
     by_class = dict((c, [it.id for it in items]) for c, items in shots.per_class)
     assert by_class["fruit"] == ["a0", "a1"]
     assert by_class["veg"] == ["b1", "b0"]
@@ -184,14 +213,87 @@ def test_dense_picks_most_similar():
 def test_dense_zero_norm_rows_score_zero():
     pool = small_pool()[:2]
     embeddings = np.array([[0.0, 0.0], [1.0, 0.0]])
-    query = np.array([1.0, 0.0])
-    shots = select_dense(pool, embeddings, query, ["fruit"],
-                         SelectionConfig(k=1, strategy="dense"))
-    assert [it.id for it in shots.per_class[0][1]] == ["a1"]
+    shots = select_dense(ShotPool(pool), embeddings, [np.array([1.0, 0.0])], [["fruit"]], 1,
+                         [None])[0]
+    assert ids(shots) == [["a1"]]
 
 
 def test_dense_dimension_mismatch_rejected():
-    pool = small_pool()[:2]
+    pool = ShotPool(small_pool()[:2])
     with pytest.raises(ValueError, match="dimension"):
-        select_dense(pool, np.ones((2, 3)), np.ones(4), ["fruit"],
-                     SelectionConfig(k=1, strategy="dense"))
+        select_dense(pool, np.ones((2, 3)), [np.ones(4)], [["fruit"]], 1, [None])
+
+
+# -- properties of the batched sparse path ---------------------------------
+
+
+def reference_similarities(pool_vectors: sp.csr_matrix, query: SparseVector) -> np.ndarray:
+    """One query at a time, as an unbatched selection computes it."""
+    m = pool_vectors.tocsr()
+    dots = np.asarray(m @ query.to_dense()).ravel()
+    row_norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    qn = query.norm()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((row_norms > 0) & (qn > 0), dots / (row_norms * qn), 0.0)
+
+
+DIM = 6
+LABELS = ("a", "b", "c", "d")
+
+
+def unit_vector(weights: list[int]) -> SparseVector:
+    idx = np.array([i for i, w in enumerate(weights) if w], dtype=np.int32)
+    vals = np.array([w for w in weights if w], dtype=float)
+    if len(vals):
+        vals /= np.sqrt(np.dot(vals, vals))
+    return SparseVector(indices=idx, values=vals, dim=DIM)
+
+
+# small integer weights make duplicate rows (exact ties) and all-zero rows common
+weights = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=DIM, max_size=DIM)
+
+
+@st.composite
+def selection_cases(draw):
+    n_pool = draw(st.integers(1, 30))
+    pool = [LabeledText(id=f"p{i}", text="", label=draw(st.sampled_from(LABELS)))
+            for i in range(n_pool)]
+    pool_vectors = [unit_vector(draw(weights)) for _ in range(n_pool)]
+    n_queries = draw(st.integers(1, 2 * SIM_CHUNK_ROWS + 6))
+    queries = [unit_vector(draw(weights)) for _ in range(n_queries)]
+    # classes in any order, possibly one with no pool items at all
+    orders = [draw(st.lists(st.sampled_from(LABELS + ("none",)), min_size=1, max_size=5,
+                            unique=True)) for _ in range(n_queries)]
+    excluded = [draw(st.sampled_from([None, "absent"] + [it.id for it in pool]))
+                for _ in range(n_queries)]
+    k = draw(st.integers(1, 4))
+    return pool, pool_vectors, queries, orders, excluded, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(selection_cases())
+def test_batched_top_k_matches_brute_force(case):
+    pool, pool_vectors, queries, orders, excluded, k = case
+    matrix = stack(pool_vectors)
+    batch = select_sparse(ShotPool(pool), matrix, stack(queries), orders, k, excluded)
+    assert len(batch) == len(queries)
+    for query, order, exclude_id, shots in zip(queries, orders, excluded, batch):
+        cos = reference_similarities(matrix, query)
+        expected = []
+        for cls in order:
+            idxs = [i for i, it in enumerate(pool) if it.label == cls and it.id != exclude_id]
+            expected.append((cls, [pool[i] for i in sorted(idxs, key=lambda i: (-cos[i], i))[:k]]))
+        assert shots.per_class == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(selection_cases())
+def test_chunked_similarities_equal_single_query_reference(case):
+    _, pool_vectors, queries, _, _, _ = case
+    matrix = stack(pool_vectors)
+    rows = list(sparse_similarities(matrix, stack(queries)))
+    assert len(rows) == len(queries)
+    for row, query in zip(rows, queries):
+        reference = reference_similarities(matrix, query)
+        assert row.shape == reference.shape
+        assert (row == reference).all()
