@@ -7,7 +7,7 @@ few similar examples per class. Plain few-shot baselines, a mock-oracle LLM
 client, an experiment runner and a reporting harness round out the toolkit.
 """
 
-from .classifier import (LogisticModel, TrainConfig, nll_and_grad, predict, predict_proba,
+from .classifier import (LogisticModel, TrainConfig, nll_and_grad, predict_proba,
                          predict_proba_many, train)
 from .conformal import (ConformalCalibration, ConformalConfig, ConformalSet, calibrate,
                         calibration_from_scores, predict_set, quantile_rank)
@@ -21,8 +21,8 @@ from .pipeline import (DatasetSpec, PredictionRecord, RunConfig, classify_base, 
                        classify_cicle, classify_fewshot, run_experiment)
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
-from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, cosine,
-                        fit_tfidf, transform, transform_many)
+from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, fit_tfidf,
+                        transform, transform_many)
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "RunConfig", "RunReport", "ShotPool", "ShotSet", "SparseVector", "TfidfModel",
     "TrainConfig", "TransportError", "apportion", "build_prompt", "build_report",
     "calibrate", "calibration_from_scores", "cell_metrics", "classify_base",
-    "classify_cell", "classify_cicle", "classify_fewshot", "cosine", "emit_report", "fit_tfidf",
-    "load_dataset", "macro_f1", "nll_and_grad", "parse_label", "predict", "predict_proba",
+    "classify_cell", "classify_cicle", "classify_fewshot", "emit_report", "fit_tfidf",
+    "load_dataset", "macro_f1", "nll_and_grad", "parse_label", "predict_proba",
     "predict_proba_many", "predict_set", "quantile_rank", "reduction_stats",
     "run_experiment", "select_dense", "select_random", "select_sparse", "stable_seed",
     "stratified_split", "stratified_subsample", "train", "transform", "transform_many",

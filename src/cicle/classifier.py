@@ -7,7 +7,9 @@ formulation with inverse regularization strength C):
 
 Training is deterministic: zero initialization and a full-batch L-BFGS
 minimizer driven by the analytic gradient below, stopping when the gradient
-infinity-norm falls below ``tol`` or after ``max_iter`` iterations.
+infinity-norm falls below ``tol``, when a step reduces the loss by a relative
+1e-12 or less (L-BFGS-B's ``ftol``), or after ``max_iter`` iterations. Only
+the first counts as converged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from .corpus import LabelSpace
-from .errors import DataError
 from .vectorize import SparseVector, stack
 
 log = logging.getLogger(__name__)
@@ -49,10 +50,6 @@ class LogisticModel:
     b: np.ndarray
     label_space: LabelSpace
     converged: bool = True
-
-    @property
-    def n_classes(self) -> int:
-        return self.W.shape[0]
 
     @property
     def dim(self) -> int:
@@ -128,12 +125,12 @@ def train(X, y, label_space: LabelSpace, config: TrainConfig | None = None) -> L
     )
     W = result.x[: K * V].reshape(K, V).copy()
     b = result.x[K * V:].copy()
-    _, dW, db = nll_and_grad(W, b, X, y, config.C)
-    grad_norm = max(np.abs(dW).max(), np.abs(db).max())
+    grad_norm = np.abs(result.jac).max()
     converged = bool(grad_norm <= config.tol)
     if not converged:
-        log.warning("training did not converge: gradient inf-norm %.3e > tol %.3e after %d iterations",
-                    grad_norm, config.tol, result.nit)
+        log.warning("training did not converge: gradient inf-norm %.3e > tol %.3e after %d "
+                    "iterations; L-BFGS-B stopped with: %s",
+                    grad_norm, config.tol, result.nit, result.message)
     return LogisticModel(W=W, b=b, label_space=label_space, converged=converged)
 
 
@@ -156,40 +153,3 @@ def predict_proba_many(model: LogisticModel, X) -> np.ndarray:
     if X.shape[1] != model.dim:
         raise ValueError(f"dimension mismatch: matrix has {X.shape[1]}, model expects {model.dim}")
     return _softmax_rows(np.asarray(X @ model.W.T) + model.b)
-
-
-def predict(model: LogisticModel, x: SparseVector) -> int:
-    """Argmax class index; ties go to the lowest index."""
-    return int(np.argmax(predict_proba(model, x)))
-
-
-MODEL_FORMAT_VERSION = 1
-
-
-def save_model(model: LogisticModel, path, vocab_hash: str) -> None:
-    """Serialize weights, labels and the tf-idf vocabulary hash to a .npz file."""
-    np.savez(
-        path,
-        version=np.int64(MODEL_FORMAT_VERSION),
-        W=model.W,
-        b=model.b,
-        labels=np.array(model.label_space.labels, dtype=object),
-        vocab_hash=np.str_(vocab_hash),
-        converged=np.bool_(model.converged),
-    )
-
-
-def load_model(path, expected_vocab_hash: str | None = None) -> LogisticModel:
-    """Load a saved model; refuses to load against a mismatched vocabulary hash."""
-    with np.load(path, allow_pickle=True) as data:
-        version = int(data["version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {version}")
-        stored_hash = str(data["vocab_hash"])
-        if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
-            raise DataError(
-                "vocabulary hash mismatch: model was trained against a different tf-idf model "
-                f"({stored_hash[:12]}… != {expected_vocab_hash[:12]}…)")
-        labels = LabelSpace.from_labels(str(l) for l in data["labels"])
-        return LogisticModel(W=data["W"], b=data["b"], label_space=labels,
-                             converged=bool(data["converged"]))

@@ -15,15 +15,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .classifier import TrainConfig
 from .corpus import freeze_dataset, load_dataset, load_frozen, stable_seed
 from .errors import DataError, TransportError
 from .evalreport import build_report, emit_report
-from .llm_client import LlmConfig, ORACLES
-from .pipeline import (DEFAULT_SIZES, DEFAULT_STRATEGIES, STRATEGIES, DatasetSpec, RunConfig,
-                       read_records, record_filename, run_experiment)
-from .prompting import DEFAULT_TEMPLATE, PromptTemplate, template_from_file
-from .vectorize import EmbeddingConfig
+from .llm_client import ORACLES
+from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, read_records, record_filename,
+                       run_experiment)
+from .prompting import template_from_file
+from .serialize import from_dict
 
 log = logging.getLogger(__name__)
 
@@ -48,69 +47,47 @@ def _parse_int_list(value: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
 
 
+def _section(payload: dict, key: str) -> dict:
+    raw = payload.get(key) or {}
+    if not isinstance(raw, dict):
+        raise DataError(f"config.{key} must be an object, got {type(raw).__name__}")
+    return dict(raw)
+
+
 def _build_datasets(payload: dict, args) -> list[DatasetSpec]:
-    by_name: dict[str, dict] = {}
-    for entry in payload.get("datasets", []):
-        if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
-            raise DataError("config datasets entries need at least 'name' and 'path'")
-        by_name[str(entry["name"])] = {
-            "path": str(entry["path"]),
-            "fmt": entry.get("fmt"),
-            "min_size": int(entry.get("min_size", 0)),
-            "task": str(entry.get("task", "text classification")),
-        }
+    entries = payload.get("datasets", [])
+    if not isinstance(entries, list):
+        raise DataError("config.datasets must be a list")
+    by_name = {}
+    for i, entry in enumerate(entries):
+        spec = from_dict(DatasetSpec, entry, f"config.datasets[{i}]")
+        by_name[spec.name] = spec
     for value in args.dataset or []:
         name, path = _split_pair(value, "--dataset")
-        by_name.setdefault(name, {"path": path, "fmt": None, "min_size": 0,
-                                  "task": "text classification"})["path"] = path
+        by_name[name] = (dataclasses.replace(by_name[name], path=path) if name in by_name
+                         else DatasetSpec(name=name, path=path))
     for value in args.min_size or []:
         name, n = _split_pair(value, "--min-size")
         if name not in by_name:
             raise UsageError(f"--min-size names unknown dataset {name!r}")
         try:
-            by_name[name]["min_size"] = int(n)
+            n = int(n)
         except ValueError:
             raise UsageError(f"--min-size expects an integer, got {n!r}") from None
+        by_name[name] = dataclasses.replace(by_name[name], min_size=n)
     for value in args.task or []:
         name, task = _split_pair(value, "--task")
         if name not in by_name:
             raise UsageError(f"--task names unknown dataset {name!r}")
-        by_name[name]["task"] = task
+        by_name[name] = dataclasses.replace(by_name[name], task=task)
     if not by_name:
         raise UsageError("no datasets given; use --dataset NAME=PATH or a config file")
-    return [DatasetSpec(name=name, **fields) for name, fields in by_name.items()]
+    return list(by_name.values())
 
 
-def _build_template(payload: dict, args) -> PromptTemplate:
-    if args.template:
-        return template_from_file(args.template)
-    raw = payload.get("template")
-    if raw is None:
-        return DEFAULT_TEMPLATE
-    if isinstance(raw, str):
-        return template_from_file(raw)
-    if isinstance(raw, dict):
-        missing = [k for k in ("task_intro", "example_format", "query_format", "instruction")
-                   if k not in raw]
-        if missing:
-            raise DataError(f"config template is missing fields: {', '.join(missing)}")
-        return PromptTemplate(task_intro=str(raw["task_intro"]),
-                              example_format=str(raw["example_format"]),
-                              query_format=str(raw["query_format"]),
-                              instruction=str(raw["instruction"]))
-    raise DataError("config template must be a path or an object")
-
-
-def _check_keys(raw: dict, cls, section: str) -> None:
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise DataError(f"config {section} has unknown keys: {', '.join(unknown)}")
-
-
-def _build_llm(payload: dict, args) -> LlmConfig:
-    raw = dict(payload.get("llm", {}))
-    raw.pop("deterministic", None)
-    _check_keys(raw, LlmConfig, "llm")
+def _build_llm(payload: dict, args) -> dict:
+    raw = _section(payload, "llm")
+    raw.pop("deterministic", None)  # decoding is always deterministic; old files still name it
     if args.oracle and args.llm_endpoint:
         raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
     if args.oracle:
@@ -125,23 +102,24 @@ def _build_llm(payload: dict, args) -> LlmConfig:
     if args.max_new_tokens is not None:
         raw["max_new_tokens"] = args.max_new_tokens
     raw.setdefault("endpoint", "perfect")
-    return LlmConfig(**raw)
+    return raw
 
 
-def _build_embedding(payload: dict, args) -> EmbeddingConfig | None:
-    raw = dict(payload.get("embedding") or {})
-    _check_keys(raw, EmbeddingConfig, "embedding")
+def _build_embedding(payload: dict, args) -> dict | None:
+    raw = _section(payload, "embedding")
     if args.embedding_endpoint:
         raw["endpoint"] = args.embedding_endpoint
     if args.embedding_cache:
         raw["cache_dir"] = args.embedding_cache
-    if not raw.get("endpoint"):
-        return None
-    return EmbeddingConfig(**raw)
+    return raw or None
 
 
 def build_run_config(args) -> RunConfig:
-    """Merge the JSON config file (if any) with flag overrides; flags win."""
+    """Merge the JSON config file (if any) with flag overrides; flags win.
+
+    Every section goes through ``from_dict``, so an unknown key, a missing
+    required field or a value of the wrong type is a DataError.
+    """
     payload: dict = {}
     if args.config:
         path = Path(args.config)
@@ -154,41 +132,24 @@ def build_run_config(args) -> RunConfig:
         if not isinstance(payload, dict):
             raise DataError("config root must be a JSON object")
 
-    sizes = payload.get("sizes", list(DEFAULT_SIZES))
+    flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
+             "calib_fraction": args.calib_fraction, "test_size": args.test_size,
+             "jobs": args.jobs}
+    payload.update({key: value for key, value in flags.items() if value is not None})
     if args.sizes:
-        sizes = _parse_int_list(args.sizes, "--sizes")
-    strategies = payload.get("strategies", list(DEFAULT_STRATEGIES))
+        payload["sizes"] = _parse_int_list(args.sizes, "--sizes")
     if args.strategies:
-        strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise UsageError(f"unknown strategy: {', '.join(unknown)}; "
-                         f"choose from {', '.join(STRATEGIES)}")
-
-    train_raw = payload.get("train", {})
-    kwargs = {
-        "datasets": _build_datasets(payload, args),
-        "output": args.output or payload.get("output", "runs"),
-        "sizes": sizes,
-        "seed": args.seed if args.seed is not None else int(payload.get("seed", 0)),
-        "alpha": args.alpha if args.alpha is not None else float(payload.get("alpha", 0.05)),
-        "k": args.k if args.k is not None else int(payload.get("k", 2)),
-        "strategies": strategies,
-        "calib_fraction": (args.calib_fraction if args.calib_fraction is not None
-                           else float(payload.get("calib_fraction", 0.2))),
-        "template": _build_template(payload, args),
-        "llm": _build_llm(payload, args),
-        "embedding": _build_embedding(payload, args),
-        "test_size": (args.test_size if args.test_size is not None
-                      else int(payload.get("test_size", 1000))),
-        "jobs": args.jobs if args.jobs is not None else int(payload.get("jobs", 1)),
-        "force": bool(args.force),
-    }
-    if train_raw:
-        kwargs["train"] = TrainConfig(C=float(train_raw.get("C", 1.0)),
-                                      tol=float(train_raw.get("tol", 1e-4)),
-                                      max_iter=int(train_raw.get("max_iter", 1000)))
-    return RunConfig(**kwargs)
+        payload["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
+        unknown = [s for s in payload["strategies"] if s not in STRATEGIES]
+        if unknown:
+            raise UsageError(f"unknown strategy: {', '.join(unknown)}; "
+                             f"choose from {', '.join(STRATEGIES)}")
+    if args.template or isinstance(payload.get("template"), str):
+        payload["template"] = template_from_file(args.template or payload["template"])
+    payload["datasets"] = _build_datasets(payload, args)
+    payload["llm"] = _build_llm(payload, args)
+    payload["embedding"] = _build_embedding(payload, args)
+    return from_dict(RunConfig, payload, "config", force=bool(args.force))
 
 
 def _dataset_sizes(config: RunConfig, spec: DatasetSpec) -> list[int]:

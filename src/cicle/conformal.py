@@ -14,15 +14,12 @@ so every item stays classified.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .classifier import LogisticModel, predict_proba_many
-from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -121,29 +118,3 @@ def predict_set(calibration: ConformalCalibration, probs) -> ConformalSet:
         top = int(np.argmax(probs))
         return ConformalSet(candidates=[(top, float(probs[top]))], forced_fallback=True)
     return ConformalSet(candidates=candidates)
-
-
-def save_calibration(calibration: ConformalCalibration, path) -> None:
-    payload = {
-        "alpha": calibration.alpha,
-        "n": calibration.n,
-        "scores": [float(s) for s in calibration.scores],
-        "q_hat": calibration.q_hat,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_calibration(path) -> ConformalCalibration:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        cal = ConformalCalibration(
-            alpha=float(payload["alpha"]),
-            scores=np.asarray(payload["scores"], dtype=float),
-            n=int(payload["n"]),
-            q_hat=float(payload["q_hat"]),
-        )
-    except KeyError as exc:
-        raise DataError(f"calibration file {path} is missing field {exc}") from None
-    if len(cal.scores) != cal.n:
-        raise DataError(f"calibration file {path}: n={cal.n} but {len(cal.scores)} scores")
-    return cal

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .serialize import atomic_open, write_json
 
 log = logging.getLogger(__name__)
 
@@ -70,11 +71,10 @@ class LabelSpace:
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/calibration/test parts plus the seed that produced them."""
+    """Disjoint train and calibration parts plus the seed that produced them."""
 
     train: list[LabeledText]
     calibration: list[LabeledText]
-    test: list[LabeledText]
     seed: int
 
 
@@ -224,8 +224,8 @@ def stratified_split(data: Sequence[LabeledText], calib_fraction: float, seed: i
     """Split into train + calibration parts with stratified class proportions.
 
     The total calibration size is calib_fraction of the data (half-up
-    rounding), apportioned per class by largest remainder. The test part is
-    left empty; frozen test sets are supplied separately.
+    rounding), apportioned per class by largest remainder. Frozen test sets
+    are supplied separately.
     """
     if not (0.0 < calib_fraction < 1.0):
         raise ValueError(f"calib_fraction must be in (0, 1), got {calib_fraction}")
@@ -243,7 +243,7 @@ def stratified_split(data: Sequence[LabeledText], calib_fraction: float, seed: i
         calibration.extend(picked)
         calib_ids.update(item.id for item in picked)
     train = [item for item in data if item.id not in calib_ids]
-    return DatasetSplit(train=train, calibration=calibration, test=[], seed=seed)
+    return DatasetSplit(train=train, calibration=calibration, seed=seed)
 
 
 def stable_seed(*parts) -> int:
@@ -253,9 +253,7 @@ def stable_seed(*parts) -> int:
 
 
 def write_jsonl(items: Iterable[LabeledText], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for item in items:
             fh.write(json.dumps({"id": item.id, "text": item.text, "label": item.label},
                                 ensure_ascii=False) + "\n")
@@ -275,7 +273,6 @@ def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_di
     content hashes so reruns can be verified byte-for-byte.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     test = stratified_subsample(items, test_size, test_seed)
     test_ids = {item.id for item in test}
     pool = [item for item in items if item.id not in test_ids]
@@ -295,19 +292,24 @@ def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_di
             "test.jsonl": file_sha256(out_dir / "test.jsonl"),
         },
     }
-    with (out_dir / "manifest.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_json(manifest, out_dir / "manifest.json")
     return manifest
 
 
 def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSpace, dict]:
-    """Load a frozen dataset directory back into (pool, test, labels, manifest)."""
+    """Load a frozen dataset directory back into (pool, test, labels, manifest).
+
+    Each split file must still hash to the sha256 its manifest recorded.
+    """
     dir_path = Path(dir_path)
     manifest_path = dir_path / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no frozen dataset at {dir_path} (missing manifest.json); run prepare first")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for name in ("pool.jsonl", "test.jsonl"):
+        if file_sha256(dir_path / name) != manifest.get("sha256", {}).get(name):
+            raise DataError(f"{dir_path / name} does not match the sha256 in its manifest.json; "
+                            "run prepare again")
     pool = _read_jsonl(dir_path / "pool.jsonl")
     test = _read_jsonl(dir_path / "test.jsonl")
     space = LabelSpace.from_labels(manifest["labels"])

@@ -9,7 +9,6 @@ timestamp-free so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Mapping, Sequence
 from .corpus import LabelSpace
 from .errors import DataError
 from .pipeline import STRATEGIES, PredictionRecord
+from .serialize import atomic_open, write_json
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +46,6 @@ class RunReport:
     aggregates: dict[tuple[str, str], float]
     regimes: dict[tuple[str, str], float]
     reductions: dict[str, dict[str, float]]
-    schema: str = REPORT_SCHEMA
 
 
 def _class_count(labels) -> int:
@@ -118,24 +117,6 @@ def cell_metrics(records: Sequence[PredictionRecord], labels) -> CellMetrics:
     )
 
 
-def aggregate_all_sizes(per_cell: Mapping[CellKey, CellMetrics], dataset: str,
-                        sizes: Sequence[int], strategies: Sequence[str],
-                        ) -> dict[str, float]:
-    """Per-strategy mean macro-F1 over the given sizes; a missing cell is an error."""
-    if not sizes:
-        raise ValueError(f"no sizes to aggregate for dataset {dataset!r}")
-    out: dict[str, float] = {}
-    for strategy in strategies:
-        values = []
-        for size in sizes:
-            key = (dataset, size, strategy)
-            if key not in per_cell:
-                raise DataError(f"missing cell {dataset}/{size}/{strategy}")
-            values.append(per_cell[key].macro_f1)
-        out[strategy] = sum(values) / len(values)
-    return out
-
-
 def regime_aggregate(per_cell: Mapping[CellKey, CellMetrics],
                      regimes: Mapping[str, Sequence[int]], datasets: Sequence[str],
                      strategies: Sequence[str]) -> dict[tuple[str, str], float]:
@@ -150,8 +131,7 @@ def regime_aggregate(per_cell: Mapping[CellKey, CellMetrics],
                 for size in sizes:
                     key = (dataset, size, strategy)
                     if key not in per_cell:
-                        raise DataError(f"missing cell {dataset}/{size}/{strategy}"
-                                        f" for regime {regime!r}")
+                        raise DataError(f"missing cell {dataset}/{size}/{strategy}")
                     values.append(per_cell[key].macro_f1)
             out[(regime, strategy)] = sum(values) / len(values)
     return out
@@ -203,8 +183,7 @@ def _strategy_order(strategies) -> list[str]:
 
 
 def build_report(cells: Mapping[CellKey, Sequence[PredictionRecord]],
-                 class_counts: Mapping[str, int],
-                 regimes: Mapping[str, Sequence[int]] | None = None) -> RunReport:
+                 class_counts: Mapping[str, int]) -> RunReport:
     """Metrics, learning-curve aggregates, regime means and reductions.
 
     ``cells`` maps (dataset, size, strategy) to that cell's records;
@@ -227,16 +206,14 @@ def build_report(cells: Mapping[CellKey, Sequence[PredictionRecord]],
     strategies = _strategy_order({s for _, _, s in per_cell})
     sizes_by_dataset = {d: sorted({s for dd, s, _ in per_cell if dd == d}) for d in datasets}
 
+    # a dataset's all-size mean is a regime of its own sizes over that one dataset
     aggregates: dict[tuple[str, str], float] = {}
     for dataset in datasets:
-        means = aggregate_all_sizes(per_cell, dataset, sizes_by_dataset[dataset], strategies)
-        for strategy, value in means.items():
-            aggregates[(dataset, strategy)] = value
+        aggregates.update(regime_aggregate(per_cell, {dataset: sizes_by_dataset[dataset]},
+                                           [dataset], strategies))
 
-    all_sizes = sorted({s for _, s, _ in per_cell})
-    regimes = regimes if regimes is not None else regimes_for(all_sizes)
     regime_means: dict[tuple[str, str], float] = {}
-    for regime, sizes in regimes.items():
+    for regime, sizes in regimes_for(sorted({s for _, s, _ in per_cell})).items():
         covered = [d for d in datasets if set(sizes) <= set(sizes_by_dataset[d])]
         if not covered:
             log.warning("regime %r has no dataset with all of sizes %s; dropping it",
@@ -259,62 +236,15 @@ def build_report(cells: Mapping[CellKey, Sequence[PredictionRecord]],
                      reductions=reductions)
 
 
-def _metrics_to_json(m: CellMetrics) -> dict:
-    return {
-        "macro_f1": m.macro_f1,
-        "mean_token_count": m.mean_token_count,
-        "mean_shot_count": m.mean_shot_count,
-        "bypass_rate": m.bypass_rate,
-        "invalid_rate": m.invalid_rate,
-        "empirical_coverage": m.empirical_coverage,
-        "n_records": m.n_records,
-    }
-
-
 def report_to_json(report: RunReport) -> dict:
     return {
-        "schema": report.schema,
-        "per_cell": {f"{d}/{s}/{strat}": _metrics_to_json(m)
+        "schema": REPORT_SCHEMA,
+        "per_cell": {f"{d}/{s}/{strat}": vars(m)
                      for (d, s, strat), m in sorted(report.per_cell.items())},
         "aggregates": {f"{d}/{strat}": v for (d, strat), v in sorted(report.aggregates.items())},
         "regimes": {f"{r}/{strat}": v for (r, strat), v in sorted(report.regimes.items())},
         "reductions": {d: dict(sorted(v.items())) for d, v in sorted(report.reductions.items())},
     }
-
-
-def report_from_json(obj: Mapping) -> RunReport:
-    try:
-        if obj["schema"] != REPORT_SCHEMA:
-            raise DataError(f"unsupported report schema {obj['schema']!r}")
-        per_cell = {}
-        for key, raw in obj["per_cell"].items():
-            dataset, size, strategy = key.split("/")
-            cov = raw["empirical_coverage"]
-            per_cell[(dataset, int(size), strategy)] = CellMetrics(
-                macro_f1=float(raw["macro_f1"]),
-                mean_token_count=float(raw["mean_token_count"]),
-                mean_shot_count=float(raw["mean_shot_count"]),
-                bypass_rate=float(raw["bypass_rate"]),
-                invalid_rate=float(raw["invalid_rate"]),
-                empirical_coverage=None if cov is None else float(cov),
-                n_records=int(raw["n_records"]),
-            )
-        aggregates = {}
-        for key, value in obj["aggregates"].items():
-            dataset, strategy = key.split("/")
-            aggregates[(dataset, strategy)] = float(value)
-        regimes = {}
-        for key, value in obj["regimes"].items():
-            regime, strategy = key.split("/")
-            regimes[(regime, strategy)] = float(value)
-        reductions = {d: {k: float(v) for k, v in inner.items()}
-                      for d, inner in obj["reductions"].items()}
-        return RunReport(per_cell=per_cell, aggregates=aggregates, regimes=regimes,
-                         reductions=reductions, schema=str(obj["schema"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DataError):
-            raise
-        raise DataError(f"malformed report JSON: {exc}") from None
 
 
 def _fmt(value) -> str:
@@ -326,36 +256,24 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
-def emit_report(report: RunReport, out_dir, formats: Sequence[str] = ("csv", "json")) -> list[Path]:
+def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write report.json plus plot-ready CSVs; byte-identical for equal reports.
 
     cells.csv has one row per (dataset, size, strategy); curve_{dataset}.csv
     is wide (one size per row, one macro-F1 column per strategy) for direct
     plotting.
     """
-    unknown = [f for f in formats if f not in ("csv", "json")]
-    if unknown:
-        raise ValueError(f"unknown report formats: {', '.join(unknown)}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if "json" in formats:
-        path = out_dir / "report.json"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report_to_json(report), fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
-        written.append(path)
-
-    if "csv" not in formats:
-        return written
+    path = out_dir / "report.json"
+    write_json(report_to_json(report), path)
+    written = [path]
 
     keys = sorted(report.per_cell)
     path = out_dir / "cells.csv"

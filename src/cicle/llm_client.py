@@ -35,15 +35,12 @@ class LlmConfig:
     endpoint: str
     model_id: str = "default"
     max_new_tokens: int = 5
-    deterministic: bool = True
     timeout: float = 60.0
     max_retries: int = 2
     backoff: float = 0.5
     oracle_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.deterministic:
-            raise ValueError("deterministic decoding is required; set deterministic=True")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.max_retries < 0:
@@ -123,10 +120,6 @@ ORACLES: dict[str, OracleFn] = {
 }
 
 
-def register_oracle(name: str, fn: OracleFn) -> None:
-    ORACLES[name] = fn
-
-
 class LlmClient:
     """Shareable completion client with a call counter.
 
@@ -165,46 +158,49 @@ class LlmClient:
             "temperature": 0,
             "max_tokens": cfg.max_new_tokens,
         }
-        headers = {}
         api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
         item_id = meta.item_id if meta else None
-        last_failure = "no attempt made"
-        for attempt in range(1, cfg.max_retries + 2):
-            try:
-                resp = requests.post(cfg.endpoint, json=payload, headers=headers,
-                                     timeout=cfg.timeout)
-            except requests.RequestException as exc:
-                last_failure = f"transport failure: {exc}"
-            else:
-                if resp.status_code >= 500:
-                    last_failure = f"server error {resp.status_code}"
-                elif resp.status_code != 200:
-                    raise TransportError(
-                        f"completion endpoint returned {resp.status_code} (item {item_id})",
-                        item_id=item_id, attempts=attempt)
-                else:
-                    try:
-                        content = resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError):
-                        raise TransportError(
-                            f"malformed completion response (item {item_id})",
-                            item_id=item_id, attempts=attempt) from None
-                    return str(content), attempt
-            if attempt <= cfg.max_retries:
-                delay = cfg.backoff * (2 ** (attempt - 1))
-                log.warning("completion attempt %d/%d failed (%s); retrying in %.2fs",
-                            attempt, cfg.max_retries + 1, last_failure, delay)
-                time.sleep(delay)
-        raise TransportError(
-            f"completion failed after {cfg.max_retries + 1} attempts ({last_failure}) "
-            f"(item {item_id})", item_id=item_id, attempts=cfg.max_retries + 1)
+        resp, attempts = post_json(cfg, payload, "completion endpoint", headers, item_id)
+        try:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError):
+            raise TransportError(f"malformed completion response (item {item_id})",
+                                 item_id=item_id, attempts=attempts) from None
+        return str(content), attempts
 
 
-def complete(config: LlmConfig, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
-    """One-shot completion; long runs should share an LlmClient instead."""
-    return LlmClient(config).complete(prompt, meta)
+def post_json(config, payload: dict, what: str, headers: dict | None = None,
+              item_id: str | None = None) -> tuple[requests.Response, int]:
+    """POST ``payload`` to ``config.endpoint`` until it answers 200; returns (response, attempts).
+
+    Transport failures and 5xx answers are retried up to ``config.max_retries``
+    times, sleeping backoff * 2**(attempt - 1) before each retry; any other
+    status fails at once. Every TransportError carries the attempts made.
+    """
+    item = "" if item_id is None else f" (item {item_id})"
+    last_failure = "no attempt made"
+    for attempt in range(1, config.max_retries + 2):
+        try:
+            resp = requests.post(config.endpoint, json=payload, headers=headers,
+                                 timeout=config.timeout)
+        except requests.RequestException as exc:
+            last_failure = f"transport failure: {exc}"
+        else:
+            if resp.status_code == 200:
+                return resp, attempt
+            if resp.status_code < 500:
+                raise TransportError(f"{what} returned {resp.status_code}{item}",
+                                     item_id=item_id, attempts=attempt)
+            last_failure = f"server error {resp.status_code}"
+        if attempt <= config.max_retries:
+            delay = config.backoff * (2 ** (attempt - 1))
+            log.warning("%s attempt %d/%d failed (%s); retrying in %.2fs",
+                        what, attempt, config.max_retries + 1, last_failure, delay)
+            time.sleep(delay)
+    raise TransportError(f"{what} failed after {config.max_retries + 1} attempts "
+                         f"({last_failure}){item}",
+                         item_id=item_id, attempts=config.max_retries + 1)
 
 
 def parse_label(raw: str, labels: LabelSpace) -> int | None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
+from .serialize import JSON_STYLE, atomic_open, write_json
 from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, fit_tfidf,
                         stack, transform, transform_many)
 
@@ -131,33 +131,6 @@ class PredictionRecord:
     llm_raw: str | None = None
     error: str | None = None
 
-    def to_json(self) -> dict:
-        cset = None
-        if self.conformal_set is not None:
-            cset = {
-                "candidates": [[c, p] for c, p in self.conformal_set.candidates],
-                "forced_fallback": self.conformal_set.forced_fallback,
-            }
-        stats = None
-        if self.prompt_stats is not None:
-            stats = {
-                "token_count": self.prompt_stats.token_count,
-                "shot_count": self.prompt_stats.shot_count,
-                "candidate_count": self.prompt_stats.candidate_count,
-            }
-        return {
-            "item_id": self.item_id,
-            "strategy": self.strategy,
-            "gold_label": self.gold_label,
-            "final_label": self.final_label,
-            "base_probs": self.base_probs,
-            "conformal_set": cset,
-            "bypassed": self.bypassed,
-            "prompt_stats": stats,
-            "llm_raw": self.llm_raw,
-            "error": self.error,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PredictionRecord":
         try:
@@ -193,23 +166,11 @@ class PredictionRecord:
 
 
 def write_records(records: Sequence[PredictionRecord], path) -> None:
-    """Write one cell's records as JSONL, atomically.
-
-    The lines go to a temp file in the same directory, which then replaces
-    ``path``: a write that fails or is interrupted leaves no partial cell file
-    for a later run to reuse.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write one cell's records as JSONL, atomically: a write that fails or is
+    interrupted leaves no partial cell file for a later run to reuse."""
+    with atomic_open(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, **JSON_STYLE) + "\n")
 
 
 def read_records(path) -> list[PredictionRecord]:
@@ -438,44 +399,6 @@ def record_filename(dataset: str, size: int, seed: int, strategy: str) -> str:
     return f"{dataset}_{size}_{seed}_{strategy}.jsonl"
 
 
-def _template_to_json(t: PromptTemplate) -> dict:
-    return {"task_intro": t.task_intro, "example_format": t.example_format,
-            "query_format": t.query_format, "instruction": t.instruction}
-
-
-def config_to_json(config: RunConfig) -> dict:
-    """Plain-JSON view of the configuration, embedded in the run manifest."""
-    embedding = None
-    if config.embedding is not None:
-        e = config.embedding
-        embedding = {"endpoint": e.endpoint,
-                     "cache_dir": None if e.cache_dir is None else str(e.cache_dir),
-                     "batch_size": e.batch_size, "timeout": e.timeout,
-                     "max_retries": e.max_retries, "backoff": e.backoff}
-    return {
-        "datasets": [{"name": d.name, "path": str(d.path), "fmt": d.fmt,
-                      "min_size": d.min_size, "task": d.task} for d in config.datasets],
-        "output": str(config.output),
-        "sizes": list(config.sizes),
-        "seed": config.seed,
-        "alpha": config.alpha,
-        "k": config.k,
-        "strategies": list(config.strategies),
-        "calib_fraction": config.calib_fraction,
-        "template": _template_to_json(config.template),
-        "llm": {"endpoint": config.llm.endpoint, "model_id": config.llm.model_id,
-                "max_new_tokens": config.llm.max_new_tokens,
-                "deterministic": config.llm.deterministic,
-                "timeout": config.llm.timeout, "max_retries": config.llm.max_retries,
-                "backoff": config.llm.backoff, "oracle_params": config.llm.oracle_params},
-        "embedding": embedding,
-        "train": {"C": config.train.C, "tol": config.train.tol,
-                  "max_iter": config.train.max_iter},
-        "test_size": config.test_size,
-        "jobs": config.jobs,
-    }
-
-
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                    embed_client: EmbeddingClient | None = None) -> list[PredictionRecord]:
     """Run every (dataset, size, strategy) cell and return all records.
@@ -543,14 +466,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                 manifest_files[path.name] = file_sha256(path)
                 records.extend(cell)
 
-    manifest = {
-        "config": config_to_json(config),
-        "datasets": datasets_meta,
-        "records": manifest_files,
-    }
-    out = Path(config.output)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "run_manifest.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
+    write_json({"config": manifest_config, "datasets": datasets_meta, "records": manifest_files},
+               Path(config.output) / "run_manifest.json")
     return records

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .corpus import LabeledText
 from .errors import DataError
 from .selection import ShotSet
+from .serialize import from_dict
 
 MODES = ("fewshot", "cicle")
 
@@ -57,10 +57,7 @@ def template_from_file(path) -> PromptTemplate:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read template {path}: {exc}") from None
-    missing = [k for k in _PLACEHOLDERS if k not in payload]
-    if missing:
-        raise DataError(f"template {path} is missing fields: {', '.join(missing)}")
-    return PromptTemplate(**{k: str(payload[k]) for k in _PLACEHOLDERS})
+    return from_dict(PromptTemplate, payload, f"template {path}")
 
 
 @dataclass(frozen=True)
@@ -70,57 +67,13 @@ class PromptStats:
     candidate_count: int
 
 
-class SubwordVocab:
-    """Token counting from a user-supplied vocabulary, longest-match greedy.
-
-    At each position the longest vocabulary entry matching the remaining text
-    is consumed; a character matched by no entry counts as one token.
-    """
-
-    def __init__(self, tokens):
-        self.tokens = set(tokens)
-        if not self.tokens:
-            raise DataError("subword vocabulary is empty")
-        self._max_len = max(len(t) for t in self.tokens)
-
-    @classmethod
-    def load(cls, path) -> "SubwordVocab":
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise DataError(f"cannot read vocabulary {path}: {exc}") from None
-        tokens = [line.strip() for line in lines if line.strip()]
-        if not tokens:
-            raise DataError(f"vocabulary file {path} contains no tokens")
-        return cls(tokens)
-
-    def count(self, text: str) -> int:
-        n, pos, total = len(text), 0, 0
-        while pos < n:
-            step = 1
-            for length in range(min(self._max_len, n - pos), 0, -1):
-                if text[pos:pos + length] in self.tokens:
-                    step = length
-                    break
-            total += 1
-            pos += step
-        return total
-
-
-def count_tokens(prompt: str, tokenizer: Callable[[str], int] | SubwordVocab | None = None) -> int:
-    """Token count under the configured rule; default is whitespace runs."""
-    if tokenizer is None:
-        return len(prompt.split())
-    if isinstance(tokenizer, SubwordVocab):
-        return tokenizer.count(prompt)
-    return tokenizer(prompt)
+def count_tokens(prompt: str) -> int:
+    """Prompt size in tokens, counted as whitespace-separated runs."""
+    return len(prompt.split())
 
 
 def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, mode: str,
-                 task: str = "text classification",
-                 tokenizer: Callable[[str], int] | SubwordVocab | None = None,
-                 ) -> tuple[str, PromptStats]:
+                 task: str = "text classification") -> tuple[str, PromptStats]:
     """Assemble the classification prompt and its size statistics.
 
     In fewshot mode an empty ShotSet is an error; in cicle mode the conformal
@@ -142,7 +95,7 @@ def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, m
     parts.append(template.instruction)
     prompt = "\n\n".join(parts)
     stats = PromptStats(
-        token_count=count_tokens(prompt, tokenizer),
+        token_count=count_tokens(prompt),
         shot_count=shot_count,
         candidate_count=len(shots.per_class),
     )

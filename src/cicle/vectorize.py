@@ -1,4 +1,4 @@
-"""Sparse TF-IDF vectors, cosine similarity, and the dense-embedding client.
+"""Sparse TF-IDF vectors and the dense-embedding client.
 
 The TF-IDF recipe is pinned for reproducibility: lowercase text, tokens are
 maximal runs of two or more word characters, idf(t) = ln((1+N)/(1+df(t))) + 1,
@@ -9,25 +9,19 @@ always fetched from an external embedding service, never computed locally.
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
-import os
 import re
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 import scipy.sparse as sp
 
-from .errors import DataError, TransportError
+from .errors import DataError
+from .llm_client import post_json
+from .serialize import atomic_open
 
-log = logging.getLogger(__name__)
-
-TOKEN_PATTERN = r"\w{2,}"
-_TOKEN_RE = re.compile(TOKEN_PATTERN)
+_TOKEN_RE = re.compile(r"\w{2,}")
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,7 +56,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    token_pattern: str = TOKEN_PATTERN
 
     @property
     def dim(self) -> int:
@@ -127,38 +120,6 @@ def stack(vectors: list[SparseVector]) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    if isinstance(a, SparseVector) and isinstance(b, SparseVector):
-        if a.dim != b.dim:
-            raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-        _, ia, ib = np.intersect1d(a.indices, b.indices, assume_unique=True, return_indices=True)
-        dot = float(np.dot(a.values[ia], b.values[ib]))
-        na, nb = a.norm(), b.norm()
-    elif isinstance(a, SparseVector) or isinstance(b, SparseVector):
-        raise TypeError("cannot mix sparse and dense vectors in cosine()")
-    else:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != b.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} != {b.shape}")
-        dot = float(np.dot(a, b))
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
-
-
-def vocabulary_hash(model: TfidfModel) -> str:
-    """Content hash of the fitted vocabulary and idf weights."""
-    payload = json.dumps(
-        [[tok, int(col), repr(float(model.idf[col]))] for tok, col in sorted(model.vocabulary.items())],
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class EmbeddingConfig:
     """Connection settings for the external dense-embedding service."""
@@ -182,8 +143,6 @@ class EmbeddingClient:
     def __init__(self, config: EmbeddingConfig):
         self.config = config
         self._dim: int | None = None
-        if config.cache_dir:
-            Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
     @property
     def dim(self) -> int | None:
@@ -203,50 +162,25 @@ class EmbeddingClient:
 
     def _cache_put(self, text: str, vector: np.ndarray) -> None:
         path = self._cache_path(text)
-        if path is None:
-            return
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npy")
-        np.save(tmp, vector)
-        os.replace(tmp, path)
+        if path is not None:
+            with atomic_open(path, binary=True) as fh:
+                np.save(fh, vector)
 
     def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
-        cfg = self.config
-        last_exc: Exception | None = None
-        for attempt in range(1, cfg.max_retries + 2):
-            try:
-                resp = requests.post(cfg.endpoint, json={"texts": batch}, timeout=cfg.timeout)
-            except requests.RequestException as exc:
-                last_exc = exc
-            else:
-                if resp.status_code >= 500:
-                    last_exc = TransportError(f"embedding service returned {resp.status_code}")
-                else:
-                    if resp.status_code != 200:
-                        raise TransportError(
-                            f"embedding service returned {resp.status_code}", attempts=attempt)
-                    body = resp.json()
-                    vectors = body.get("vectors")
-                    if vectors is None or len(vectors) != len(batch):
-                        raise DataError(
-                            f"embedding service returned {0 if vectors is None else len(vectors)} "
+        resp, _ = post_json(self.config, {"texts": batch}, "embedding service")
+        vectors = resp.json().get("vectors")
+        if vectors is None or len(vectors) != len(batch):
+            raise DataError(f"embedding service returned {0 if vectors is None else len(vectors)} "
                             f"vectors for {len(batch)} texts")
-                    out = [np.asarray(v, dtype=float) for v in vectors]
-                    for v in out:
-                        if v.ndim != 1 or not np.all(np.isfinite(v)):
-                            raise DataError("embedding service returned a non-finite or non-1d vector")
-                        if self._dim is None:
-                            self._dim = len(v)
-                        elif len(v) != self._dim:
-                            raise DataError(
-                                f"embedding dimension drift: got {len(v)}, expected {self._dim}")
-                    return out
-            if attempt <= cfg.max_retries:
-                delay = cfg.backoff * (2 ** (attempt - 1))
-                log.warning("embedding request failed (attempt %d/%d), retrying in %.2fs: %s",
-                            attempt, cfg.max_retries + 1, delay, last_exc)
-                time.sleep(delay)
-        raise TransportError(f"embedding service unreachable after {cfg.max_retries + 1} attempts: "
-                             f"{last_exc}", attempts=cfg.max_retries + 1)
+        out = [np.asarray(v, dtype=float) for v in vectors]
+        for v in out:
+            if v.ndim != 1 or not np.all(np.isfinite(v)):
+                raise DataError("embedding service returned a non-finite or non-1d vector")
+            if self._dim is None:
+                self._dim = len(v)
+            elif len(v) != self._dim:
+                raise DataError(f"embedding dimension drift: got {len(v)}, expected {self._dim}")
+        return out
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         """Embed texts in order; duplicates and cached entries cost no remote calls."""
@@ -275,8 +209,3 @@ class EmbeddingClient:
                 self._cache_put(text, vector)
                 resolved[text] = vector
         return [resolved[t] for t in texts]
-
-
-def embed_dense(client: EmbeddingClient, texts: list[str]) -> list[np.ndarray]:
-    """Fetch dense vectors, one per input text, order preserved."""
-    return client.embed(texts)

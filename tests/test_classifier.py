@@ -8,17 +8,14 @@ import pytest
 from cicle.classifier import (
     LogisticModel,
     TrainConfig,
-    load_model,
     nll_and_grad,
-    predict,
     predict_proba,
     predict_proba_many,
-    save_model,
     train,
 )
-from cicle.corpus import LabelSpace
-from cicle.errors import DataError
-from cicle.vectorize import SparseVector, fit_tfidf, stack, transform_many, vocabulary_hash
+from cicle.corpus import LabeledText, LabelSpace
+from cicle.pipeline import CellResources, classify_base
+from cicle.vectorize import SparseVector, fit_tfidf, stack, transform_many
 
 from conftest import make_items, space_for
 
@@ -94,10 +91,17 @@ def test_logit_shift_invariance():
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
+def predict(model, x):
+    return int(np.argmax(predict_proba(model, x)))
+
+
 def test_predict_tie_goes_to_lowest_index():
+    # the base strategy's label is the argmax; a tie goes to the lowest class index
     space = LabelSpace.from_labels(["a", "b", "c"])
     model = LogisticModel(W=np.zeros((3, 2)), b=np.zeros(3), label_space=space)
-    assert predict(model, vec(2, {0: 1.0})) == 0
+    res = CellResources(label_space=space, test=[], model=model)
+    record = classify_base(res, LabeledText(id="q", text="q", label="c"), vec(2, {0: 1.0}))
+    assert record.final_label == 0
 
 
 def test_probabilities_sum_to_one():
@@ -189,6 +193,19 @@ def test_non_convergence_is_flagged_and_logged(caplog):
     assert any("did not converge" in rec.message for rec in caplog.records)
 
 
+def test_non_convergence_logs_stop_reason(caplog):
+    _, _, _, X, y, _ = fitted_toy(n=60)
+    space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
+    config = TrainConfig(max_iter=2)
+    with caplog.at_level("WARNING", logger="cicle.classifier"):
+        model = train(X, y, space, config)
+    [warning] = [rec.message for rec in caplog.records if "did not converge" in rec.message]
+    assert "L-BFGS-B stopped with:" in warning and "ITERATIONS REACHED LIMIT" in warning
+    # the flag taken from the optimizer's final gradient matches a fresh gradient
+    _, dW, db = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+    assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
+
+
 def fd_gradient(W, b, X, y, C, h=1e-5):
     """Central finite differences of the loss over every parameter."""
     K, V = W.shape
@@ -230,41 +247,6 @@ def test_gradient_matches_finite_differences(seed):
     numeric = np.concatenate([fdW.ravel(), fdb])
     rel_err = np.abs(analytic - numeric).max() / max(1.0, np.abs(analytic).max())
     assert rel_err < 1e-5
-
-
-def test_save_load_roundtrip(tmp_path):
-    items, space, tfidf, X, y, model = fitted_toy(n=40)
-    path = tmp_path / "model.npz"
-    save_model(model, path, vocabulary_hash(tfidf))
-    loaded = load_model(path, expected_vocab_hash=vocabulary_hash(tfidf))
-    assert np.array_equal(loaded.W, model.W)
-    assert np.array_equal(loaded.b, model.b)
-    assert loaded.label_space.labels == space.labels
-    assert loaded.converged == model.converged
-
-
-def test_load_rejects_vocab_hash_mismatch(tmp_path):
-    _, _, tfidf, _, _, model = fitted_toy(n=40)
-    path = tmp_path / "model.npz"
-    save_model(model, path, vocabulary_hash(tfidf))
-    with pytest.raises(DataError, match="vocabulary hash"):
-        load_model(path, expected_vocab_hash="0" * 64)
-
-
-def test_load_rejects_unknown_format_version(tmp_path):
-    _, space, tfidf, _, _, model = fitted_toy(n=40)
-    path = tmp_path / "model.npz"
-    np.savez(
-        path,
-        version=np.int64(99),
-        W=model.W,
-        b=model.b,
-        labels=np.array(space.labels, dtype=object),
-        vocab_hash=np.str_(vocabulary_hash(tfidf)),
-        converged=np.bool_(True),
-    )
-    with pytest.raises(DataError, match="version"):
-        load_model(path)
 
 
 def test_predict_dimension_mismatch():

@@ -259,19 +259,66 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
     assert "not valid JSON" in error_lines(capsys)[0]
 
 
-@pytest.mark.parametrize("section,key", [("llm", "concurrency_limit"),
-                                         ("embedding", "batchsize")])
+@pytest.mark.parametrize("section,key", [
+    ("llm", "concurrency_limit"),
+    ("embedding", "batchsize"),
+    ("top", "alpah"),
+    ("train", "c"),
+    ("template", "intro"),
+    ("datasets", "fmtt"),
+    ("top", "k"),  # a known key with a value of the wrong type
+])
 def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
     config_path = tmp_path / "config.json"
-    body = {"endpoint": "http://127.0.0.1:9/v1"} if section == "embedding" else {}
-    config_path.write_text(json.dumps({
-        "datasets": [{"name": "toy", "path": str(write_toy(tmp_path))}],
-        section: {**body, key: 4},
-    }), encoding="utf-8")
+    value = "two" if key == "k" else 4
+    dataset = {"name": "toy", "path": str(write_toy(tmp_path))}
+    body = {"datasets": [dataset]}
+    if section == "top":
+        body[key] = value
+    elif section == "datasets":
+        dataset[key] = value
+    elif section == "template":
+        body[section] = {"task_intro": "{task}", "example_format": "{text} {label}",
+                         "query_format": "{text}", "instruction": "", key: value}
+    else:
+        endpoint = {"endpoint": "http://127.0.0.1:9/v1"} if section == "embedding" else {}
+        body[section] = {**endpoint, key: value}
+    config_path.write_text(json.dumps(body), encoding="utf-8")
     rc = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
     assert rc == 3
     lines = error_lines(capsys)
     assert len(lines) == 1 and lines[0].startswith("error: data:") and key in lines[0]
+
+
+def test_old_config_files_may_keep_llm_deterministic(tmp_path):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "datasets": [{"name": "toy", "path": str(data)}], "output": str(out),
+        "sizes": [80], "test_size": 60, "strategies": ["base"],
+        "llm": {"endpoint": "perfect", "deterministic": True},
+    }), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["run", "--config", str(config_path)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+    assert "deterministic" not in manifest["config"]["llm"]
+
+
+def test_changed_frozen_split_is_data_error(tmp_path, capsys):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = base_args(data, out, "--strategies", "base")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    with (out / "data" / "toy" / "test.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "extra", "text": "one more row", "label": "alpha"}\n')
+    capsys.readouterr()
+    for command in ("run", "report"):
+        assert main([command, *args]) == 3
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: data:")
+        assert "test.jsonl" in lines[0] and "sha256" in lines[0]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

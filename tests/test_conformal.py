@@ -1,19 +1,22 @@
 """Tests for split conformal calibration and prediction sets."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.classifier import TrainConfig, predict_proba_many, train
 from cicle.conformal import (
     ConformalConfig,
     calibrate,
     calibration_from_scores,
-    load_calibration,
     predict_set,
     quantile_rank,
 )
 from cicle.corpus import stratified_split
-from cicle.errors import DataError
 from cicle.vectorize import fit_tfidf, stack, transform_many
 
 from conftest import make_items, space_for
@@ -37,9 +40,14 @@ def test_quantile_rank_float_noise_does_not_inflate_rank():
     assert quantile_rank(9, 0.1) == 9
     for n in range(1, 200):
         for alpha in (0.01, 0.05, 0.1, 0.2, 0.25, 0.5):
-            from fractions import Fraction
             exact = -((n + 1) * (Fraction(1) - Fraction(str(alpha)))) // 1 * -1
             assert quantile_rank(n, alpha) == int(exact)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 999))
+def test_quantile_rank_matches_exact_rational(n, a):
+    assert quantile_rank(n, a / 1000) == math.ceil((n + 1) * (1 - Fraction(a, 1000)))
 
 
 def test_quantile_rank_monotone_in_alpha():
@@ -210,29 +218,13 @@ def test_calibrate_rejects_empty_and_bad_labels():
         calibrate(model, [(vectors[0], 99)])
 
 
-def test_save_load_roundtrip(tmp_path):
-    from cicle.conformal import save_calibration
-
-    cal = calibration_from_scores([0.3, 0.1, 0.9, 0.5], ConformalConfig(alpha=0.2))
-    path = tmp_path / "cal.json"
-    save_calibration(cal, path)
-    loaded = load_calibration(path)
-    assert loaded.alpha == cal.alpha
-    assert loaded.n == cal.n
-    assert loaded.q_hat == cal.q_hat
-    assert np.array_equal(loaded.scores, cal.scores)
-
-
-def test_load_rejects_missing_field(tmp_path):
-    path = tmp_path / "cal.json"
-    path.write_text('{"alpha": 0.05, "scores": [0.1]}', encoding="utf-8")
-    with pytest.raises(DataError, match="missing field"):
-        load_calibration(path)
-
-
-def test_load_rejects_length_mismatch(tmp_path):
-    path = tmp_path / "cal.json"
-    path.write_text('{"alpha": 0.05, "n": 3, "scores": [0.1], "q_hat": 0.1}',
-                    encoding="utf-8")
-    with pytest.raises(DataError, match="scores"):
-        load_calibration(path)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+       st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+       st.lists(st.integers(1, 999), min_size=2, max_size=2, unique=True))
+def test_sets_nest_as_alpha_grows(scores, weights, alphas):
+    probs = np.array(weights) / sum(weights)
+    small_alpha, large_alpha = sorted(a / 1000 for a in alphas)
+    wide = predict_set(calibration_from_scores(scores, ConformalConfig(alpha=small_alpha)), probs)
+    narrow = predict_set(calibration_from_scores(scores, ConformalConfig(alpha=large_alpha)), probs)
+    assert set(narrow.classes()) <= set(wide.classes())

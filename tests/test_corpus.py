@@ -1,9 +1,10 @@
 import hashlib
 import json
-import math
-import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.corpus import (LabeledText, LabelSpace, apportion, file_sha256, freeze_dataset,
                           load_dataset, load_frozen, reduce_primary_label, stable_seed,
@@ -115,20 +116,15 @@ def test_apportion_breaks_ties_by_position():
     assert apportion([1, 1, 1], 2) == [1, 1, 0]
 
 
-def test_apportion_properties():
-    rng = random.Random(0)
-    for _ in range(200):
-        counts = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 8))]
-        total = sum(counts)
-        if total == 0:
-            continue
-        n = rng.randrange(0, total + 1)
-        alloc = apportion(counts, n)
-        assert sum(alloc) == n
-        assert all(0 <= a <= c for a, c in zip(alloc, counts))
-        for a, c in zip(alloc, counts):
-            quota = n * c / total
-            assert math.floor(quota) <= a <= math.ceil(quota)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=12).filter(any), st.data())
+def test_apportion_properties(counts, data):
+    n = data.draw(st.integers(0, sum(counts)))
+    alloc = apportion(counts, n)
+    assert sum(alloc) == n
+    for a, c in zip(alloc, counts):
+        assert 0 <= a <= c
+        assert abs(a - Fraction(n * c, sum(counts))) < 1
 
 
 def test_apportion_errors():
@@ -181,7 +177,6 @@ def test_split_partitions_data():
     assert len(split.calibration) == 40
     for c in "alpha bravo charlie delta".split():
         assert sum(1 for it in split.calibration if it.label == c) == 10
-    assert split.test == []
 
 
 def test_split_deterministic():
@@ -237,6 +232,16 @@ def test_freeze_test_split_is_stratified(tmp_path):
     _, test, _, _ = load_frozen(tmp_path / "d")
     for c in "alpha bravo charlie delta".split():
         assert sum(1 for it in test if it.label == c) == 25
+
+
+@pytest.mark.parametrize("name", ["pool.jsonl", "test.jsonl"])
+def test_load_frozen_rejects_a_changed_split(tmp_path, name):
+    items = make_items(120)
+    freeze_dataset(items, space_for(items), tmp_path / "d", "toy", 40, test_seed=1)
+    with (tmp_path / "d" / name).open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "extra", "text": "one more row", "label": "alpha"}\n')
+    with pytest.raises(DataError, match=name.replace(".", r"\.") + " does not match the sha256"):
+        load_frozen(tmp_path / "d")
 
 
 def test_load_frozen_missing_manifest(tmp_path):

@@ -10,7 +10,6 @@ from cicle.errors import DataError
 from cicle.evalreport import (
     REGIME_BOUNDS,
     CellMetrics,
-    aggregate_all_sizes,
     build_report,
     cell_metrics,
     emit_report,
@@ -18,8 +17,6 @@ from cicle.evalreport import (
     reduction_stats,
     regime_aggregate,
     regimes_for,
-    report_from_json,
-    report_to_json,
 )
 from cicle.pipeline import PredictionRecord
 from cicle.prompting import PromptStats
@@ -148,19 +145,19 @@ def metrics(f1=0.5, tokens=0.0, shots=0.0):
 
 
 def test_aggregate_all_sizes_means_per_strategy():
-    per_cell = {
-        ("d", 100, "base"): metrics(0.4),
-        ("d", 200, "base"): metrics(0.6),
-        ("d", 100, "cicle"): metrics(0.8),
-        ("d", 200, "cicle"): metrics(1.0),
-    }
-    out = aggregate_all_sizes(per_cell, "d", [100, 200], ["base", "cicle"])
-    assert out == {"base": pytest.approx(0.5), "cicle": pytest.approx(0.9)}
+    # macro-F1 is 1.0 for an all-correct cell and 0.0 for an all-wrong one
+    right, wrong = [rec(0, 0), rec(1, 1)], [rec(0, 1), rec(1, 0)]
+    cells = {("d", 100, "base"): right, ("d", 200, "base"): wrong,
+             ("d", 100, "cicle"): right, ("d", 200, "cicle"): right}
+    report = build_report(cells, {"d": 2})
+    assert report.aggregates == {("d", "base"): 0.5, ("d", "cicle"): 1.0}
 
 
 def test_aggregate_all_sizes_missing_cell():
+    cells = {("d", 100, "base"): [rec(0, 0)], ("d", 100, "cicle"): [rec(0, 0)],
+             ("d", 200, "cicle"): [rec(0, 0)]}
     with pytest.raises(DataError, match="d/200/base"):
-        aggregate_all_sizes({("d", 100, "base"): metrics()}, "d", [100, 200], ["base"])
+        build_report(cells, {"d": 2})
 
 
 def test_regime_aggregate_means_across_datasets():
@@ -293,22 +290,6 @@ def test_build_report_requires_class_counts():
         build_report({}, {"d": 2})
 
 
-def test_report_json_roundtrip():
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
-    obj = json.loads(json.dumps(report_to_json(report)))
-    back = report_from_json(obj)
-    assert back == report
-
-
-def test_report_from_json_rejects_other_schema():
-    obj = report_to_json(build_report(synthetic_cells(), {"alpha": 2, "beta": 2}))
-    obj["schema"] = "cicle-report/v9"
-    with pytest.raises(DataError, match="schema"):
-        report_from_json(obj)
-    with pytest.raises(DataError, match="malformed"):
-        report_from_json({"schema": "cicle-report/v1"})
-
-
 def test_emit_report_files_and_determinism(tmp_path):
     report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
     first = emit_report(report, tmp_path / "r1")
@@ -318,6 +299,10 @@ def test_emit_report_files_and_determinism(tmp_path):
     emit_report(report, tmp_path / "r2")
     for name in names:
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    payload = json.loads((tmp_path / "r1" / "report.json").read_text("utf-8"))
+    assert payload["schema"] == "cicle-report/v1"
+    assert payload["per_cell"]["alpha/100/cicle"]["n_records"] == 3
 
     cells_lines = (tmp_path / "r1" / "cells.csv").read_text("utf-8").splitlines()
     assert cells_lines[0].startswith("dataset,size,strategy,n_records,macro_f1")
@@ -329,26 +314,11 @@ def test_emit_report_files_and_determinism(tmp_path):
     assert curve[2].startswith("500,")
 
 
-def test_emit_report_json_only(tmp_path):
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
-    written = emit_report(report, tmp_path, formats=("json",))
-    assert [p.name for p in written] == ["report.json"]
-    payload = json.loads((tmp_path / "report.json").read_text("utf-8"))
-    assert payload["schema"] == "cicle-report/v1"
-    assert "alpha/100/cicle" in payload["per_cell"]
-
-
-def test_emit_report_rejects_unknown_format(tmp_path):
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
-    with pytest.raises(ValueError, match="format"):
-        emit_report(report, tmp_path, formats=("yaml",))
-
-
 def test_curve_csv_blank_for_missing_cell(tmp_path):
     report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
     del report.per_cell[("alpha", 500, "fewshot-random")]
     del report.per_cell[("alpha", 500, "cicle")]
-    emit_report(report, tmp_path, formats=("csv",))
+    emit_report(report, tmp_path)
     curve = (tmp_path / "curve_alpha.csv").read_text("utf-8").splitlines()
     row = curve[2].split(",")
     assert row[0] == "500"

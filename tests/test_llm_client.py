@@ -12,7 +12,6 @@ from cicle.llm_client import (
     LlmClient,
     LlmConfig,
     PromptMeta,
-    complete,
     parse_label,
 )
 
@@ -40,7 +39,6 @@ def test_unknown_oracle_rejected_with_listing():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"deterministic": False},
     {"max_new_tokens": 0},
     {"max_retries": -1},
 ])
@@ -113,12 +111,6 @@ def test_call_count_is_thread_safe():
     assert client.call_count == 400
 
 
-def test_module_level_complete():
-    response = complete(LlmConfig(endpoint="perfect"), "p", META)
-    assert response.raw == "Sports"
-    assert response.attempts == 1
-
-
 LABELS = LabelSpace.from_labels(["Business", "Sports", "World"])
 
 
@@ -171,16 +163,18 @@ def test_remote_4xx_is_terminal(serve):
     assert "403" in str(exc.value)
 
 
-def test_remote_exhausted_retries(serve):
-    calls = []
+def test_remote_exhausted_retries(serve, monkeypatch):
+    calls, sleeps = [], []
+    monkeypatch.setattr("cicle.llm_client.time.sleep", sleeps.append)
     url = serve(scripted_chat_app([(500, "")], calls=calls))
-    client = LlmClient(LlmConfig(endpoint=url, max_retries=1, backoff=0.01))
+    client = LlmClient(LlmConfig(endpoint=url, max_retries=3, backoff=0.5))
     with pytest.raises(TransportError) as exc:
         client.complete("p", META)
-    assert exc.value.attempts == 2
+    assert exc.value.attempts == 4
     assert exc.value.item_id == "it-1"
     assert "it-1" in str(exc.value)
-    assert len(calls) == 2
+    assert len(calls) == 4
+    assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_remote_malformed_body_is_terminal(serve):

@@ -10,7 +10,8 @@ import pytest
 from cicle.conformal import ConformalSet
 from cicle.corpus import file_sha256, freeze_dataset, stable_seed
 from cicle.errors import DataError
-from cicle.llm_client import ORACLES, LlmClient, LlmConfig, register_oracle
+from cicle.evalreport import build_report, emit_report
+from cicle.llm_client import ORACLES, LlmClient, LlmConfig
 from cicle.pipeline import (
     DEFAULT_SIZES,
     DatasetSpec,
@@ -18,13 +19,13 @@ from cicle.pipeline import (
     RunConfig,
     build_cell,
     classify_cell,
-    config_to_json,
     read_records,
     record_filename,
     run_experiment,
     write_records,
 )
 from cicle.prompting import PromptStats
+from cicle.serialize import JSON_STYLE
 from cicle.vectorize import EmbeddingConfig
 
 from conftest import embedding_app, make_items, space_for
@@ -184,7 +185,7 @@ def test_record_json_roundtrip():
         prompt_stats=PromptStats(token_count=42, shot_count=4, candidate_count=2),
         llm_raw="bravo",
     )
-    obj = rec.to_json()
+    obj = json.loads(json.dumps(rec, **JSON_STYLE))
     assert set(obj) == {"item_id", "strategy", "gold_label", "final_label", "base_probs",
                         "conformal_set", "bypassed", "prompt_stats", "llm_raw", "error"}
     back = PredictionRecord.from_json(json.loads(json.dumps(obj)))
@@ -194,7 +195,7 @@ def test_record_json_roundtrip():
 def test_record_json_nulls_for_base():
     rec = PredictionRecord(item_id="a", strategy="base", gold_label=0, final_label=0,
                            base_probs=[1.0, 0.0])
-    obj = rec.to_json()
+    obj = json.loads(json.dumps(rec, **JSON_STYLE))
     assert obj["conformal_set"] is None
     assert obj["prompt_stats"] is None
     assert obj["llm_raw"] is None
@@ -243,7 +244,7 @@ def test_write_records_leaves_no_partial_file(tmp_path):
 def test_read_records_reports_bad_line(tmp_path):
     path = tmp_path / "cell.jsonl"
     good = json.dumps(PredictionRecord(item_id="a", strategy="base", gold_label=0,
-                                       final_label=0).to_json())
+                                       final_label=0), **JSON_STYLE)
     path.write_text(good + "\n{broken\n", encoding="utf-8")
     with pytest.raises(DataError, match=":2:"):
         read_records(path)
@@ -380,6 +381,17 @@ GOLDEN_RECORDS = {
 }
 
 
+# sha256 of every report file built from those records, pinned the same way
+GOLDEN_REPORT = {
+    "aggregates.csv": "6cfcc92c5ad1d6b14200714060e574d15d48db969df641fa94ac1c5377ce2b86",
+    "cells.csv": "6efe21976be2f9e622bc8fdd4f2c4c3cd4f6e084af397bdb653be72575d8c3ab",
+    "curve_toy.csv": "a75bd6157c7ecf820958d21962fb9200f28e0d0d9c2e4f413046b0c3ed2593ef",
+    "reductions.csv": "e5699bdcb0f32620af993859ddbb3fbbf823c193993d56ed5366d744278f1799",
+    "regimes.csv": "b70bb1f0d472ec153ceba010e05c04611d07f02fc0f1fb3c55ce3234fdb038b8",
+    "report.json": "a142f57ca2585d1d5c50b112b35c7db2e8acf09ed7e2c23900ec2ecb47198cc7",
+}
+
+
 @pytest.mark.parametrize("jobs", [1, 6])
 def test_run_experiment_golden_bytes(tmp_path, jobs):
     out = tmp_path / "run"
@@ -392,9 +404,14 @@ def test_run_experiment_golden_bytes(tmp_path, jobs):
     assert 0 < sum(r.bypassed for r in cicle) < len(cicle)
     digests = {p.name: file_sha256(p) for p in (out / "records").glob("*.jsonl")}
     assert digests == GOLDEN_RECORDS
+    cells = {("toy", size, s): read_records(out / "records" / record_filename("toy", size, 0, s))
+             for size in config.sizes for s in config.strategies}
+    emit_report(build_report(cells, {"toy": 4}), out / "report")
+    digests = {p.name: file_sha256(p) for p in (out / "report").iterdir()}
+    assert digests == GOLDEN_REPORT
 
 
-def test_jobs_bounds_in_flight_llm_calls(tmp_path):
+def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
     peaks = {}
     for jobs in (2, 6):
         state = {"active": 0, "peak": 0}
@@ -415,13 +432,10 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path):
 
         out = tmp_path / f"run{jobs}"
         prepare(out)
-        register_oracle("tracking-test", tracking)
-        try:
-            records = run_experiment(make_config(
-                output=out, strategies=["fewshot-random"], jobs=jobs,
-                llm=LlmConfig(endpoint="tracking-test")))
-        finally:
-            del ORACLES["tracking-test"]
+        monkeypatch.setitem(ORACLES, "tracking-test", tracking)
+        records = run_experiment(make_config(
+            output=out, strategies=["fewshot-random"], jobs=jobs,
+            llm=LlmConfig(endpoint="tracking-test")))
         assert len(records) == 60
         assert all(r.final_label == r.gold_label for r in records)
         peaks[jobs] = state["peak"]
@@ -457,15 +471,24 @@ def test_dense_strategy_requires_embedding_config(tmp_path):
         run_experiment(config)
 
 
-def test_config_defaults_and_json_view():
-    config = make_config()
+def test_config_defaults_and_json_view(tmp_path):
     assert tuple(DEFAULT_SIZES) == (100, 200, 300, 400, 500, 1000, 2000, 3000, 4000, 5000)
-    obj = config_to_json(config)
+    out = tmp_path / "run"
+    prepare(out)
+    run_experiment(RunConfig(datasets=[spec()], output=out, sizes=[80], strategies=["base"]))
+    obj = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["config"]
+    assert obj["output"] == str(out)
     assert obj["sizes"] == [80]
-    assert obj["llm"]["endpoint"] == "perfect"
+    assert obj["datasets"] == [{"name": "toy", "path": "unused.jsonl", "fmt": None,
+                                "min_size": 0, "task": "text classification"}]
+    assert obj["llm"] == {"endpoint": "perfect", "model_id": "default", "max_new_tokens": 5,
+                          "timeout": 60.0, "max_retries": 2, "backoff": 0.5,
+                          "oracle_params": {}}
     assert obj["embedding"] is None
     assert obj["train"] == {"C": 1.0, "tol": 1e-4, "max_iter": 1000}
-    json.dumps(obj)
+    assert set(obj["template"]) == {"task_intro", "example_format", "query_format",
+                                    "instruction"}
+    assert "force" not in obj
 
 
 @pytest.mark.parametrize("kw", [

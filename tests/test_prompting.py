@@ -9,7 +9,6 @@ from cicle.errors import DataError
 from cicle.prompting import (
     DEFAULT_TEMPLATE,
     PromptTemplate,
-    SubwordVocab,
     build_prompt,
     count_tokens,
     template_from_file,
@@ -143,44 +142,3 @@ def test_template_from_file_bad_json(tmp_path):
 def test_count_tokens_default_is_whitespace():
     assert count_tokens("one two  three\nfour") == 4
     assert count_tokens("") == 0
-
-
-def test_count_tokens_callable():
-    assert count_tokens("abcd", tokenizer=len) == 4
-
-
-def test_subword_vocab_greedy_longest_match():
-    vocab = SubwordVocab({"ab", "abc", "c", "d"})
-    # greedy takes "abc" then "d"
-    assert vocab.count("abcd") == 2
-    assert vocab.count("abd") == 2
-    assert vocab.count("cdcd") == 4
-
-
-def test_subword_vocab_unknown_char_costs_one():
-    vocab = SubwordVocab({"ab"})
-    assert vocab.count("abxab") == 3
-    assert vocab.count("") == 0
-
-
-def test_subword_vocab_rejects_empty():
-    with pytest.raises(DataError, match="empty"):
-        SubwordVocab([])
-
-
-def test_subword_vocab_load(tmp_path):
-    path = tmp_path / "vocab.txt"
-    path.write_text("ab\n\n  \nc\n", encoding="utf-8")
-    vocab = SubwordVocab.load(path)
-    assert vocab.count("abc") == 2
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n  \n", encoding="utf-8")
-    with pytest.raises(DataError, match="no tokens"):
-        SubwordVocab.load(empty)
-
-
-def test_build_prompt_with_subword_tokenizer():
-    vocab = SubwordVocab({"Text", "Label", " ", "\n"})
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY, "fewshot",
-                                 tokenizer=vocab)
-    assert stats.token_count == vocab.count(prompt)
