@@ -21,8 +21,8 @@ from .pipeline import (DatasetSpec, PredictionRecord, RunConfig, classify_base, 
                        classify_cicle, classify_fewshot, run_experiment)
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
-from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, fit_tfidf,
-                        transform, transform_many)
+from .vectorize import (EmbeddingClient, EmbeddingConfig, TfidfModel, fit_tfidf, transform,
+                        transform_many)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "DatasetSpec", "DatasetSplit", "DataError", "DEFAULT_TEMPLATE", "EmbeddingClient",
     "EmbeddingConfig", "LabeledText", "LabelSpace", "LlmClient", "LlmConfig", "LlmResponse",
     "LogisticModel", "PredictionRecord", "PromptMeta", "PromptStats", "PromptTemplate",
-    "RunConfig", "RunReport", "ShotPool", "ShotSet", "SparseVector", "TfidfModel",
+    "RunConfig", "RunReport", "ShotPool", "ShotSet", "TfidfModel",
     "TrainConfig", "TransportError", "apportion", "build_prompt", "build_report",
     "calibrate", "calibration_from_scores", "cell_metrics", "classify_base",
     "classify_cell", "classify_cicle", "classify_fewshot", "emit_report", "fit_tfidf",

@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from .corpus import LabelSpace
-from .vectorize import SparseVector, stack
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +55,6 @@ class LogisticModel:
         return self.W.shape[1]
 
 
-def _as_csr(X) -> sp.csr_matrix:
-    if sp.issparse(X):
-        return X.tocsr()
-    return stack(list(X))
-
-
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     # max subtraction keeps exp() finite for any logit magnitude
     Zs = Z - Z.max(axis=1, keepdims=True)
@@ -90,16 +83,15 @@ def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
     return loss, np.asarray(dW), db
 
 
-def train(X, y, label_space: LabelSpace, config: TrainConfig | None = None) -> LogisticModel:
-    """Fit the model on sparse vectors X and class indices y.
+def train(X: sp.csr_matrix, y, label_space: LabelSpace,
+          config: TrainConfig | None = None) -> LogisticModel:
+    """Fit the model on the CSR rows of X and their class indices y.
 
-    X may be a list of SparseVector or a prebuilt CSR matrix. Training data
-    must contain at least two distinct classes. A model that fails to reach
+    Training data must contain at least two distinct classes. A model that fails to reach
     the gradient tolerance within max_iter is still returned, flagged with
     ``converged=False`` and a logged warning.
     """
     config = config or TrainConfig()
-    X = _as_csr(X)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != len(y) or len(y) == 0:
         raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
@@ -134,22 +126,32 @@ def train(X, y, label_space: LabelSpace, config: TrainConfig | None = None) -> L
     return LogisticModel(W=W, b=b, label_space=label_space, converged=converged)
 
 
-def predict_proba(model: LogisticModel, x: SparseVector) -> np.ndarray:
-    """Softmax class probabilities for one vector."""
-    if x.dim != model.dim:
-        raise ValueError(f"dimension mismatch: vector has {x.dim}, model expects {model.dim}")
-    if x.nnz:
-        z = model.W[:, x.indices] @ x.values + model.b
-    else:
-        z = model.b.copy()
-    z -= z.max()
-    p = np.exp(z)
-    return p / p.sum()
-
-
-def predict_proba_many(model: LogisticModel, X) -> np.ndarray:
-    """Row-wise probabilities for a CSR matrix or list of SparseVector."""
-    X = _as_csr(X)
+def _check_dim(model: LogisticModel, X: sp.csr_matrix) -> None:
     if X.shape[1] != model.dim:
         raise ValueError(f"dimension mismatch: matrix has {X.shape[1]}, model expects {model.dim}")
+
+
+def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
+    """Softmax class probabilities, one row per row of X.
+
+    Each row is computed on its own, as ``W[:, cols] @ vals + b`` (``b`` for
+    an empty row) and a max-shifted softmax, so a row's bits do not depend on
+    the rows beside it. ``predict_proba_many`` is the same up to rounding.
+    """
+    _check_dim(model, X)
+    P = np.empty((X.shape[0], len(model.b)))
+    for i, (lo, hi) in enumerate(zip(X.indptr[:-1], X.indptr[1:])):
+        if hi > lo:
+            z = model.W[:, X.indices[lo:hi]] @ X.data[lo:hi] + model.b
+        else:
+            z = model.b.copy()
+        z -= z.max()
+        p = np.exp(z)
+        P[i] = p / p.sum()
+    return P
+
+
+def predict_proba_many(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
+    """Row-wise probabilities of X through one ``X @ W.T`` product."""
+    _check_dim(model, X)
     return _softmax_rows(np.asarray(X @ model.W.T) + model.b)

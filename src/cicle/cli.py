@@ -19,12 +19,10 @@ from .corpus import freeze_dataset, load_dataset, load_frozen, stable_seed
 from .errors import DataError, TransportError
 from .evalreport import build_report, emit_report
 from .llm_client import ORACLES
-from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, read_records, record_filename,
-                       run_experiment)
+from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, dataset_sizes, read_records,
+                       record_filename, run_experiment)
 from .prompting import template_from_file
 from .serialize import from_dict
-
-log = logging.getLogger(__name__)
 
 
 class UsageError(ValueError):
@@ -152,24 +150,14 @@ def build_run_config(args) -> RunConfig:
     return from_dict(RunConfig, payload, "config", force=bool(args.force))
 
 
-def _dataset_sizes(config: RunConfig, spec: DatasetSpec) -> list[int]:
-    kept = [s for s in config.sizes if s >= spec.min_size]
-    rejected = [s for s in config.sizes if s < spec.min_size]
-    if rejected:
-        log.warning("dataset %s: sizes below the minimum %d are skipped: %s",
-                    spec.name, spec.min_size, ", ".join(map(str, rejected)))
-    return kept
-
-
 def cmd_prepare(args) -> int:
     """Freeze each raw dataset into pool/test splits plus a hashed manifest."""
     config = build_run_config(args)
     for spec in config.datasets:
         items, space = load_dataset(spec.path, spec.fmt)
-        sizes = _dataset_sizes(config, spec)
         test_seed = stable_seed(config.seed, "test", spec.name)
         manifest = freeze_dataset(items, space, config.data_dir / spec.name, spec.name,
-                                  config.test_size, test_seed, sizes=sizes)
+                                  config.test_size, test_seed)
         print(f"prepared {spec.name}: pool={manifest['pool_size']} "
               f"test={manifest['test_size']} classes={len(space)}")
     return 0
@@ -190,9 +178,9 @@ def cmd_report(args) -> int:
     class_counts = {}
     missing: list[str] = []
     for spec in config.datasets:
-        _, _, space, _ = load_frozen(config.data_dir / spec.name)
+        pool, _, space, _ = load_frozen(config.data_dir / spec.name)
         class_counts[spec.name] = len(space)
-        for size in _dataset_sizes(config, spec):
+        for size in dataset_sizes(config, spec, len(pool)):
             for strategy in config.strategies:
                 path = config.records_dir / record_filename(spec.name, size, config.seed,
                                                             strategy)

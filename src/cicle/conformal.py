@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .classifier import LogisticModel, predict_proba_many
 
@@ -84,19 +85,19 @@ def calibration_from_scores(scores, config: ConformalConfig) -> ConformalCalibra
     return ConformalCalibration(alpha=config.alpha, scores=scores, n=n, q_hat=q_hat)
 
 
-def calibrate(model: LogisticModel, calib, config: ConformalConfig | None = None) -> ConformalCalibration:
-    """Score (vector, true class) calibration pairs through the model.
+def calibrate(model: LogisticModel, X: sp.csr_matrix, y,
+              config: ConformalConfig | None = None) -> ConformalCalibration:
+    """Score held-out CSR rows X, whose true class indices are y, through the model.
 
-    ``calib`` is a non-empty sequence of (SparseVector, class index) pairs;
-    each contributes the score 1 - p(true class).
+    Each row contributes the score 1 - p(true class).
     """
     config = config or ConformalConfig()
-    calib = list(calib)
-    if not calib:
+    y = np.asarray(y, dtype=np.int64)
+    if len(y) == 0:
         raise ValueError("empty calibration set")
-    vectors = [x for x, _ in calib]
-    y = np.asarray([c for _, c in calib], dtype=np.int64)
-    probs = predict_proba_many(model, vectors)
+    if X.shape[0] != len(y):
+        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
+    probs = predict_proba_many(model, X)
     if y.min() < 0 or y.max() >= probs.shape[1]:
         raise ValueError("calibration labels contain class indices outside the label space")
     scores = 1.0 - probs[np.arange(len(y)), y]

@@ -264,12 +264,11 @@ def file_sha256(path) -> str:
 
 
 def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_dir,
-                   name: str, test_size: int, test_seed: int,
-                   sizes: Sequence[int] | None = None) -> dict:
+                   name: str, test_size: int, test_seed: int) -> dict:
     """Freeze a dataset to disk: fixed test split, remaining pool, manifest.
 
     The test set is sampled once with its dedicated seed; the pool is the
-    remaining items in source order. The manifest records seeds, sizes and
+    remaining items in source order. The manifest records the test seed and
     content hashes so reruns can be verified byte-for-byte.
     """
     out_dir = Path(out_dir)
@@ -286,7 +285,6 @@ def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_di
         "pool_size": len(pool),
         "test_size": len(test),
         "test_seed": test_seed,
-        "sizes": list(sizes) if sizes is not None else None,
         "sha256": {
             "pool.jsonl": file_sha256(out_dir / "pool.jsonl"),
             "test.jsonl": file_sha256(out_dir / "test.jsonl"),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LabelSpace
 from .errors import DataError
 from .pipeline import STRATEGIES, PredictionRecord
 from .serialize import atomic_open, write_json
@@ -48,35 +47,26 @@ class RunReport:
     reductions: dict[str, dict[str, float]]
 
 
-def _class_count(labels) -> int:
-    if isinstance(labels, LabelSpace):
-        return len(labels)
-    n = int(labels)
-    if n < 1:
-        raise ValueError(f"class count must be >= 1, got {n}")
-    return n
-
-
-def macro_f1(preds: Sequence[int | None], golds: Sequence[int], labels) -> float:
+def macro_f1(preds: Sequence[int | None], golds: Sequence[int], n_classes: int) -> float:
     """Unweighted mean per-class F1 over the classes present in golds.
 
-    ``labels`` is a LabelSpace or a plain class count. A None prediction is a
-    false negative for its gold class and a positive for no class; a class
-    with no true positives scores 0.
+    A None prediction is a false negative for its gold class and a positive
+    for no class; a class with no true positives scores 0.
     """
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions for {len(golds)} golds")
     if not golds:
         raise ValueError("cannot compute macro-F1 on empty input")
-    n = _class_count(labels)
-    tp = [0] * n
-    fp = [0] * n
-    fn = [0] * n
+    if n_classes < 1:
+        raise ValueError(f"class count must be >= 1, got {n_classes}")
+    tp = [0] * n_classes
+    fp = [0] * n_classes
+    fn = [0] * n_classes
     for p, g in zip(preds, golds):
-        if not (0 <= g < n):
-            raise ValueError(f"gold label {g} outside the {n}-class label space")
-        if p is not None and not (0 <= p < n):
-            raise ValueError(f"predicted label {p} outside the {n}-class label space")
+        if not (0 <= g < n_classes):
+            raise ValueError(f"gold label {g} outside the {n_classes}-class label space")
+        if p is not None and not (0 <= p < n_classes):
+            raise ValueError(f"predicted label {p} outside the {n_classes}-class label space")
         if p == g:
             tp[g] += 1
         else:
@@ -90,7 +80,7 @@ def macro_f1(preds: Sequence[int | None], golds: Sequence[int], labels) -> float
     return sum(scores) / len(scores)
 
 
-def cell_metrics(records: Sequence[PredictionRecord], labels) -> CellMetrics:
+def cell_metrics(records: Sequence[PredictionRecord], n_classes: int) -> CellMetrics:
     """Aggregate one cell's records.
 
     Records without a prompt (base strategy, conformal bypasses) contribute
@@ -101,7 +91,7 @@ def cell_metrics(records: Sequence[PredictionRecord], labels) -> CellMetrics:
     if not records:
         raise ValueError("cannot compute metrics for an empty cell")
     n = len(records)
-    f1 = macro_f1([r.final_label for r in records], [r.gold_label for r in records], labels)
+    f1 = macro_f1([r.final_label for r in records], [r.gold_label for r in records], n_classes)
     tokens = sum(r.prompt_stats.token_count for r in records if r.prompt_stats is not None)
     shots = sum(r.prompt_stats.shot_count for r in records if r.prompt_stats is not None)
     covered = [1.0 if r.conformal_set.contains(r.gold_label) else 0.0

@@ -15,7 +15,6 @@ import hashlib
 import logging
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -121,7 +120,7 @@ ORACLES: dict[str, OracleFn] = {
 
 
 class LlmClient:
-    """Shareable completion client with a call counter.
+    """Shareable completion client.
 
     The client puts no bound of its own on concurrent calls: callers bound
     them with their thread count (``run_experiment`` with ``RunConfig.jobs``).
@@ -132,16 +131,8 @@ class LlmClient:
         if not config.is_remote and config.endpoint not in ORACLES:
             raise ValueError(
                 f"unknown oracle {config.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
-        self._lock = threading.Lock()
-        self._calls = 0
-
-    @property
-    def call_count(self) -> int:
-        return self._calls
 
     def complete(self, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
-        with self._lock:
-            self._calls += 1
         start = time.monotonic()
         if self.config.is_remote:
             raw, attempts = self._complete_remote(prompt, meta)

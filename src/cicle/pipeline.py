@@ -34,8 +34,9 @@ from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
 from .serialize import JSON_STYLE, atomic_open, write_json
-from .vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, TfidfModel, fit_tfidf,
-                        stack, transform, transform_many)
+# transform and stack are not called here; perfbench/spans.py wraps these names
+from .vectorize import (EmbeddingClient, EmbeddingConfig, fit_tfidf, stack, transform,
+                        transform_many)
 
 log = logging.getLogger(__name__)
 
@@ -194,23 +195,23 @@ def read_records(path) -> list[PredictionRecord]:
 class CellResources:
     """Everything one (dataset, size) cell shares across its strategies.
 
-    The test set is vectorized once under each fitted tf-idf model: base and
-    cicle share ``test_vectors``. Model-side fields stay None when neither
-    base nor cicle runs; baseline fields stay None for the strategies that
-    were not requested.
+    The test set is vectorized once under each fitted tf-idf model, as CSR
+    rows, and its class probabilities are computed once: base and cicle share
+    ``test_vectors`` and ``test_probs``. Model-side fields stay None when
+    neither base nor cicle runs; baseline fields stay None for the strategies
+    that were not requested.
     """
 
     label_space: LabelSpace
     test: list[LabeledText]
     task: str = "text classification"
-    tfidf: TfidfModel | None = None
     model: LogisticModel | None = None
     calibration: ConformalCalibration | None = None
-    test_vectors: list[SparseVector] | None = None
+    test_vectors: sp.csr_matrix | None = None
+    test_probs: np.ndarray | None = None
     shot_pool: ShotPool | None = None
     shot_vectors: sp.csr_matrix | None = None
     baseline_pool: ShotPool | None = None
-    baseline_tfidf: TfidfModel | None = None
     baseline_vectors: sp.csr_matrix | None = None
     baseline_test_vectors: sp.csr_matrix | None = None
     baseline_embeddings: np.ndarray | None = None
@@ -222,7 +223,8 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
                embed_client: EmbeddingClient | None = None,
                strategies: Sequence[str] | None = None) -> CellResources:
     """Fit the per-cell models and shot pools needed by the given strategies,
-    and vectorize the test set under each fitted tf-idf model."""
+    vectorize the test set under each fitted tf-idf model, and compute its
+    class probabilities."""
     strategies = list(config.strategies if strategies is None else strategies)
     res = CellResources(label_space=label_space, test=list(test), task=task)
     test_texts = [t.text for t in res.test]
@@ -231,26 +233,29 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         split = stratified_split(list(subsample), config.calib_fraction, cell_seed)
         if not split.train or not split.calibration:
             raise DataError("cell split produced an empty train or calibration part")
-        res.tfidf = fit_tfidf([t.text for t in split.train])
-        X = stack(transform_many(res.tfidf, [t.text for t in split.train]))
+        train_texts = [t.text for t in split.train]
+        tfidf = fit_tfidf(train_texts)
+        X = transform_many(tfidf, train_texts)
         y = [label_space.position(t.label) for t in split.train]
         res.model = train(X, y, label_space, config.train)
-        res.test_vectors = transform_many(res.tfidf, test_texts)
+        res.test_vectors = transform_many(tfidf, test_texts)
+        res.test_probs = predict_proba(res.model, res.test_vectors)
         if "cicle" in strategies:
             res.shot_pool = ShotPool(split.train)
             res.shot_vectors = X
-            pairs = [(transform(res.tfidf, t.text), label_space.position(t.label))
-                     for t in split.calibration]
-            res.calibration = calibrate(res.model, pairs, ConformalConfig(alpha=config.alpha))
+            res.calibration = calibrate(res.model,
+                                        transform_many(tfidf, [t.text for t in split.calibration]),
+                                        [label_space.position(t.label) for t in split.calibration],
+                                        ConformalConfig(alpha=config.alpha))
 
     fewshot = [s for s in strategies if s.startswith("fewshot-")]
     if fewshot:
         res.baseline_pool = ShotPool(subsample)
         texts = [t.text for t in subsample]
         if "fewshot-sparse" in fewshot:
-            res.baseline_tfidf = fit_tfidf(texts)
-            res.baseline_vectors = stack(transform_many(res.baseline_tfidf, texts))
-            res.baseline_test_vectors = stack(transform_many(res.baseline_tfidf, test_texts))
+            tfidf = fit_tfidf(texts)
+            res.baseline_vectors = transform_many(tfidf, texts)
+            res.baseline_test_vectors = transform_many(tfidf, test_texts)
         if "fewshot-dense" in fewshot:
             if embed_client is None:
                 raise DataError("fewshot-dense requires an embedding endpoint")
@@ -276,9 +281,8 @@ def _llm_call(res: CellResources, record: PredictionRecord, item: LabeledText, s
     return LlmCall(record=record, prompt=prompt, meta=meta)
 
 
-def classify_base(res: CellResources, item: LabeledText, x: SparseVector) -> PredictionRecord:
-    """Argmax of the base classifier for one vectorized test item; no LLM."""
-    probs = predict_proba(res.model, x)
+def classify_base(res: CellResources, item: LabeledText, probs: np.ndarray) -> PredictionRecord:
+    """Argmax of the base classifier's probability row for one test item; no LLM."""
     return PredictionRecord(
         item_id=item.id,
         strategy="base",
@@ -300,13 +304,12 @@ def classify_fewshot(res: CellResources, item: LabeledText, strategy: str, shots
     return _llm_call(res, record, item, shots, "fewshot", config)
 
 
-def classify_cicle(res: CellResources, item: LabeledText, x: SparseVector) -> PredictionRecord:
-    """Conformal gate for one vectorized item: a singleton set bypasses the LLM.
+def classify_cicle(res: CellResources, item: LabeledText, probs: np.ndarray) -> PredictionRecord:
+    """Conformal gate for one item's probability row: a singleton set bypasses the LLM.
 
     Any other record is returned with ``final_label`` None; its prompt, over
     the set's classes only, is built once the whole cell is gated.
     """
-    probs = predict_proba(res.model, x)
     cset = predict_set(res.calibration, probs)
     record = PredictionRecord(
         item_id=item.id,
@@ -347,9 +350,8 @@ def _cicle_calls(res: CellResources, records: list[PredictionRecord],
         return []
     labels = res.label_space.labels
     classes = [[labels[c] for c in records[i].conformal_set.classes()] for i in gated]
-    queries = stack([res.test_vectors[i] for i in gated])
-    shots = select_sparse(res.shot_pool, res.shot_vectors, queries, classes, config.k,
-                          [res.test[i].id for i in gated])
+    shots = select_sparse(res.shot_pool, res.shot_vectors, res.test_vectors[gated], classes,
+                          config.k, [res.test[i].id for i in gated])
     return [_llm_call(res, records[i], res.test[i], s, "cicle", config)
             for i, s in zip(gated, shots)]
 
@@ -376,9 +378,10 @@ def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, conf
     LLM in test order, up to ``config.jobs`` calls in flight.
     """
     if strategy == "base":
-        return [classify_base(res, item, x) for item, x in zip(res.test, res.test_vectors)]
+        return [classify_base(res, item, probs) for item, probs in zip(res.test, res.test_probs)]
     if strategy == "cicle":
-        records = [classify_cicle(res, item, x) for item, x in zip(res.test, res.test_vectors)]
+        records = [classify_cicle(res, item, probs)
+                   for item, probs in zip(res.test, res.test_probs)]
         calls = _cicle_calls(res, records, config)
     else:
         shots = _fewshot_shots(res, strategy, config, test_embeddings)
@@ -397,6 +400,23 @@ def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, conf
 
 def record_filename(dataset: str, size: int, seed: int, strategy: str) -> str:
     return f"{dataset}_{size}_{seed}_{strategy}.jsonl"
+
+
+def dataset_sizes(config: RunConfig, spec: DatasetSpec, pool_size: int) -> list[int]:
+    """The configured sizes a dataset runs at: at least its minimum, at most its pool.
+
+    Each skipped size is logged once; ``run`` and ``report`` both ask here.
+    """
+    kept = []
+    for size in config.sizes:
+        if size < spec.min_size:
+            log.warning("skipping %s size %d: below the dataset minimum %d",
+                        spec.name, size, spec.min_size)
+        elif size > pool_size:
+            log.warning("skipping %s size %d: pool has only %d items", spec.name, size, pool_size)
+        else:
+            kept.append(size)
+    return kept
 
 
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
@@ -425,15 +445,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
         test_embeddings = None
         if "fewshot-dense" in config.strategies:
             test_embeddings = embed_client.embed([t.text for t in test])
-        for size in config.sizes:
-            if size < spec.min_size:
-                log.warning("skipping %s size %d: below the dataset minimum %d",
-                            spec.name, size, spec.min_size)
-                continue
-            if size > len(pool):
-                log.warning("skipping %s size %d: pool has only %d items",
-                            spec.name, size, len(pool))
-                continue
+        for size in dataset_sizes(config, spec, len(pool)):
             pending = []
             for strategy in config.strategies:
                 path = config.records_dir / record_filename(spec.name, size, config.seed, strategy)

@@ -1,4 +1,4 @@
-"""Sparse TF-IDF vectors and the dense-embedding client.
+"""Sparse TF-IDF rows, assembled as CSR matrices, and the dense-embedding client.
 
 The TF-IDF recipe is pinned for reproducibility: lowercase text, tokens are
 maximal runs of two or more word characters, idf(t) = ln((1+N)/(1+df(t))) + 1,
@@ -27,27 +27,6 @@ _TOKEN_RE = re.compile(r"\w{2,}")
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into maximal runs of >= 2 word characters."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass
-class SparseVector:
-    """An l2-normalized sparse document vector (indices strictly increasing)."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
 
 
 @dataclass
@@ -84,8 +63,11 @@ def fit_tfidf(corpus: list[str]) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
-def transform(model: TfidfModel, text: str) -> SparseVector:
-    """Map text to a unit-norm tf-idf vector; out-of-vocabulary tokens drop out."""
+def transform(model: TfidfModel, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """One text's unit-norm tf-idf row as (ascending int32 columns, values).
+
+    Out-of-vocabulary tokens drop out; a text with none left is an empty row.
+    """
     counts: Counter[int] = Counter()
     vocab = model.vocabulary
     for tok in tokenize(text):
@@ -93,31 +75,25 @@ def transform(model: TfidfModel, text: str) -> SparseVector:
         if col is not None:
             counts[col] += 1
     if not counts:
-        return SparseVector(indices=np.empty(0, dtype=np.int32),
-                            values=np.empty(0), dim=model.dim)
+        return np.empty(0, dtype=np.int32), np.empty(0)
     indices = np.array(sorted(counts), dtype=np.int32)
     values = np.array([counts[i] for i in indices], dtype=float) * model.idf[indices]
     values /= np.sqrt(np.dot(values, values))
-    return SparseVector(indices=indices, values=values, dim=model.dim)
+    return indices, values
 
 
-def transform_many(model: TfidfModel, texts: list[str]) -> list[SparseVector]:
-    return [transform(model, t) for t in texts]
+def transform_many(model: TfidfModel, texts: list[str]) -> sp.csr_matrix:
+    """One CSR row per text, each exactly ``transform(model, text)``."""
+    return stack([transform(model, t) for t in texts], model.dim)
 
 
-def stack(vectors: list[SparseVector]) -> sp.csr_matrix:
-    """Stack sparse vectors into a CSR matrix (one row per vector)."""
-    if not vectors:
-        raise ValueError("cannot stack zero vectors")
-    dim = vectors[0].dim
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
-        indptr[i + 1] = indptr[i] + v.nnz
-    indices = np.concatenate([v.indices for v in vectors]) if indptr[-1] else np.empty(0, dtype=np.int32)
-    data = np.concatenate([v.values for v in vectors]) if indptr[-1] else np.empty(0)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
+def stack(rows: list[tuple[np.ndarray, np.ndarray]], dim: int) -> sp.csr_matrix:
+    """Assemble (columns, values) rows into a CSR matrix with ``dim`` columns."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
+    indices = np.concatenate([cols for cols, _ in rows] + [np.empty(0, dtype=np.int32)])
+    data = np.concatenate([values for _, values in rows] + [np.empty(0)])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
 
 
 @dataclass
@@ -143,10 +119,6 @@ class EmbeddingClient:
     def __init__(self, config: EmbeddingConfig):
         self.config = config
         self._dim: int | None = None
-
-    @property
-    def dim(self) -> int | None:
-        return self._dim
 
     def _cache_path(self, text: str) -> Path | None:
         if not self.config.cache_dir:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.classifier import (
     LogisticModel,
@@ -15,19 +17,24 @@ from cicle.classifier import (
 )
 from cicle.corpus import LabeledText, LabelSpace
 from cicle.pipeline import CellResources, classify_base
-from cicle.vectorize import SparseVector, fit_tfidf, stack, transform_many
+from cicle.vectorize import fit_tfidf, stack, transform_many
 
 from conftest import make_items, space_for
 
 
-def vec(dim, entries):
-    """SparseVector from {index: value} pairs, l2-normalized."""
+def row(entries):
+    """A (columns, values) row from {index: value} pairs, l2-normalized."""
     indices = np.array(sorted(entries), dtype=np.int32)
     values = np.array([entries[i] for i in sorted(entries)], dtype=float)
     norm = math.sqrt(float(values @ values))
     if norm:
         values = values / norm
-    return SparseVector(indices=indices, values=values, dim=dim)
+    return indices, values
+
+
+def vec(dim, *rows):
+    """A CSR matrix with one row per {index: value} dict."""
+    return stack([row(entries) for entries in rows], dim)
 
 
 def binary_space():
@@ -38,7 +45,7 @@ def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0, **train_kw):
     items = make_items(n, n_classes=n_classes, seed=seed, overlap=overlap)
     space = space_for(items)
     tfidf = fit_tfidf([it.text for it in items])
-    X = stack(transform_many(tfidf, [it.text for it in items]))
+    X = transform_many(tfidf, [it.text for it in items])
     y = [space.position(it.label) for it in items]
     model = train(X, y, space, TrainConfig(**train_kw))
     return items, space, tfidf, X, y, model
@@ -66,7 +73,7 @@ def test_train_config_defaults():
 def test_zero_model_is_uniform():
     space = LabelSpace.from_labels(["a", "b", "c", "d"])
     model = LogisticModel(W=np.zeros((4, 3)), b=np.zeros(4), label_space=space)
-    probs = predict_proba(model, vec(3, {0: 1.0}))
+    [probs] = predict_proba(model, vec(3, {0: 1.0}))
     assert probs == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-12)
 
 
@@ -74,8 +81,7 @@ def test_bias_only_softmax_hand_case():
     # b = (ln 2, 0) on an empty vector gives exactly (2/3, 1/3)
     model = LogisticModel(W=np.zeros((2, 5)), b=np.array([math.log(2.0), 0.0]),
                           label_space=binary_space())
-    empty = SparseVector(indices=np.empty(0, dtype=np.int32), values=np.empty(0), dim=5)
-    probs = predict_proba(model, empty)
+    [probs] = predict_proba(model, vec(5, {}))
     assert probs[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert probs[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -86,13 +92,13 @@ def test_logit_shift_invariance():
     b = rng.normal(size=3)
     space = LabelSpace.from_labels(["a", "b", "c"])
     x = vec(4, {1: 0.6, 3: 0.8})
-    base = predict_proba(LogisticModel(W=W, b=b, label_space=space), x)
-    shifted = predict_proba(LogisticModel(W=W, b=b + 17.5, label_space=space), x)
+    [base] = predict_proba(LogisticModel(W=W, b=b, label_space=space), x)
+    [shifted] = predict_proba(LogisticModel(W=W, b=b + 17.5, label_space=space), x)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
-def predict(model, x):
-    return int(np.argmax(predict_proba(model, x)))
+def predict(model, X):
+    return [int(np.argmax(p)) for p in predict_proba(model, X)]
 
 
 def test_predict_tie_goes_to_lowest_index():
@@ -100,7 +106,8 @@ def test_predict_tie_goes_to_lowest_index():
     space = LabelSpace.from_labels(["a", "b", "c"])
     model = LogisticModel(W=np.zeros((3, 2)), b=np.zeros(3), label_space=space)
     res = CellResources(label_space=space, test=[], model=model)
-    record = classify_base(res, LabeledText(id="q", text="q", label="c"), vec(2, {0: 1.0}))
+    [probs] = predict_proba(model, vec(2, {0: 1.0}))
+    record = classify_base(res, LabeledText(id="q", text="q", label="c"), probs)
     assert record.final_label == 0
 
 
@@ -113,27 +120,23 @@ def test_probabilities_sum_to_one():
 
 
 def test_predict_proba_many_matches_single():
-    items, _, tfidf, X, _, model = fitted_toy(n=30)
-    P = predict_proba_many(model, X)
-    vectors = transform_many(tfidf, [it.text for it in items])
-    for i, v in enumerate(vectors):
-        assert predict_proba(model, v) == pytest.approx(P[i], abs=1e-12)
+    _, _, _, X, _, model = fitted_toy(n=30)
+    assert predict_proba(model, X) == pytest.approx(predict_proba_many(model, X), abs=1e-12)
 
 
 def test_separable_training_recovers_labels():
-    x0 = vec(4, {0: 1.0})
-    x1 = vec(4, {2: 1.0})
-    model = train([x0, x1], [0, 1], binary_space(), TrainConfig(C=10.0))
-    assert predict(model, x0) == 0
-    assert predict(model, x1) == 1
-    assert predict_proba(model, x0)[0] > 0.7
-    assert predict_proba(model, x1)[1] > 0.7
+    X = vec(4, {0: 1.0}, {2: 1.0})
+    model = train(X, [0, 1], binary_space(), TrainConfig(C=10.0))
+    assert predict(model, X) == [0, 1]
+    P = predict_proba(model, X)
+    assert P[0, 0] > 0.7
+    assert P[1, 1] > 0.7
 
 
 def test_training_fits_easy_corpus():
     items, space, tfidf, X, y, model = fitted_toy(n=120, n_classes=4)
     assert model.converged
-    preds = [predict(model, v) for v in transform_many(tfidf, [it.text for it in items])]
+    preds = predict(model, transform_many(tfidf, [it.text for it in items]))
     accuracy = sum(p == t for p, t in zip(preds, y)) / len(y)
     assert accuracy > 0.95
 
@@ -165,23 +168,18 @@ def test_stronger_regularization_shrinks_weights():
 
 
 def test_single_class_training_rejected():
-    x0 = vec(3, {0: 1.0})
-    x1 = vec(3, {1: 1.0})
     with pytest.raises(ValueError, match="single class"):
-        train([x0, x1], [1, 1], binary_space())
+        train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space())
 
 
 def test_out_of_range_labels_rejected():
-    x0 = vec(3, {0: 1.0})
-    x1 = vec(3, {1: 1.0})
     with pytest.raises(ValueError):
-        train([x0, x1], [0, 2], binary_space())
+        train(vec(3, {0: 1.0}, {1: 1.0}), [0, 2], binary_space())
 
 
 def test_mismatched_lengths_rejected():
-    x0 = vec(3, {0: 1.0})
     with pytest.raises(ValueError):
-        train([x0], [0, 1], binary_space())
+        train(vec(3, {0: 1.0}), [0, 1], binary_space())
 
 
 def test_non_convergence_is_flagged_and_logged(caplog):
@@ -234,8 +232,8 @@ def test_gradient_matches_finite_differences(seed):
         idx = np.sort(rng.choice(V, size=nnz, replace=False)).astype(np.int32)
         vals = rng.normal(size=nnz)
         norm = math.sqrt(float(vals @ vals))
-        rows.append(SparseVector(indices=idx, values=vals / norm, dim=V))
-    X = stack(rows)
+        rows.append((idx, vals / norm))
+    X = stack(rows, V)
     y = rng.integers(0, K, size=n)
     W = 0.5 * rng.normal(size=(K, V))
     b = 0.5 * rng.normal(size=K)
@@ -254,4 +252,49 @@ def test_predict_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         predict_proba(model, vec(model.dim + 3, {0: 1.0}))
     with pytest.raises(ValueError, match="dimension"):
-        predict_proba_many(model, [vec(model.dim + 3, {0: 1.0})])
+        predict_proba_many(model, vec(model.dim + 3, {0: 1.0}))
+
+
+# -- the per-row contract that keeps record bytes stable -------------------
+
+
+def reference_proba(model, indices, values):
+    """One row's probabilities, written out as the single-vector path computes them."""
+    if len(indices):
+        z = model.W[:, indices] @ values + model.b
+    else:
+        z = model.b.copy()
+    z -= z.max()
+    p = np.exp(z)
+    return p / p.sum()
+
+
+@st.composite
+def models_and_matrices(draw):
+    K = draw(st.integers(2, 5))
+    V = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    W = scale * rng.normal(size=(K, V))
+    b = scale * rng.normal(size=K)
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])  # a duplicate row
+            continue
+        cols = draw(st.lists(st.integers(0, V - 1), unique=True, max_size=V))  # may be empty
+        rows.append(row({c: float(rng.uniform(0.1, 3.0)) for c in cols}))
+    model = LogisticModel(W=W, b=b, label_space=LabelSpace.from_labels(
+        [f"c{i}" for i in range(K)]))
+    return model, rows, stack(rows, V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_matrices())
+def test_predict_proba_rows_are_computed_on_their_own(case):
+    model, rows, X = case
+    P = predict_proba(model, X)
+    assert P.shape == (X.shape[0], len(model.b))
+    for i, (indices, values) in enumerate(rows):
+        assert P[i].tobytes() == predict_proba(model, X[[i]])[0].tobytes()
+        assert P[i].tobytes() == reference_proba(model, indices, values).tobytes()

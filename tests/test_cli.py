@@ -211,6 +211,21 @@ def test_min_size_flag_skips_small_sizes(tmp_path):
     assert list(payload["per_cell"]) == ["toy/120/base"]
 
 
+def test_report_skips_the_sizes_run_skipped(tmp_path, caplog):
+    data = write_toy(tmp_path, n=360)
+    out = tmp_path / "out"
+    args = ["--dataset", f"toy={data}", "--output", str(out), "--sizes", "100,1000",
+            "--test-size", "60", "--strategies", "base"]
+    assert main(["prepare", *args]) == 0  # a 300-item pool
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        assert main(["run", *args]) == 0
+        assert main(["report", *args]) == 0
+    skips = [rec.message for rec in caplog.records if "skipping" in rec.message]
+    assert skips == ["skipping toy size 1000: pool has only 300 items"] * 2
+    cells = (out / "report" / "cells.csv").read_text("utf-8").splitlines()
+    assert [line.split(",")[1] for line in cells[1:]] == ["100"]
+
+
 def test_bad_template_file_is_data_error(tmp_path, capsys):
     data = write_toy(tmp_path)
     template = tmp_path / "template.json"

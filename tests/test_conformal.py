@@ -17,7 +17,7 @@ from cicle.conformal import (
     quantile_rank,
 )
 from cicle.corpus import stratified_split
-from cicle.vectorize import fit_tfidf, stack, transform_many
+from cicle.vectorize import fit_tfidf, transform_many
 
 from conftest import make_items, space_for
 
@@ -192,7 +192,7 @@ def fitted_model_and_split(overlap=0.6, n=200, seed=3):
     space = space_for(items)
     split = stratified_split(items, calib_fraction=0.25, seed=seed)
     tfidf = fit_tfidf([it.text for it in split.train])
-    X = stack(transform_many(tfidf, [it.text for it in split.train]))
+    X = transform_many(tfidf, [it.text for it in split.train])
     y = [space.position(it.label) for it in split.train]
     model = train(X, y, space, TrainConfig())
     return space, split, tfidf, model
@@ -200,10 +200,10 @@ def fitted_model_and_split(overlap=0.6, n=200, seed=3):
 
 def test_calibrate_scores_match_model_probabilities():
     space, split, tfidf, model = fitted_model_and_split()
-    vectors = transform_many(tfidf, [it.text for it in split.calibration])
+    X = transform_many(tfidf, [it.text for it in split.calibration])
     y = [space.position(it.label) for it in split.calibration]
-    cal = calibrate(model, list(zip(vectors, y)), ConformalConfig(alpha=0.1))
-    probs = predict_proba_many(model, vectors)
+    cal = calibrate(model, X, y, ConformalConfig(alpha=0.1))
+    probs = predict_proba_many(model, X)
     expected = np.sort(1.0 - probs[np.arange(len(y)), y])
     assert cal.scores == pytest.approx(expected, abs=1e-12)
     assert cal.n == len(y)
@@ -212,10 +212,12 @@ def test_calibrate_scores_match_model_probabilities():
 def test_calibrate_rejects_empty_and_bad_labels():
     space, split, tfidf, model = fitted_model_and_split(n=80)
     with pytest.raises(ValueError, match="empty"):
-        calibrate(model, [])
-    vectors = transform_many(tfidf, [split.calibration[0].text])
+        calibrate(model, transform_many(tfidf, []), [])
+    X = transform_many(tfidf, [split.calibration[0].text])
     with pytest.raises(ValueError, match="label"):
-        calibrate(model, [(vectors[0], 99)])
+        calibrate(model, X, [99])
+    with pytest.raises(ValueError, match="rows"):
+        calibrate(model, X, [0, 1])
 
 
 @settings(max_examples=300, deadline=None)

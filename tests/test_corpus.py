@@ -204,14 +204,13 @@ def test_stable_seed_is_stable():
 def test_freeze_and_load_roundtrip(tmp_path):
     items = make_items(300)
     space = space_for(items)
-    manifest = freeze_dataset(items, space, tmp_path / "d", "toy", 60, test_seed=9,
-                              sizes=[100, 200])
+    manifest = freeze_dataset(items, space, tmp_path / "d", "toy", 60, test_seed=9)
     pool, test, space2, manifest2 = load_frozen(tmp_path / "d")
     assert manifest2 == manifest
     assert len(test) == 60 and len(pool) == 240
     assert not {it.id for it in pool} & {it.id for it in test}
     assert space2.labels == space.labels
-    assert manifest["sizes"] == [100, 200]
+    assert "sizes" not in manifest
     assert manifest["sha256"]["pool.jsonl"] == file_sha256(tmp_path / "d" / "pool.jsonl")
     assert manifest["sha256"]["test.jsonl"] == file_sha256(tmp_path / "d" / "test.jsonl")
 

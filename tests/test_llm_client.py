@@ -1,6 +1,5 @@
 """Tests for the completion client: oracles, parsing, and the HTTP wire."""
 
-import threading
 
 import pytest
 
@@ -98,17 +97,6 @@ def test_noisy_oracle_per_class_accuracy():
     assert client.complete("p1", META).raw == "Sports"
     world = PromptMeta(classes=("World", "Sports"), gold_label="World")
     assert client.complete("p1", world).raw == "Sports"
-
-
-def test_call_count_is_thread_safe():
-    client = oracle_client("perfect")
-    threads = [threading.Thread(target=lambda: [client.complete("p", META) for _ in range(50)])
-               for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert client.call_count == 400
 
 
 LABELS = LabelSpace.from_labels(["Business", "Sports", "World"])

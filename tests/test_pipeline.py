@@ -63,6 +63,18 @@ def perfect():
     return LlmClient(LlmConfig(endpoint="perfect"))
 
 
+def counting_perfect(monkeypatch):
+    """A perfect-oracle client, and the list its completions are counted in."""
+    completions = []
+
+    def oracle(prompt, meta, params):
+        completions.append(meta.item_id)
+        return ORACLES["perfect"](prompt, meta, params)
+
+    monkeypatch.setitem(ORACLES, "counting-perfect", oracle)
+    return LlmClient(LlmConfig(endpoint="counting-perfect")), completions
+
+
 def test_classify_base_record_shape():
     space, config, res, test = built_cell(["base"])
     records = classify_cell(res, "base", None, config)
@@ -80,9 +92,9 @@ def test_classify_base_record_shape():
         assert rec.error is None
 
 
-def test_fewshot_perfect_oracle_hits_gold():
+def test_fewshot_perfect_oracle_hits_gold(monkeypatch):
     space, config, res, test = built_cell(["fewshot-random"])
-    llm = perfect()
+    llm, completions = counting_perfect(monkeypatch)
     for item, rec in zip(test, classify_cell(res, "fewshot-random", llm, config)):
         assert rec.final_label == space.position(item.label)
         assert rec.llm_raw == item.label
@@ -90,7 +102,7 @@ def test_fewshot_perfect_oracle_hits_gold():
         assert rec.conformal_set is None
         assert rec.prompt_stats.shot_count == config.k * len(space)
         assert rec.prompt_stats.candidate_count == len(space)
-    assert llm.call_count == len(test)
+    assert len(completions) == len(test)
 
 
 def test_fewshot_majority_oracle_picks_first_label():
@@ -145,12 +157,13 @@ def test_perfect_oracle_identity_accuracy_equals_coverage():
     assert accuracy == coverage
 
 
-def test_llm_called_exactly_once_per_multiclass_set():
+def test_llm_called_exactly_once_per_multiclass_set(monkeypatch):
     space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
-    llm = perfect()
+    llm, completions = counting_perfect(monkeypatch)
     records = classify_cell(res, "cicle", llm, config)
     multi = sum(1 for r in records if len(r.conformal_set) >= 2)
-    assert llm.call_count == multi
+    assert len(completions) == multi
+    assert sorted(completions) == sorted(r.item_id for r in records if not r.bypassed)
     assert multi == sum(1 for r in records if not r.bypassed)
 
 

@@ -18,7 +18,7 @@ from cicle.selection import (
     select_sparse,
     sparse_similarities,
 )
-from cicle.vectorize import SparseVector, fit_tfidf, stack, transform, transform_many
+from cicle.vectorize import fit_tfidf, stack, transform_many
 
 from conftest import make_items
 
@@ -42,8 +42,8 @@ def one_random(pool, classes, k, seed, exclude_id=None) -> ShotSet:
 
 
 def one_sparse(pool, pool_vectors, query, classes, k, exclude_id=None) -> ShotSet:
-    return select_sparse(ShotPool(pool), pool_vectors, stack([query]), [classes], k,
-                         [exclude_id])[0]
+    """Select for one query, a one-row CSR matrix."""
+    return select_sparse(ShotPool(pool), pool_vectors, query, [classes], k, [exclude_id])[0]
 
 
 def test_config_validation():
@@ -126,13 +126,13 @@ def test_short_class_takes_all_and_warns(caplog):
 def sparse_fixture():
     pool = small_pool()
     tfidf = fit_tfidf([it.text for it in pool])
-    vectors = stack(transform_many(tfidf, [it.text for it in pool]))
+    vectors = transform_many(tfidf, [it.text for it in pool])
     return pool, tfidf, vectors
 
 
 def test_sparse_picks_most_similar():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform(tfidf, "apple orange pear")
+    query = transform_many(tfidf, ["apple orange pear"])
     shots = one_sparse(pool, vectors, query, ["fruit"], 2)
     assert ids(shots)[0][0] == "a0"
 
@@ -141,13 +141,13 @@ def test_sparse_batch_matches_single_queries():
     pool, tfidf, vectors = sparse_fixture()
     texts = ["carrot banana", "apple", "kiwi leek", "nothing known", "pear onion"]
     n = 2 * SIM_CHUNK_ROWS + 3
-    queries = [transform(tfidf, texts[i % len(texts)]) for i in range(n)]
+    queries = transform_many(tfidf, [texts[i % len(texts)] for i in range(n)])
     classes = [["veg", "fruit"] if i % 2 else ["fruit", "veg"] for i in range(n)]
     excluded = [pool[i % len(pool)].id if i % 3 else None for i in range(n)]
-    batch = select_sparse(ShotPool(pool), vectors, stack(queries), classes, 2, excluded)
+    batch = select_sparse(ShotPool(pool), vectors, queries, classes, 2, excluded)
     assert len(batch) == n
-    for q, cls, ex, shots in zip(queries, classes, excluded, batch):
-        assert ids(shots) == ids(one_sparse(pool, vectors, q, cls, 2, exclude_id=ex))
+    for i, (cls, ex, shots) in enumerate(zip(classes, excluded, batch)):
+        assert ids(shots) == ids(one_sparse(pool, vectors, queries[i], cls, 2, exclude_id=ex))
 
 
 def test_sparse_tie_falls_back_to_pool_order():
@@ -157,14 +157,14 @@ def test_sparse_tie_falls_back_to_pool_order():
         LabeledText(id="x2", text="zzz yyy", label="c"),
     ]
     tfidf = fit_tfidf([it.text for it in pool])
-    vectors = stack(transform_many(tfidf, [it.text for it in pool]))
-    shots = one_sparse(pool, vectors, transform(tfidf, "zzz yyy"), ["c"], 2)
+    vectors = transform_many(tfidf, [it.text for it in pool])
+    shots = one_sparse(pool, vectors, transform_many(tfidf, ["zzz yyy"]), ["c"], 2)
     assert ids(shots) == [["x0", "x1"]]
 
 
 def test_sparse_zero_query_vector_is_safe():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform(tfidf, "nonsensetoken anothermiss")
+    query = transform_many(tfidf, ["nonsensetoken anothermiss"])
     assert query.nnz == 0
     shots = one_sparse(pool, vectors, query, ["fruit"], 2)
     # zero query means all similarities are zero; pool order wins
@@ -173,7 +173,7 @@ def test_sparse_zero_query_vector_is_safe():
 
 def test_sparse_excludes_query_item():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform(tfidf, pool[0].text)
+    query = transform_many(tfidf, [pool[0].text])
     shots = one_sparse(pool, vectors, query, ["fruit"], 3, exclude_id="a0")
     picked = ids(shots)[0]
     assert "a0" not in picked and len(picked) == 2
@@ -182,14 +182,14 @@ def test_sparse_excludes_query_item():
 def test_sparse_dimension_mismatch_rejected():
     pool, tfidf, vectors = sparse_fixture()
     other = fit_tfidf(["completely different words here"])
-    query = transform(other, "different words")
+    query = transform_many(other, ["different words"])
     with pytest.raises(ValueError, match="dimension"):
         one_sparse(pool, vectors, query, ["fruit"], 1)
 
 
 def test_sparse_similarity_count_mismatch_rejected():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform(tfidf, "apple")
+    query = transform_many(tfidf, ["apple"])
     with pytest.raises(ValueError, match="pool items"):
         one_sparse(pool, vectors[:3], query, ["fruit"], 1)
 
@@ -227,12 +227,15 @@ def test_dense_dimension_mismatch_rejected():
 # -- properties of the batched sparse path ---------------------------------
 
 
-def reference_similarities(pool_vectors: sp.csr_matrix, query: SparseVector) -> np.ndarray:
-    """One query at a time, as an unbatched selection computes it."""
+def reference_similarities(pool_vectors: sp.csr_matrix, query) -> np.ndarray:
+    """One (columns, values) query at a time, as an unbatched selection computes it."""
     m = pool_vectors.tocsr()
-    dots = np.asarray(m @ query.to_dense()).ravel()
+    indices, values = query
+    q = np.zeros(DIM)
+    q[indices] = values
+    dots = np.asarray(m @ q).ravel()
     row_norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
-    qn = query.norm()
+    qn = float(np.sqrt(np.dot(values, values)))
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where((row_norms > 0) & (qn > 0), dots / (row_norms * qn), 0.0)
 
@@ -241,12 +244,12 @@ DIM = 6
 LABELS = ("a", "b", "c", "d")
 
 
-def unit_vector(weights: list[int]) -> SparseVector:
+def unit_vector(weights: list[int]) -> tuple[np.ndarray, np.ndarray]:
     idx = np.array([i for i, w in enumerate(weights) if w], dtype=np.int32)
     vals = np.array([w for w in weights if w], dtype=float)
     if len(vals):
         vals /= np.sqrt(np.dot(vals, vals))
-    return SparseVector(indices=idx, values=vals, dim=DIM)
+    return idx, vals
 
 
 # small integer weights make duplicate rows (exact ties) and all-zero rows common
@@ -274,8 +277,8 @@ def selection_cases(draw):
 @given(selection_cases())
 def test_batched_top_k_matches_brute_force(case):
     pool, pool_vectors, queries, orders, excluded, k = case
-    matrix = stack(pool_vectors)
-    batch = select_sparse(ShotPool(pool), matrix, stack(queries), orders, k, excluded)
+    matrix = stack(pool_vectors, DIM)
+    batch = select_sparse(ShotPool(pool), matrix, stack(queries, DIM), orders, k, excluded)
     assert len(batch) == len(queries)
     for query, order, exclude_id, shots in zip(queries, orders, excluded, batch):
         cos = reference_similarities(matrix, query)
@@ -290,8 +293,8 @@ def test_batched_top_k_matches_brute_force(case):
 @given(selection_cases())
 def test_chunked_similarities_equal_single_query_reference(case):
     _, pool_vectors, queries, _, _, _ = case
-    matrix = stack(pool_vectors)
-    rows = list(sparse_similarities(matrix, stack(queries)))
+    matrix = stack(pool_vectors, DIM)
+    rows = list(sparse_similarities(matrix, stack(queries, DIM)))
     assert len(rows) == len(queries)
     for row, query in zip(rows, queries):
         reference = reference_similarities(matrix, query)

@@ -3,13 +3,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cicle.errors import DataError, TransportError
 from cicle.selection import sparse_similarities
-from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, SparseVector, fit_tfidf, stack,
-                             tokenize, transform, transform_many)
+from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, fit_tfidf, stack, tokenize,
+                             transform, transform_many)
 
 from conftest import embedding_app, hash_embedding, make_items
+
+
+def dense(model, text):
+    indices, values = transform(model, text)
+    out = np.zeros(model.dim)
+    out[indices] = values
+    return out
 
 
 def test_tokenize_lowercases_and_drops_single_chars():
@@ -44,43 +53,42 @@ def test_fit_tfidf_rejects_tokenless_corpus():
 
 def test_transform_hand_vector():
     model = fit_tfidf(["aa bb", "aa cc"])
-    vec = transform(model, "aa bb")
+    vec = dense(model, "aa bb")
     w0, w1 = 1.0, math.log(3 / 2) + 1
     norm = math.hypot(w0, w1)
-    dense = vec.to_dense()
-    assert abs(dense[0] - w0 / norm) < 1e-9
-    assert abs(dense[1] - w1 / norm) < 1e-9
-    assert dense[2] == 0.0
-    assert round(dense[0], 4) == 0.5797 and round(dense[1], 4) == 0.8148
+    assert abs(vec[0] - w0 / norm) < 1e-9
+    assert abs(vec[1] - w1 / norm) < 1e-9
+    assert vec[2] == 0.0
+    assert round(vec[0], 4) == 0.5797 and round(vec[1], 4) == 0.8148
 
 
 def test_transform_scales_with_counts():
     model = fit_tfidf(["aa bb", "aa cc"])
-    vec = transform(model, "aa bb aa")
+    vec = dense(model, "aa bb aa")
     w0, w1 = 2.0, math.log(3 / 2) + 1
     norm = math.hypot(w0, w1)
-    assert vec.to_dense()[0] == pytest.approx(w0 / norm, abs=1e-12)
-    assert vec.to_dense()[1] == pytest.approx(w1 / norm, abs=1e-12)
+    assert vec[0] == pytest.approx(w0 / norm, abs=1e-12)
+    assert vec[1] == pytest.approx(w1 / norm, abs=1e-12)
 
 
 def test_transform_unknown_tokens_dropped():
     model = fit_tfidf(["aa bb", "aa cc"])
-    vec = transform(model, "zz qq")
-    assert vec.nnz == 0
-    assert vec.norm() == 0.0
-    single = transform(model, "aa aa zz")
-    assert single.nnz == 1
-    assert single.to_dense()[0] == pytest.approx(1.0, abs=1e-12)
+    indices, values = transform(model, "zz qq")
+    assert len(indices) == 0 and len(values) == 0
+    assert indices.dtype == np.int32
+    indices, values = transform(model, "aa aa zz")
+    assert list(indices) == [0]
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transform_unit_norm_property():
     texts = [it.text for it in make_items(80, overlap=0.4, seed=3)]
     model = fit_tfidf(texts)
-    for vec in transform_many(model, texts):
-        if vec.nnz:
-            assert abs(vec.norm() - 1.0) < 1e-9
-        indices = list(vec.indices)
-        assert indices == sorted(indices)
+    for text in texts:
+        indices, values = transform(model, text)
+        if len(values):
+            assert abs(math.sqrt(float(values @ values)) - 1.0) < 1e-9
+        assert list(indices) == sorted(set(indices))
 
 
 def test_transform_independent_of_corpus_order():
@@ -89,57 +97,75 @@ def test_transform_independent_of_corpus_order():
     b = fit_tfidf(list(reversed(texts)))
     assert a.vocabulary == b.vocabulary
     assert np.allclose(a.idf, b.idf)
-    va, vb = transform(a, texts[0]), transform(b, texts[0])
-    assert np.allclose(va.to_dense(), vb.to_dense())
+    assert np.allclose(dense(a, texts[0]), dense(b, texts[0]))
 
 
 def test_stack_matches_dense_rows():
     texts = [it.text for it in make_items(30)]
     model = fit_tfidf(texts)
-    vectors = transform_many(model, texts)
-    matrix = stack(vectors)
+    matrix = transform_many(model, texts)
     assert matrix.shape == (30, len(model.vocabulary))
-    for i, vec in enumerate(vectors):
-        assert np.allclose(matrix[i].toarray().ravel(), vec.to_dense())
+    for i, text in enumerate(texts):
+        assert np.allclose(matrix[i].toarray().ravel(), dense(model, text))
+    assert stack([], 7).shape == (0, 7)
 
 
-def cosine(a, b):
+def cosine(a, b, dim_a, dim_b=None):
     """Cosine similarity as shot selection computes it: one pool row, one query."""
-    [row] = sparse_similarities(stack([a]), stack([b]))
+    [row] = sparse_similarities(stack([a], dim_a), stack([b], dim_b or dim_a))
     return float(row[0])
 
 
 def test_cosine_hand_cases():
     model = fit_tfidf(["aa bb", "cc dd"])
-    a = transform(model, "aa bb")
-    assert cosine(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert cosine(a, transform(model, "cc dd")) == 0.0
-    assert cosine(a, transform(model, "aa")) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    a, dim = transform(model, "aa bb"), model.dim
+    assert cosine(a, a, dim) == pytest.approx(1.0, abs=1e-12)
+    assert cosine(a, transform(model, "cc dd"), dim) == 0.0
+    assert cosine(a, transform(model, "aa"), dim) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_cosine_zero_norm_is_zero():
     model = fit_tfidf(["aa bb"])
-    zero = transform(model, "zz")
-    assert cosine(zero, transform(model, "aa")) == 0.0
-    assert cosine(transform(model, "aa"), zero) == 0.0
+    zero, dim = transform(model, "zz"), model.dim
+    assert cosine(zero, transform(model, "aa"), dim) == 0.0
+    assert cosine(transform(model, "aa"), zero, dim) == 0.0
 
 
 def test_cosine_errors():
-    a = SparseVector(indices=np.array([0], dtype=np.int32), values=np.array([1.0]), dim=2)
-    b = SparseVector(indices=np.array([0], dtype=np.int32), values=np.array([1.0]), dim=3)
+    a = (np.array([0], dtype=np.int32), np.array([1.0]))
     with pytest.raises(ValueError, match="dimension"):
-        cosine(a, b)
+        cosine(a, a, 2, 3)
 
 
 def test_cosine_symmetry():
     texts = [it.text for it in make_items(20, overlap=0.5, seed=7)]
     model = fit_tfidf(texts)
-    vectors = transform_many(model, texts)
+    vectors = [transform(model, t) for t in texts]
     rng = random.Random(1)
     for _ in range(50):
         a, b = rng.choice(vectors), rng.choice(vectors)
-        assert cosine(a, b) == pytest.approx(cosine(b, a), rel=1e-12, abs=1e-15)
-        assert -1.0 - 1e-12 <= cosine(a, b) <= 1.0 + 1e-12
+        assert cosine(a, b, model.dim) == pytest.approx(cosine(b, a, model.dim),
+                                                       rel=1e-12, abs=1e-15)
+        assert -1.0 - 1e-12 <= cosine(a, b, model.dim) <= 1.0 + 1e-12
+
+
+# words from a small vocabulary, so texts repeat, share words and miss the vocabulary
+words = st.sampled_from(["aa", "bb", "cc", "dd", "ee", "Aa", "x", "zz9", "qq_q", "!!"])
+texts = st.lists(st.lists(words, max_size=8).map(" ".join), min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts, texts)
+def test_transform_many_rows_equal_transform(fit_texts, texts):
+    assume(any(tokenize(t) for t in fit_texts))
+    model = fit_tfidf(fit_texts)
+    matrix = transform_many(model, texts)
+    assert matrix.shape == (len(texts), model.dim)
+    for i, text in enumerate(texts):
+        indices, values = transform(model, text)
+        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+        assert matrix.indices[lo:hi].tolist() == indices.tolist()
+        assert matrix.data[lo:hi].tobytes() == values.tobytes()
 
 
 def test_embed_order_dedupe_and_values(serve, tmp_path):
@@ -153,7 +179,7 @@ def test_embed_order_dedupe_and_values(serve, tmp_path):
     assert np.allclose(vectors[0], hash_embedding("aa bb", 8))
     assert np.allclose(vectors[1], hash_embedding("cc", 8))
     assert sum(len(batch) for batch in calls) == 2
-    assert client.dim == 8
+    assert [len(v) for v in vectors] == [8, 8, 8]
 
 
 def test_embed_cache_survives_new_client(serve, tmp_path):
