@@ -7,10 +7,9 @@ few similar examples per class. Plain few-shot baselines, a mock-oracle LLM
 client, an experiment runner and a reporting harness round out the toolkit.
 """
 
-from .classifier import (LogisticModel, TrainConfig, nll_and_grad, predict_proba,
-                         predict_proba_many, train)
-from .conformal import (ConformalCalibration, ConformalConfig, ConformalSet, calibrate,
-                        calibration_from_scores, predict_set, quantile_rank)
+from .classifier import LogisticModel, TrainConfig, nll_and_grad, predict_proba, train
+from .conformal import (ConformalCalibration, ConformalSet, calibrate, calibration_from_scores,
+                        predict_set, quantile_rank)
 from .corpus import (DatasetSplit, LabeledText, LabelSpace, apportion, load_dataset,
                      stable_seed, stratified_split, stratified_subsample)
 from .errors import CicleError, DataError, TransportError
@@ -27,7 +26,7 @@ from .vectorize import (EmbeddingClient, EmbeddingConfig, TfidfModel, fit_tfidf,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellMetrics", "CicleError", "ConformalCalibration", "ConformalConfig", "ConformalSet",
+    "CellMetrics", "CicleError", "ConformalCalibration", "ConformalSet",
     "DatasetSpec", "DatasetSplit", "DataError", "DEFAULT_TEMPLATE", "EmbeddingClient",
     "EmbeddingConfig", "LabeledText", "LabelSpace", "LlmClient", "LlmConfig", "LlmResponse",
     "LogisticModel", "PredictionRecord", "PromptMeta", "PromptStats", "PromptTemplate",
@@ -36,7 +35,7 @@ __all__ = [
     "calibrate", "calibration_from_scores", "cell_metrics", "classify_base",
     "classify_cell", "classify_cicle", "classify_fewshot", "emit_report", "fit_tfidf",
     "load_dataset", "macro_f1", "nll_and_grad", "parse_label", "predict_proba",
-    "predict_proba_many", "predict_set", "quantile_rank", "reduction_stats",
+    "predict_set", "quantile_rank", "reduction_stats",
     "run_experiment", "select_dense", "select_random", "select_sparse", "stable_seed",
     "stratified_split", "stratified_subsample", "train", "transform", "transform_many",
 ]

@@ -18,27 +18,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .classifier import LogisticModel, predict_proba_many
-
-
-@dataclass(frozen=True)
-class ConformalConfig:
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+# not called here; perfbench/spans.py wraps this name
+from .classifier import predict_proba as predict_proba_many
 
 
 @dataclass
 class ConformalCalibration:
     """Sorted calibration scores and the derived set-inclusion threshold."""
 
-    alpha: float
     scores: np.ndarray
-    n: int
     q_hat: float
 
 
@@ -72,36 +61,35 @@ def quantile_rank(n: int, alpha: float) -> int:
     return math.ceil(v - v * 1e-12)
 
 
-def calibration_from_scores(scores, config: ConformalConfig) -> ConformalCalibration:
+def calibration_from_scores(scores, alpha: float) -> ConformalCalibration:
     """Build a calibration from raw nonconformity scores in [0, 1]."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     scores = np.sort(np.asarray(scores, dtype=float))
     n = len(scores)
     if n == 0:
         raise ValueError("empty calibration: need at least one score")
     # scores are 1 - probability; clip float spill just outside [0, 1]
     scores = np.clip(scores, 0.0, 1.0)
-    r = quantile_rank(n, config.alpha)
+    r = quantile_rank(n, alpha)
     q_hat = float(scores[r - 1]) if r <= n else 1.0
-    return ConformalCalibration(alpha=config.alpha, scores=scores, n=n, q_hat=q_hat)
+    return ConformalCalibration(scores=scores, q_hat=q_hat)
 
 
-def calibrate(model: LogisticModel, X: sp.csr_matrix, y,
-              config: ConformalConfig | None = None) -> ConformalCalibration:
-    """Score held-out CSR rows X, whose true class indices are y, through the model.
+def calibrate(probs, y, alpha: float) -> ConformalCalibration:
+    """Score held-out probability rows, whose true class indices are y.
 
     Each row contributes the score 1 - p(true class).
     """
-    config = config or ConformalConfig()
+    probs = np.asarray(probs, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if len(y) == 0:
         raise ValueError("empty calibration set")
-    if X.shape[0] != len(y):
-        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
-    probs = predict_proba_many(model, X)
+    if len(probs) != len(y):
+        raise ValueError(f"probs has {len(probs)} rows but y has {len(y)} entries")
     if y.min() < 0 or y.max() >= probs.shape[1]:
         raise ValueError("calibration labels contain class indices outside the label space")
-    scores = 1.0 - probs[np.arange(len(y)), y]
-    return calibration_from_scores(scores, config)
+    return calibration_from_scores(1.0 - probs[np.arange(len(y)), y], alpha)
 
 
 def predict_set(calibration: ConformalCalibration, probs) -> ConformalSet:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .serialize import atomic_open, write_json
+from .serialize import atomic_open, read_jsonl, write_json
 
 log = logging.getLogger(__name__)
 
@@ -108,19 +108,7 @@ def _row_from_json(obj: Mapping, where: str) -> LabeledText:
 
 
 def _read_jsonl(path: Path) -> list[LabeledText]:
-    items: list[LabeledText] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, Mapping):
-                raise DataError(f"{path}:{lineno}: row is not a JSON object")
-            items.append(_row_from_json(obj, f"{path}:{lineno}"))
-    return items
+    return [_row_from_json(obj, where) for where, obj in read_jsonl(path)]
 
 
 def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], LabelSpace]:

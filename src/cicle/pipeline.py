@@ -26,14 +26,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classifier import LogisticModel, TrainConfig, predict_proba, train
-from .conformal import ConformalCalibration, ConformalConfig, ConformalSet, calibrate, predict_set
+from .conformal import ConformalCalibration, ConformalSet, calibrate, predict_set
 from .corpus import (LabeledText, LabelSpace, file_sha256, load_frozen, stable_seed,
                      stratified_split, stratified_subsample)
 from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
-from .serialize import JSON_STYLE, atomic_open, write_json
+from .serialize import JSON_STYLE, atomic_open, read_jsonl, write_json
 # transform and stack are not called here; perfbench/spans.py wraps these names
 from .vectorize import (EmbeddingClient, EmbeddingConfig, fit_tfidf, stack, transform,
                         transform_many)
@@ -133,7 +133,8 @@ class PredictionRecord:
     error: str | None = None
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PredictionRecord":
+    def from_json(cls, obj: dict, where: str) -> "PredictionRecord":
+        """Decode one record; ``where`` (a file's ``path:lineno``) prefixes any error."""
         try:
             cset = None
             if obj.get("conformal_set") is not None:
@@ -163,7 +164,7 @@ class PredictionRecord:
                 error=obj.get("error"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed prediction record: {exc}") from None
+            raise DataError(f"{where}: malformed prediction record: {exc}") from None
 
 
 def write_records(records: Sequence[PredictionRecord], path) -> None:
@@ -178,17 +179,7 @@ def read_records(path) -> list[PredictionRecord]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"record file not found: {path}")
-    records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            records.append(PredictionRecord.from_json(obj))
-    return records
+    return [PredictionRecord.from_json(obj, where) for where, obj in read_jsonl(path)]
 
 
 @dataclass
@@ -243,10 +234,9 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         if "cicle" in strategies:
             res.shot_pool = ShotPool(split.train)
             res.shot_vectors = X
-            res.calibration = calibrate(res.model,
-                                        transform_many(tfidf, [t.text for t in split.calibration]),
-                                        [label_space.position(t.label) for t in split.calibration],
-                                        ConformalConfig(alpha=config.alpha))
+            cal_X = transform_many(tfidf, [t.text for t in split.calibration])
+            cal_y = [label_space.position(t.label) for t in split.calibration]
+            res.calibration = calibrate(predict_proba(res.model, cal_X), cal_y, config.alpha)
 
     fewshot = [s for s in strategies if s.startswith("fewshot-")]
     if fewshot:
@@ -425,7 +415,10 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
 
     Frozen datasets must already exist under ``output/data/{name}``. Existing
     cell files are loaded instead of recomputed unless ``force`` is set. Each
-    cell failure is logged and skipped; the rest of the run proceeds.
+    cell failure is logged and skipped; the rest of the run proceeds. Once
+    every cell has run and ``run_manifest.json`` is written, any failure
+    raises one error naming each failed cell: a TransportError if one of the
+    failures was, otherwise a DataError.
     """
     needs_llm = any(s != "base" for s in config.strategies)
     if needs_llm and llm_client is None:
@@ -436,6 +429,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
         embed_client = EmbeddingClient(config.embedding)
 
     records: list[PredictionRecord] = []
+    failures: list[tuple[str, Exception]] = []
     manifest_files: dict[str, str] = {}
     datasets_meta: dict[str, dict] = {}
     for spec in config.datasets:
@@ -464,6 +458,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                                  embed_client=embed_client, strategies=pending)
             except (CicleError, ValueError, OSError) as exc:
                 log.error("cell %s size %d failed to build: %s", spec.name, size, exc)
+                failures.append((f"{spec.name}/{size}", exc))
                 continue
             for strategy in pending:
                 path = config.records_dir / record_filename(spec.name, size, config.seed, strategy)
@@ -473,6 +468,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                 except (CicleError, ValueError, OSError) as exc:
                     log.error("cell %s size %d strategy %s failed: %s",
                               spec.name, size, strategy, exc)
+                    failures.append((f"{spec.name}/{size}/{strategy}", exc))
                     continue
                 write_records(cell, path)
                 manifest_files[path.name] = file_sha256(path)
@@ -481,4 +477,9 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
     manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
     write_json({"config": manifest_config, "datasets": datasets_meta, "records": manifest_files},
                Path(config.output) / "run_manifest.json")
+    if failures:
+        error = (TransportError if any(isinstance(exc, TransportError) for _, exc in failures)
+                 else DataError)
+        raise error(f"{len(failures)} failed cell(s): "
+                    + "; ".join(f"{cell}: {exc}" for cell, exc in failures))
     return records

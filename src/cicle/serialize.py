@@ -3,9 +3,9 @@
 Every artifact goes through ``atomic_open``: bytes land in a temp file beside
 the target, which then replaces it, so a write that fails or is interrupted
 leaves the previous file intact and no partial one. Every JSON artifact is
-encoded with ``JSON_STYLE``, which writes a dataclass as its field dict;
-config-file dicts become dataclasses through ``from_dict``, which rejects
-what it does not recognize.
+encoded with ``JSON_STYLE``, which writes a dataclass as its field dict, and
+every JSONL file is read through ``read_jsonl``; config-file dicts become
+dataclasses through ``from_dict``, which rejects what it does not recognize.
 """
 
 from __future__ import annotations
@@ -50,6 +50,26 @@ def write_json(obj, path) -> None:
     with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, **JSON_STYLE)
         fh.write("\n")
+
+
+def read_jsonl(path):
+    """Yield ``(f"{path}:{lineno}", obj)`` for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or not a JSON object, raises DataError
+    naming its path and line number.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: row is not a JSON object")
+            yield where, obj
 
 
 def from_dict(cls, raw, where: str, **given):

@@ -107,6 +107,12 @@ class EmbeddingConfig:
     max_retries: int = 2
     backoff: float = 0.5
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+
 
 class EmbeddingClient:
     """HTTP client for a dense sentence-embedding service with a disk cache.

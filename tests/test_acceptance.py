@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cicle.cli import main
-from cicle.conformal import ConformalConfig, calibration_from_scores, predict_set
+from cicle.conformal import calibrate, calibration_from_scores, predict_set
 from cicle.corpus import LabeledText, freeze_dataset, stable_seed, write_jsonl
 from cicle.classifier import nll_and_grad
 from cicle.evalreport import cell_metrics, macro_f1
@@ -56,8 +56,7 @@ def test_01_conformal_coverage():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         cal_probs, cal_gold = softmax_scores(rng, n_cal)
-        cal_scores = 1.0 - cal_probs[np.arange(n_cal), cal_gold]
-        calibration = calibration_from_scores(cal_scores, ConformalConfig(alpha=alpha))
+        calibration = calibrate(cal_probs, cal_gold, alpha)
         test_probs, test_gold = softmax_scores(rng, n_test)
         covered = sum(predict_set(calibration, test_probs[i]).contains(int(test_gold[i]))
                       for i in range(n_test))
@@ -73,7 +72,7 @@ def test_02_alpha_nesting():
     rng = np.random.default_rng(2)
     scores = rng.uniform(size=200)
     alphas = [0.01, 0.05, 0.1, 0.2]
-    calibrations = [calibration_from_scores(scores, ConformalConfig(alpha=a))
+    calibrations = [calibration_from_scores(scores, a)
                     for a in alphas]
     violations = 0
     for _ in range(1000):

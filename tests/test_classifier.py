@@ -12,7 +12,6 @@ from cicle.classifier import (
     TrainConfig,
     nll_and_grad,
     predict_proba,
-    predict_proba_many,
     train,
 )
 from cicle.corpus import LabeledText, LabelSpace
@@ -113,15 +112,10 @@ def test_predict_tie_goes_to_lowest_index():
 
 def test_probabilities_sum_to_one():
     _, _, _, X, _, model = fitted_toy()
-    P = predict_proba_many(model, X)
+    P = predict_proba(model, X)
     assert P.shape == (X.shape[0], 3)
     assert np.all(P >= 0)
     assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-9
-
-
-def test_predict_proba_many_matches_single():
-    _, _, _, X, _, model = fitted_toy(n=30)
-    assert predict_proba(model, X) == pytest.approx(predict_proba_many(model, X), abs=1e-12)
 
 
 def test_separable_training_recovers_labels():
@@ -250,23 +244,17 @@ def test_gradient_matches_finite_differences(seed):
 def test_predict_dimension_mismatch():
     _, _, _, _, _, model = fitted_toy(n=40)
     with pytest.raises(ValueError, match="dimension"):
-        predict_proba(model, vec(model.dim + 3, {0: 1.0}))
-    with pytest.raises(ValueError, match="dimension"):
-        predict_proba_many(model, vec(model.dim + 3, {0: 1.0}))
+        predict_proba(model, vec(model.W.shape[1] + 3, {0: 1.0}))
 
 
 # -- the per-row contract that keeps record bytes stable -------------------
 
 
-def reference_proba(model, indices, values):
-    """One row's probabilities, written out as the single-vector path computes them."""
-    if len(indices):
-        z = model.W[:, indices] @ values + model.b
-    else:
-        z = model.b.copy()
-    z -= z.max()
-    p = np.exp(z)
-    return p / p.sum()
+def reference_proba(model, X):
+    """Every row's probabilities through a dense softmax(X W^T + b)."""
+    Z = X.toarray() @ model.W.T + model.b
+    P = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return P / P.sum(axis=1, keepdims=True)
 
 
 @st.composite
@@ -292,9 +280,9 @@ def models_and_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(models_and_matrices())
 def test_predict_proba_rows_are_computed_on_their_own(case):
-    model, rows, X = case
+    model, _, X = case
     P = predict_proba(model, X)
     assert P.shape == (X.shape[0], len(model.b))
-    for i, (indices, values) in enumerate(rows):
+    assert P == pytest.approx(reference_proba(model, X), abs=1e-12)
+    for i in range(X.shape[0]):
         assert P[i].tobytes() == predict_proba(model, X[[i]])[0].tobytes()
-        assert P[i].tobytes() == reference_proba(model, indices, values).tobytes()

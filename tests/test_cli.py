@@ -10,6 +10,8 @@ import pytest
 
 from cicle.cli import main
 from cicle.corpus import write_jsonl
+from cicle.errors import TransportError
+from cicle import pipeline
 from cicle.pipeline import record_filename
 
 from conftest import make_items
@@ -334,6 +336,65 @@ def test_changed_frozen_split_is_data_error(tmp_path, capsys):
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: data:")
         assert "test.jsonl" in lines[0] and "sha256" in lines[0]
+
+
+def test_malformed_record_names_file_and_line(tmp_path, capsys):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = base_args(data, out, "--strategies", "base")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    path = out / "records" / record_filename("toy", 80, 0, "base")
+    for bad in ("[1, 2]", '{"item_id": "x", "strategy": "base", "gold_label": "g", '
+                          '"final_label": 0}'):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", *args]) == 3
+        [line] = error_lines(capsys)
+        assert line.startswith("error: data:") and "toy_80_0_base.jsonl:4:" in line
+
+
+def test_failed_cell_fails_the_run_after_the_other_cells(tmp_path, capsys):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = ["--dataset", f"toy={data}", "--output", str(out), "--sizes", "2,100",
+            "--test-size", "60", "--strategies", "base,cicle"]
+    assert main(["prepare", *args]) == 0
+    capsys.readouterr()
+    assert main(["run", *args]) == 3
+    captured = capsys.readouterr()
+    assert "run complete" not in captured.out
+    [line] = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert line.startswith("error: data: 1 failed cell(s): toy/2: cell split produced an empty")
+    for strategy in ("base", "cicle"):
+        assert (out / "records" / record_filename("toy", 100, 0, strategy)).exists()
+        assert not (out / "records" / record_filename("toy", 2, 0, strategy)).exists()
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["records"]) == ["toy_100_0_base.jsonl", "toy_100_0_cicle.jsonl"]
+
+
+def test_transport_failure_in_a_cell_exits_4(tmp_path, capsys, monkeypatch):
+    real = pipeline.classify_cell
+
+    def flaky(res, strategy, *args, **kwargs):
+        if strategy == "cicle":
+            raise TransportError("endpoint gone")
+        return real(res, strategy, *args, **kwargs)
+
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = ["--dataset", f"toy={data}", "--output", str(out), "--sizes", "2,100",
+            "--test-size", "60", "--strategies", "base,cicle"]
+    assert main(["prepare", *args]) == 0
+    monkeypatch.setattr(pipeline, "classify_cell", flaky)
+    capsys.readouterr()
+    assert main(["run", *args]) == 4
+    [line] = error_lines(capsys)
+    assert line.startswith("error: transport: 2 failed cell(s): toy/2: ")
+    assert line.endswith("; toy/100/cicle: endpoint gone")
+    assert (out / "records" / record_filename("toy", 100, 0, "base")).exists()
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cicle.classifier import TrainConfig, predict_proba_many, train
+from cicle.classifier import TrainConfig, predict_proba, train
 from cicle.conformal import (
-    ConformalConfig,
     calibrate,
     calibration_from_scores,
     predict_set,
@@ -64,23 +63,23 @@ def test_quantile_rank_rejects_empty():
 def test_calibration_hand_threshold():
     # 20 scores i/20 for i=0..19; alpha=0.05 gives rank 20, the max score.
     scores = [i / 20 for i in range(20)]
-    cal = calibration_from_scores(scores, ConformalConfig(alpha=0.05))
-    assert cal.n == 20
+    cal = calibration_from_scores(scores, 0.05)
+    assert len(cal.scores) == 20
     assert cal.q_hat == 19 / 20
 
 
 def test_calibration_rank_exceeding_n_saturates():
-    cal = calibration_from_scores([0.1, 0.2, 0.3], ConformalConfig(alpha=0.05))
+    cal = calibration_from_scores([0.1, 0.2, 0.3], 0.05)
     assert cal.q_hat == 1.0
 
 
 def test_calibration_extreme_alpha_takes_min_score():
-    cal = calibration_from_scores([0.4, 0.1, 0.7], ConformalConfig(alpha=0.999))
+    cal = calibration_from_scores([0.4, 0.1, 0.7], 0.999)
     assert cal.q_hat == 0.1
 
 
 def test_calibration_sorts_and_clips():
-    cal = calibration_from_scores([1.0 + 1e-15, -1e-16, 0.5], ConformalConfig(alpha=0.5))
+    cal = calibration_from_scores([1.0 + 1e-15, -1e-16, 0.5], 0.5)
     assert list(cal.scores) == sorted(cal.scores)
     assert cal.scores[0] == 0.0
     assert cal.scores[-1] == 1.0
@@ -88,18 +87,18 @@ def test_calibration_sorts_and_clips():
 
 def test_empty_calibration_rejected():
     with pytest.raises(ValueError, match="empty"):
-        calibration_from_scores([], ConformalConfig())
+        calibration_from_scores([], 0.05)
 
 
 def test_config_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            ConformalConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            calibration_from_scores([0.5], alpha)
 
 
 def cal_with_q(q_hat):
     scores = np.array([q_hat])
-    return calibration_from_scores(scores, ConformalConfig(alpha=0.5))
+    return calibration_from_scores(scores, 0.5)
 
 
 def test_predict_set_orders_by_descending_probability():
@@ -151,7 +150,7 @@ def test_alpha_nesting_is_exact():
     rng = np.random.default_rng(11)
     scores = rng.uniform(size=100)
     alphas = [0.01, 0.05, 0.1, 0.2]
-    cals = [calibration_from_scores(scores, ConformalConfig(alpha=a)) for a in alphas]
+    cals = [calibration_from_scores(scores, a) for a in alphas]
     for _ in range(200):
         probs = rng.dirichlet(np.ones(6))
         sets = [set(predict_set(c, probs).classes()) for c in cals]
@@ -161,7 +160,7 @@ def test_alpha_nesting_is_exact():
 
 def test_set_is_probability_superlevel_set():
     rng = np.random.default_rng(5)
-    cal = calibration_from_scores(rng.uniform(size=40), ConformalConfig(alpha=0.2))
+    cal = calibration_from_scores(rng.uniform(size=40), 0.2)
     for _ in range(50):
         probs = rng.dirichlet(np.ones(5))
         s = predict_set(cal, probs)
@@ -181,7 +180,7 @@ def test_marginal_coverage_on_synthetic_scores():
     for _ in range(20):
         cal_scores = rng.uniform(size=n_cal)
         test_scores = rng.uniform(size=n_test)
-        cal = calibration_from_scores(cal_scores, ConformalConfig(alpha=alpha))
+        cal = calibration_from_scores(cal_scores, alpha)
         coverages.append(float(np.mean(test_scores <= cal.q_hat)))
     mean_cov = float(np.mean(coverages))
     assert 0.89 <= mean_cov <= 0.912
@@ -202,22 +201,24 @@ def test_calibrate_scores_match_model_probabilities():
     space, split, tfidf, model = fitted_model_and_split()
     X = transform_many(tfidf, [it.text for it in split.calibration])
     y = [space.position(it.label) for it in split.calibration]
-    cal = calibrate(model, X, y, ConformalConfig(alpha=0.1))
-    probs = predict_proba_many(model, X)
+    probs = predict_proba(model, X)
+    cal = calibrate(probs, y, 0.1)
     expected = np.sort(1.0 - probs[np.arange(len(y)), y])
     assert cal.scores == pytest.approx(expected, abs=1e-12)
-    assert cal.n == len(y)
+    assert len(cal.scores) == len(y)
 
 
 def test_calibrate_rejects_empty_and_bad_labels():
     space, split, tfidf, model = fitted_model_and_split(n=80)
     with pytest.raises(ValueError, match="empty"):
-        calibrate(model, transform_many(tfidf, []), [])
-    X = transform_many(tfidf, [split.calibration[0].text])
+        calibrate(predict_proba(model, transform_many(tfidf, [])), [], 0.1)
+    probs = predict_proba(model, transform_many(tfidf, [split.calibration[0].text]))
     with pytest.raises(ValueError, match="label"):
-        calibrate(model, X, [99])
+        calibrate(probs, [99], 0.1)
+    with pytest.raises(ValueError, match="label"):
+        calibrate(probs, [-1], 0.1)
     with pytest.raises(ValueError, match="rows"):
-        calibrate(model, X, [0, 1])
+        calibrate(probs, [0, 1], 0.1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,6 +228,6 @@ def test_calibrate_rejects_empty_and_bad_labels():
 def test_sets_nest_as_alpha_grows(scores, weights, alphas):
     probs = np.array(weights) / sum(weights)
     small_alpha, large_alpha = sorted(a / 1000 for a in alphas)
-    wide = predict_set(calibration_from_scores(scores, ConformalConfig(alpha=small_alpha)), probs)
-    narrow = predict_set(calibration_from_scores(scores, ConformalConfig(alpha=large_alpha)), probs)
+    wide = predict_set(calibration_from_scores(scores, small_alpha), probs)
+    narrow = predict_set(calibration_from_scores(scores, large_alpha), probs)
     assert set(narrow.classes()) <= set(wide.classes())

@@ -201,7 +201,7 @@ def test_record_json_roundtrip():
     obj = json.loads(json.dumps(rec, **JSON_STYLE))
     assert set(obj) == {"item_id", "strategy", "gold_label", "final_label", "base_probs",
                         "conformal_set", "bypassed", "prompt_stats", "llm_raw", "error"}
-    back = PredictionRecord.from_json(json.loads(json.dumps(obj)))
+    back = PredictionRecord.from_json(json.loads(json.dumps(obj)), "r.jsonl:1")
     assert back == rec
 
 
@@ -213,7 +213,7 @@ def test_record_json_nulls_for_base():
     assert obj["prompt_stats"] is None
     assert obj["llm_raw"] is None
     assert obj["error"] is None
-    assert PredictionRecord.from_json(obj) == rec
+    assert PredictionRecord.from_json(obj, "r.jsonl:1") == rec
 
 
 @pytest.mark.parametrize("obj", [
@@ -223,8 +223,8 @@ def test_record_json_nulls_for_base():
      "conformal_set": {"candidates": "nope"}},
 ])
 def test_record_from_json_rejects_malformed(obj):
-    with pytest.raises(DataError, match="malformed"):
-        PredictionRecord.from_json(obj)
+    with pytest.raises(DataError, match="^r.jsonl:7: malformed prediction record: "):
+        PredictionRecord.from_json(obj, "r.jsonl:7")
 
 
 def test_write_read_records_roundtrip(tmp_path):
@@ -259,7 +259,10 @@ def test_read_records_reports_bad_line(tmp_path):
     good = json.dumps(PredictionRecord(item_id="a", strategy="base", gold_label=0,
                                        final_label=0), **JSON_STYLE)
     path.write_text(good + "\n{broken\n", encoding="utf-8")
-    with pytest.raises(DataError, match=":2:"):
+    with pytest.raises(DataError, match=":2: invalid JSON"):
+        read_records(path)
+    path.write_text(good + '\n\n{"item_id": "b"}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"cell.jsonl:3: malformed prediction record"):
         read_records(path)
 
 
@@ -375,18 +378,21 @@ def test_run_experiment_parallel_is_byte_identical(tmp_path):
         assert a == b, name
 
 
-# sha256 of every record file of a small grid, pinned from the per-item
-# implementation that the batched cell path replaced; a change to any record
-# byte, at any --jobs, shows here.
+# sha256 of every record file of a small grid; a change to any record byte, at
+# any --jobs, shows here. The fewshot-* entries were pinned from the per-item
+# implementation that the batched cell path replaced. The base and cicle
+# entries were re-pinned once, when test and calibration probabilities became
+# one ``X @ W.T`` product and training stopped only on the gradient (ftol 0);
+# every final_label and conformal-set class stayed as before.
 GOLDEN_RECORDS = {
-    "toy_80_0_base.jsonl": "4d23e4c5e49526ca449a35696428ad66e743f6353990d8e18a6d6870b34c76db",
-    "toy_80_0_cicle.jsonl": "b3b8d695b923ab8d71a91db60687a57542f3a7990dd0dc7d45fceafc1db3cb32",
+    "toy_80_0_base.jsonl": "df8e0cf0411d78c969f8734af07fadc423d071fb402e99547184cc9926683962",
+    "toy_80_0_cicle.jsonl": "71e78cb96ede8af274ad6a001c5a6c6736c7e880b6bdb27d65f3ec900f1213bb",
     "toy_80_0_fewshot-random.jsonl":
         "9bf66576a40eddc76400c6ab6af14d903cc631cfe552aa9d20c9f342b6fc0731",
     "toy_80_0_fewshot-sparse.jsonl":
         "69e688b45334ed239db86eb729db034af47979a63655b166e908e79be700b181",
-    "toy_160_0_base.jsonl": "7a64e1bffcf2649007e6d374b22648ca04f1a059d3d3450a042710af0f7ef629",
-    "toy_160_0_cicle.jsonl": "e24e47ca3d244435653603c66c503d43adb924569dd984b8e539bd6d86c0e316",
+    "toy_160_0_base.jsonl": "9ac6efc728f51acf87289ec48e63c28aaaced87f63ca66e2722b55a5d38e36ca",
+    "toy_160_0_cicle.jsonl": "47da1c1586c6c62bddbea68d9488345b55bc13c336b3452542ecd76da9c87339",
     "toy_160_0_fewshot-random.jsonl":
         "a667f112ecb7edcb4f95e88d590777935f431998fad1b8225fec60d1741bcf46",
     "toy_160_0_fewshot-sparse.jsonl":

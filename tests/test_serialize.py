@@ -1,4 +1,4 @@
-"""Tests for the atomic artifact writer and the config-dict reader."""
+"""Tests for the atomic artifact writer, the JSONL reader and the config-dict reader."""
 
 from dataclasses import dataclass, field
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cicle.errors import DataError
-from cicle.serialize import atomic_open, from_dict, write_json
+from cicle.serialize import atomic_open, from_dict, read_jsonl, write_json
 
 
 def test_write_json_bytes(tmp_path):
@@ -38,6 +38,12 @@ def test_binary_write_is_atomic_too(tmp_path):
             raise RuntimeError("interrupted")
     assert np.array_equal(np.load(path), np.arange(3.0))
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_read_jsonl_names_each_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n', encoding="utf-8")
+    assert list(read_jsonl(path)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", {"b": 2})]
 
 
 @dataclass

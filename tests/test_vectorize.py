@@ -168,6 +168,17 @@ def test_transform_many_rows_equal_transform(fit_texts, texts):
         assert matrix.data[lo:hi].tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 0},
+    {"batch_size": -1},
+    {"max_retries": -1},
+])
+def test_config_validation(kwargs):
+    [field] = kwargs
+    with pytest.raises(ValueError, match=field):
+        EmbeddingConfig(endpoint="http://localhost:1/embed", **kwargs)
+
+
 def test_embed_order_dedupe_and_values(serve, tmp_path):
     calls = []
     url = serve(embedding_app(dim=8, calls=calls))
