@@ -15,12 +15,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .corpus import freeze_dataset, load_dataset, load_frozen, stable_seed
+from .corpus import file_sha256, freeze_dataset, load_dataset, load_frozen, stable_seed
 from .errors import DataError, TransportError
 from .evalreport import build_report, emit_report
 from .llm_client import ORACLES
 from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, dataset_sizes, read_records,
-                       record_filename, run_experiment)
+                       record_filename, recorded_hashes, run_experiment)
 from .prompting import template_from_file
 from .serialize import from_dict
 
@@ -171,25 +171,48 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_cell(path: Path, records, sha256: str | None, test_ids: list[str]) -> None:
+    """A record file must be the one ``run`` wrote: its manifest hash, one record
+    per frozen test item, in test order."""
+    if sha256 is None:
+        raise DataError(f"{path.name} has no entry in run_manifest.json")
+    if file_sha256(path) != sha256:
+        raise DataError(f"{path.name} does not match the sha256 in run_manifest.json")
+    if len(records) != len(test_ids):
+        raise DataError(f"{path.name} holds {len(records)} records; "
+                        f"the frozen test set has {len(test_ids)}")
+    if [r.item_id for r in records] != test_ids:
+        raise DataError(f"{path.name}: item ids are not in frozen test order")
+
+
 def cmd_report(args) -> int:
-    """Aggregate record files into report.json and plot-ready CSVs."""
+    """Aggregate verified record files into report.json and plot-ready CSVs."""
     config = build_run_config(args)
-    cells = {}
+    paths = {}
+    test_ids = {}
     class_counts = {}
     missing: list[str] = []
     for spec in config.datasets:
-        pool, _, space, _ = load_frozen(config.data_dir / spec.name)
+        pool, test, space, _ = load_frozen(config.data_dir / spec.name)
         class_counts[spec.name] = len(space)
+        test_ids[spec.name] = [t.id for t in test]
         for size in dataset_sizes(config, spec, len(pool)):
             for strategy in config.strategies:
                 path = config.records_dir / record_filename(spec.name, size, config.seed,
                                                             strategy)
-                if not path.exists():
+                if path.exists():
+                    paths[spec.name, size, strategy] = path
+                else:
                     missing.append(path.name)
-                    continue
-                cells[(spec.name, size, strategy)] = read_records(path)
     if missing:
         raise DataError(f"missing record files: {', '.join(missing)}")
+    if not config.manifest_path.exists():
+        raise DataError(f"{config.manifest_path} not found; run the cells before reporting")
+    hashes = recorded_hashes(config.manifest_path)
+    cells = {}
+    for key, path in paths.items():
+        cells[key] = read_records(path)
+        _check_cell(path, cells[key], hashes.get(path.name), test_ids[key[0]])
     report = build_report(cells, class_counts)
     written = emit_report(report, Path(config.output) / "report")
     print(f"report written: {', '.join(p.name for p in written)}")

@@ -35,7 +35,7 @@ from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prom
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
 from .serialize import JSON_STYLE, atomic_open, read_jsonl, write_json
 # transform and stack are not called here; perfbench/spans.py wraps these names
-from .vectorize import (EmbeddingClient, EmbeddingConfig, fit_tfidf, stack, transform,
+from .vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack, transform,
                         transform_many)
 
 log = logging.getLogger(__name__)
@@ -118,6 +118,10 @@ class RunConfig:
     def records_dir(self) -> Path:
         return Path(self.output) / "records"
 
+    @property
+    def manifest_path(self) -> Path:
+        return Path(self.output) / "run_manifest.json"
+
 
 @dataclass
 class PredictionRecord:
@@ -182,6 +186,20 @@ def read_records(path) -> list[PredictionRecord]:
     return [PredictionRecord.from_json(obj, where) for where, obj in read_jsonl(path)]
 
 
+def recorded_hashes(manifest_path) -> dict[str, str]:
+    """Record file name -> sha256, from a run manifest; empty when there is none yet."""
+    path = Path(manifest_path)
+    if not path.exists():
+        return {}
+    try:
+        hashes = json.loads(path.read_text(encoding="utf-8"))["records"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        hashes = None
+    if not isinstance(hashes, dict):
+        raise DataError(f"{path} is not a run manifest with a records table")
+    return hashes
+
+
 @dataclass
 class CellResources:
     """Everything one (dataset, size) cell shares across its strategies.
@@ -217,14 +235,19 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
     vectorize the test set under each fitted tf-idf model, and compute its
     class probabilities."""
     strategies = list(config.strategies if strategies is None else strategies)
+    subsample = list(subsample)
     res = CellResources(label_space=label_space, test=list(test), task=task)
-    test_texts = [t.text for t in res.test]
+    if {"base", "cicle", "fewshot-sparse"} & set(strategies):
+        # each text of the cell is tokenized once; every fit and transform takes rows of it
+        texts = encode([t.text for t in subsample + res.test])
+        row = {item.id: i for i, item in enumerate(subsample)}
+        test_texts = texts.take(range(len(subsample), len(texts)))
 
     if "base" in strategies or "cicle" in strategies:
-        split = stratified_split(list(subsample), config.calib_fraction, cell_seed)
+        split = stratified_split(subsample, config.calib_fraction, cell_seed)
         if not split.train or not split.calibration:
             raise DataError("cell split produced an empty train or calibration part")
-        train_texts = [t.text for t in split.train]
+        train_texts = texts.take(row[t.id] for t in split.train)
         tfidf = fit_tfidf(train_texts)
         X = transform_many(tfidf, train_texts)
         y = [label_space.position(t.label) for t in split.train]
@@ -234,22 +257,22 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         if "cicle" in strategies:
             res.shot_pool = ShotPool(split.train)
             res.shot_vectors = X
-            cal_X = transform_many(tfidf, [t.text for t in split.calibration])
+            cal_X = transform_many(tfidf, texts.take(row[t.id] for t in split.calibration))
             cal_y = [label_space.position(t.label) for t in split.calibration]
             res.calibration = calibrate(predict_proba(res.model, cal_X), cal_y, config.alpha)
 
     fewshot = [s for s in strategies if s.startswith("fewshot-")]
     if fewshot:
         res.baseline_pool = ShotPool(subsample)
-        texts = [t.text for t in subsample]
         if "fewshot-sparse" in fewshot:
-            tfidf = fit_tfidf(texts)
-            res.baseline_vectors = transform_many(tfidf, texts)
+            pool_texts = texts.take(range(len(subsample)))
+            tfidf = fit_tfidf(pool_texts)
+            res.baseline_vectors = transform_many(tfidf, pool_texts)
             res.baseline_test_vectors = transform_many(tfidf, test_texts)
         if "fewshot-dense" in fewshot:
             if embed_client is None:
                 raise DataError("fewshot-dense requires an embedding endpoint")
-            res.baseline_embeddings = np.array(embed_client.embed(texts))
+            res.baseline_embeddings = np.array(embed_client.embed([t.text for t in subsample]))
     return res
 
 
@@ -430,7 +453,9 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
 
     records: list[PredictionRecord] = []
     failures: list[tuple[str, Exception]] = []
-    manifest_files: dict[str, str] = {}
+    # entries for cells this run leaves alone carry over, so runs over different
+    # strategies or sizes add up to one manifest that report can check them all by
+    manifest_files = recorded_hashes(config.manifest_path)
     datasets_meta: dict[str, dict] = {}
     for spec in config.datasets:
         data_dir = config.data_dir / spec.name
@@ -476,7 +501,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
 
     manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
     write_json({"config": manifest_config, "datasets": datasets_meta, "records": manifest_files},
-               Path(config.output) / "run_manifest.json")
+               config.manifest_path)
     if failures:
         error = (TransportError if any(isinstance(exc, TransportError) for _, exc in failures)
                  else DataError)

@@ -8,6 +8,7 @@ descending base probability for the conformal pipeline.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,14 @@ def count_tokens(prompt: str) -> int:
     return len(prompt.split())
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _example(example_format: str, text: str, label: str) -> tuple[str, int]:
+    """One shot's example string and its token count; a pool item's shot is
+    formatted once however many prompts it appears in."""
+    part = example_format.replace("{text}", text).replace("{label}", label)
+    return part, count_tokens(part)
+
+
 def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, mode: str,
                  task: str = "text classification") -> tuple[str, PromptStats]:
     """Assemble the classification prompt and its size statistics.
@@ -85,17 +94,17 @@ def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, m
     shot_count = shots.shot_count()
     if mode == "fewshot" and shot_count == 0:
         raise ValueError("few-shot prompt requires at least one example")
-    parts = [template.task_intro.replace("{task}", task)]
-    for cls, items in shots.per_class:
-        for item in items:
-            parts.append(template.example_format
-                         .replace("{text}", item.text)
-                         .replace("{label}", item.label))
-    parts.append(template.query_format.replace("{text}", query.text))
-    parts.append(template.instruction)
-    prompt = "\n\n".join(parts)
+    intro = template.task_intro.replace("{task}", task)
+    query_part = template.query_format.replace("{text}", query.text)
+    examples = [_example(template.example_format, item.text, item.label)
+                for _, items in shots.per_class for item in items]
+    prompt = "\n\n".join([intro, *(part for part, _ in examples), query_part,
+                           template.instruction])
+    # parts are joined by whitespace, so no token spans two of them
+    token_count = (sum(n for _, n in examples)
+                   + sum(map(count_tokens, (intro, query_part, template.instruction))))
     stats = PromptStats(
-        token_count=count_tokens(prompt),
+        token_count=token_count,
         shot_count=shot_count,
         candidate_count=len(shots.per_class),
     )

@@ -64,6 +64,10 @@ class ShotPool:
     def __len__(self) -> int:
         return len(self.items)
 
+    def position(self, item_id: str | None) -> int:
+        """Pool index of the item with this id, or -1."""
+        return self._by_id.get(item_id, -1)
+
     def candidates(self, label: str, exclude_id: str | None = None) -> np.ndarray:
         """Ascending pool indices of ``label``, without the item whose id is ``exclude_id``."""
         idxs = self._by_label.get(label, _NO_INDICES)
@@ -109,13 +113,14 @@ def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
 
 def sparse_similarities(pool_vectors: sp.csr_matrix,
                         queries: sp.csr_matrix) -> Iterator[np.ndarray]:
-    """Cosine similarity of each query row to every pool row, one array per query.
+    """Cosine similarity of query rows to every pool row, one (rows x pool) block
+    per SIM_CHUNK_ROWS queries.
 
-    Queries go through ``queries @ pool_vectors.T`` SIM_CHUNK_ROWS rows at a
-    time. Each dot product sums the same nonzero products in the same
-    ascending-column order as the one-query product ``pool_vectors @ q``, and
-    the norms are computed the same way, so a row's similarities do not depend
-    on the rows batched with it. A zero-norm row or query scores 0.0.
+    Each block is ``chunk @ pool_vectors.T``. Each dot product sums the same
+    nonzero products in the same ascending-column order as the one-query
+    product ``pool_vectors @ q``, and the norms are computed the same way, so
+    a row's similarities do not depend on the rows batched with it. A
+    zero-norm row or query scores 0.0.
     """
     if queries.shape[1] != pool_vectors.shape[1]:
         raise ValueError(f"dimension mismatch: {pool_vectors.shape[1]} != {queries.shape[1]}")
@@ -130,7 +135,7 @@ def sparse_similarities(pool_vectors: sp.csr_matrix,
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = np.where((pool_norms > 0) & (query_norms > 0),
                             dots / (pool_norms * query_norms), 0.0)
-        yield from sims
+        yield sims
 
 
 def _dense_similarities(pool_embeddings,
@@ -139,35 +144,78 @@ def _dense_similarities(pool_embeddings,
     if m.ndim != 2:
         raise ValueError(f"dimension mismatch: pool embeddings have shape {m.shape}")
     row_norms = np.linalg.norm(m, axis=1)
-    for query in query_embeddings:
+
+    def similarities(query) -> np.ndarray:
         q = np.asarray(query, dtype=float)
         if q.shape != (m.shape[1],):
             raise ValueError(f"dimension mismatch: pool {m.shape} vs query {q.shape}")
         qn = np.linalg.norm(q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            yield np.where((row_norms > 0) & (qn > 0), (m @ q) / (row_norms * qn), 0.0)
+            return np.where((row_norms > 0) & (qn > 0), (m @ q) / (row_norms * qn), 0.0)
+
+    for start in range(0, len(query_embeddings), SIM_CHUNK_ROWS):
+        chunk = query_embeddings[start:start + SIM_CHUNK_ROWS]
+        yield np.array([similarities(q) for q in chunk])
 
 
-def _top_k(pool: ShotPool, sims: np.ndarray, classes: Sequence[str], k: int,
-           exclude_id: str | None) -> ShotSet:
-    per_class: list[tuple[str, list[LabeledText]]] = []
-    for cls in classes:
-        idxs = pool.candidates(cls, exclude_id)
-        _warn_short(cls, len(idxs), k)
-        # idxs ascend, so a stable sort on -sim breaks ties by pool index
-        ranked = idxs[np.argsort(-sims[idxs], kind="stable")[:k]]
-        per_class.append((cls, [pool.items[i] for i in ranked]))
-    return ShotSet(per_class=per_class)
+def _top_k(sims: np.ndarray, idxs: np.ndarray, excluded: np.ndarray,
+           k: int) -> list[list[int]]:
+    """Per row, the k of the candidates ``idxs`` (ascending pool indices) most
+    similar, ties to the lower index; ``sims[row, j]`` is the similarity of
+    ``idxs[j]``. Each row is exactly ``idxs[np.argsort(-sims[row], kind="stable")[:k]]``
+    over the candidates other than that row's ``excluded`` pool index."""
+    neg = -sims
+    if len(idxs) <= k:
+        ranked = idxs[np.argsort(neg, axis=1, kind="stable")]
+        return [row[row != ex].tolist() for row, ex in zip(ranked, excluded)]
+    # with more than k candidates, an excluded one ranks below k others
+    neg[idxs[None, :] == excluded[:, None]] = np.inf
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    keep = neg <= kth
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)
+    if len(crowded):
+        # ties at the k-th place: every strictly better candidate, then the
+        # lowest-index ties up to k
+        ties = neg[crowded] == kth[crowded]
+        better = keep[crowded] & ~ties
+        fill = k - better.sum(axis=1, keepdims=True)
+        keep[crowded] = better | (ties & (np.cumsum(ties, axis=1) <= fill))
+    cols = np.nonzero(keep)[1].reshape(len(neg), k)
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    return idxs[np.take_along_axis(cols, order, axis=1)].tolist()
 
 
-def _select_by_similarity(pool: ShotPool, n_rows: int, rows: Iterator[np.ndarray],
+def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarray],
                           classes: Sequence[Sequence[str]], k: int,
                           exclude_ids: Sequence[str | None]) -> list[ShotSet]:
     _check_k(k)
     if n_rows != len(pool):
         raise ValueError(f"{n_rows} similarities for {len(pool)} pool items")
-    return [_top_k(pool, sims, order, k, exclude_id)
-            for sims, order, exclude_id in zip(rows, classes, exclude_ids, strict=True)]
+    if len(classes) != len(exclude_ids):
+        raise ValueError(f"{len(classes)} class orders for {len(exclude_ids)} excluded ids")
+    excluded = np.array([pool.position(i) for i in exclude_ids], dtype=np.intp)
+    shot_sets: list[ShotSet] = []
+    for block in blocks:
+        start = len(shot_sets)
+        orders = classes[start:start + len(block)]
+        if len(orders) != len(block):
+            raise ValueError(f"more query rows than the {len(classes)} class orders")
+        ranked: dict[tuple[int, str], list[int]] = {}
+        for cls in dict.fromkeys(c for order in orders for c in order):
+            rows = [r for r, order in enumerate(orders) if cls in order]
+            idxs = pool.candidates(cls)
+            picks = _top_k(block[:, idxs][rows], idxs, excluded[start:][rows], k)
+            ranked.update(((r, cls), p) for r, p in zip(rows, picks))
+        for r, order in enumerate(orders):
+            per_class: list[tuple[str, list[LabeledText]]] = []
+            for cls in order:
+                picks = ranked[r, cls]
+                _warn_short(cls, len(picks), k)
+                per_class.append((cls, [pool.items[i] for i in picks]))
+            shot_sets.append(ShotSet(per_class=per_class))
+    if len(shot_sets) != len(classes):
+        raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
+    return shot_sets
 
 
 def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,25 +43,71 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def fit_tfidf(corpus: list[str]) -> TfidfModel:
+@dataclass(frozen=True)
+class TokenIds:
+    """Tokenized texts as integer ids into one shared token list.
+
+    ``docs[i]`` holds text i's token ids in text order; id j stands for
+    ``tokens[j]``. Rows taken from one ``encode`` share its token list, so a
+    cell tokenizes each of its texts once and fits and transforms rows of it.
+    """
+
+    tokens: list[str]
+    docs: list[list[int]]
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def take(self, rows) -> "TokenIds":
+        return TokenIds(self.tokens, [self.docs[i] for i in rows])
+
+    def counts(self, columns: np.ndarray, n_columns: int) -> sp.csr_matrix:
+        """Per text, how often each column occurs among its tokens, as canonical
+        CSR (sorted, no duplicates). Token id j counts in column ``columns[j]``,
+        or nowhere when that is -1."""
+        lengths = [len(doc) for doc in self.docs]
+        rows = np.repeat(np.arange(len(self.docs)), lengths)
+        cols = columns[np.fromiter(chain.from_iterable(self.docs), dtype=np.intp,
+                                   count=len(rows))]
+        known = cols >= 0
+        matrix = sp.csr_matrix((np.ones(np.count_nonzero(known)), (rows[known], cols[known])),
+                               shape=(len(self.docs), n_columns))
+        matrix.sum_duplicates()
+        return matrix
+
+
+def encode(texts: Sequence[str]) -> TokenIds:
+    """Tokenize each text once, numbering tokens in order of first appearance."""
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    docs = [[index[tok] for tok in tokenize(text)] for text in texts]
+    return TokenIds(list(index), docs)
+
+
+def _token_ids(texts: Sequence[str] | TokenIds) -> TokenIds:
+    return texts if isinstance(texts, TokenIds) else encode(texts)
+
+
+def fit_tfidf(corpus: Sequence[str] | TokenIds) -> TfidfModel:
     """Fit vocabulary and smoothed idf weights on a training corpus.
 
     idf(t) = ln((1+N)/(1+df(t))) + 1 with N the corpus size and df the
     document frequency, so idf >= 1 for every token. Vocabulary indices are
     assigned in sorted token order.
     """
-    if not corpus:
+    if not len(corpus):
         raise ValueError("cannot fit TF-IDF on an empty corpus")
-    df: Counter[str] = Counter()
-    for text in corpus:
-        df.update(set(tokenize(text)))
-    if not df:
+    docs = _token_ids(corpus)
+    n_tokens = len(docs.tokens)
+    # a token's document frequency is the number of count rows it has an entry in
+    df = np.bincount(docs.counts(np.arange(n_tokens), n_tokens).indices, minlength=n_tokens)
+    used = sorted(np.flatnonzero(df).tolist(), key=docs.tokens.__getitem__)
+    if not used:
         raise ValueError("empty vocabulary: no token of >= 2 word characters in the corpus")
-    vocabulary = {tok: i for i, tok in enumerate(sorted(df))}
-    n_docs = len(corpus)
-    idf = np.empty(len(vocabulary))
-    for tok, i in vocabulary.items():
-        idf[i] = np.log((1.0 + n_docs) / (1.0 + df[tok])) + 1.0
+    vocabulary = {docs.tokens[i]: col for col, i in enumerate(used)}
+    n_docs = len(docs)
+    # the scalar log of each distinct df, exactly as a per-token loop computes it
+    dfs, inverse = np.unique(df[used], return_inverse=True)
+    idf = np.array([np.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in dfs.tolist()])[inverse]
     return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
@@ -67,6 +115,7 @@ def transform(model: TfidfModel, text: str) -> tuple[np.ndarray, np.ndarray]:
     """One text's unit-norm tf-idf row as (ascending int32 columns, values).
 
     Out-of-vocabulary tokens drop out; a text with none left is an empty row.
+    This is the per-text reference that ``transform_many`` reproduces.
     """
     counts: Counter[int] = Counter()
     vocab = model.vocabulary
@@ -82,9 +131,17 @@ def transform(model: TfidfModel, text: str) -> tuple[np.ndarray, np.ndarray]:
     return indices, values
 
 
-def transform_many(model: TfidfModel, texts: list[str]) -> sp.csr_matrix:
+def transform_many(model: TfidfModel, texts: Sequence[str] | TokenIds) -> sp.csr_matrix:
     """One CSR row per text, each exactly ``transform(model, text)``."""
-    return stack([transform(model, t) for t in texts], model.dim)
+    docs = _token_ids(texts)
+    columns = np.array([model.vocabulary.get(tok, -1) for tok in docs.tokens], dtype=np.intp)
+    matrix = docs.counts(columns, model.dim)
+    matrix.data *= model.idf[matrix.indices]
+    # one np.dot per row, as transform computes each row's norm
+    for start, end in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist()):
+        values = matrix.data[start:end]
+        values /= np.sqrt(np.dot(values, values))
+    return matrix
 
 
 def stack(rows: list[tuple[np.ndarray, np.ndarray]], dim: int) -> sp.csr_matrix:

@@ -356,6 +356,65 @@ def test_malformed_record_names_file_and_line(tmp_path, capsys):
         assert line.startswith("error: data:") and "toy_80_0_base.jsonl:4:" in line
 
 
+def prepared_and_run(tmp_path, capsys):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = base_args(data, out, "--strategies", "base,cicle")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    capsys.readouterr()
+    return out, args, out / "records" / record_filename("toy", 80, 0, "cicle")
+
+
+def cut_to(path, keep):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(keep(lines)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit,rerun,needle", [
+    (lambda lines: lines[:-6], False, "does not match the sha256 in run_manifest.json"),
+    (lambda lines: lines[:-6], True, "holds 54 records; the frozen test set has 60"),
+    (lambda lines: lines[1:2] + lines[:1] + lines[2:], True, "not in frozen test order"),
+], ids=["truncated", "truncated-then-reused", "reordered-then-reused"])
+def test_report_rejects_an_edited_record_file(tmp_path, capsys, edit, rerun, needle):
+    out, args, path = prepared_and_run(tmp_path, capsys)
+    cut_to(path, edit)
+    if rerun:
+        # run reuses the edited file and records its hash, so only the content checks catch it
+        assert main(["run", *args]) == 0
+        capsys.readouterr()
+    assert main(["report", *args]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and path.name in line and needle in line
+    assert not (out / "report" / "report.json").exists()
+
+
+def test_report_rejects_a_file_the_manifest_does_not_list(tmp_path, capsys):
+    out, args, path = prepared_and_run(tmp_path, capsys)
+    manifest_path = out / "run_manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["records"][path.name]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["report", *args]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and f"{path.name} has no entry" in line
+    manifest_path.unlink()
+    assert main(["report", *args]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and "run_manifest.json not found" in line
+
+
+def test_runs_over_strategy_subsets_add_up_to_one_manifest(tmp_path, capsys):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    assert main(["prepare", *base_args(data, out)]) == 0
+    for strategy in ("base", "cicle"):
+        assert main(["run", *base_args(data, out, "--strategies", strategy)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["records"]) == ["toy_80_0_base.jsonl", "toy_80_0_cicle.jsonl"]
+    assert main(["report", *base_args(data, out, "--strategies", "base,cicle")]) == 0
+
+
 def test_failed_cell_fails_the_run_after_the_other_cells(tmp_path, capsys):
     data = write_toy(tmp_path)
     out = tmp_path / "out"

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.corpus import LabeledText
 from cicle.errors import DataError
@@ -142,3 +144,50 @@ def test_template_from_file_bad_json(tmp_path):
 def test_count_tokens_default_is_whitespace():
     assert count_tokens("one two  three\nfour") == 4
     assert count_tokens("") == 0
+
+
+def reference_prompt(template, shots, query, task):
+    """The prompt as one chained-replace string per part, joined by blank lines."""
+    parts = [template.task_intro.replace("{task}", task)]
+    for _, items in shots.per_class:
+        for shot in items:
+            parts.append(template.example_format
+                         .replace("{text}", shot.text)
+                         .replace("{label}", shot.label))
+    parts.append(template.query_format.replace("{text}", query.text))
+    parts.append(template.instruction)
+    return "\n\n".join(parts)
+
+
+# empty and whitespace-only texts, placeholders inside texts, Unicode whitespace
+fragments = st.sampled_from(["", " ", "\t", "word", "two words", "{label}", "{text}", "\x1c",
+                             "\u2003", "\u2028", "a\u2003b", "x\n\ny"])
+texts = st.lists(fragments, max_size=4).map("".join)
+labels = st.sampled_from(["spam", "ham", "{text}", "two words", "news"])
+
+
+@st.composite
+def prompt_cases(draw):
+    per_class = []
+    for c in range(draw(st.integers(1, 3))):
+        label = draw(labels)
+        shots = draw(st.lists(texts, max_size=3))
+        per_class.append((label, [item(10 * c + i, text, label) for i, text in enumerate(shots)]))
+    template = PromptTemplate(
+        task_intro=draw(st.sampled_from(["Classify for {task}.", "{task}", " {task}\u2028"])),
+        example_format=draw(st.sampled_from([DEFAULT_TEMPLATE.example_format,
+                                             "{label}\x1c{text}", "{text}{label}"])),
+        query_format=draw(st.sampled_from([DEFAULT_TEMPLATE.query_format, "{text}"])),
+        instruction=draw(st.sampled_from([DEFAULT_TEMPLATE.instruction, "", "\u2003"])),
+    )
+    query = LabeledText(id="q", text=draw(texts), label="spam")
+    return template, ShotSet(per_class=per_class), query, draw(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompt_cases())
+def test_prompt_equals_chained_replace_and_counts_its_tokens(case):
+    template, shots, query, task = case
+    prompt, stats = build_prompt(template, shots, query, "cicle", task=task)
+    assert prompt == reference_prompt(template, shots, query, task)
+    assert stats.token_count == count_tokens(prompt)

@@ -194,6 +194,23 @@ def test_sparse_similarity_count_mismatch_rejected():
         one_sparse(pool, vectors[:3], query, ["fruit"], 1)
 
 
+def test_three_way_tie_at_kth_place_with_the_excluded_item_tied():
+    # x1, x2, x3 share one vector, so they tie for second place behind x0
+    pool = [LabeledText(id=f"x{i}", text="", label="c") for i in range(5)]
+    pool.insert(2, LabeledText(id="o0", text="", label="other"))
+    diagonal = (np.array([0, 1], dtype=np.int32), np.array([1.0, 1.0]) / np.sqrt(2.0))
+    x_axis = (np.array([0], dtype=np.int32), np.array([1.0]))
+    y_axis = (np.array([1], dtype=np.int32), np.array([1.0]))
+    vectors = stack([x_axis, diagonal, x_axis, diagonal, diagonal, y_axis], 2)
+    queries = stack([x_axis] * 4, 2)
+    batch = select_sparse(ShotPool(pool), vectors, queries, [["c"]] * 4, 2,
+                          [None, "x1", "x2", "x0"])
+    assert [ids(shots) for shots in batch] == [
+        [["x0", "x1"]], [["x0", "x2"]], [["x0", "x1"]], [["x1", "x2"]]]
+    [wider] = select_sparse(ShotPool(pool), vectors, queries[:1], [["c", "other"]], 3, ["x2"])
+    assert ids(wider) == [["x0", "x1", "x3"], ["o0"]]
+
+
 def test_dense_picks_most_similar():
     pool = small_pool()
     embeddings = np.array([
@@ -294,7 +311,7 @@ def test_batched_top_k_matches_brute_force(case):
 def test_chunked_similarities_equal_single_query_reference(case):
     _, pool_vectors, queries, _, _, _ = case
     matrix = stack(pool_vectors, DIM)
-    rows = list(sparse_similarities(matrix, stack(queries, DIM)))
+    rows = [row for block in sparse_similarities(matrix, stack(queries, DIM)) for row in block]
     assert len(rows) == len(queries)
     for row, query in zip(rows, queries):
         reference = reference_similarities(matrix, query)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from cicle.errors import DataError, TransportError
 from cicle.selection import sparse_similarities
-from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, fit_tfidf, stack, tokenize,
-                             transform, transform_many)
+from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack,
+                             tokenize, transform, transform_many)
 
 from conftest import embedding_app, hash_embedding, make_items
 
@@ -112,7 +113,8 @@ def test_stack_matches_dense_rows():
 
 def cosine(a, b, dim_a, dim_b=None):
     """Cosine similarity as shot selection computes it: one pool row, one query."""
-    [row] = sparse_similarities(stack([a], dim_a), stack([b], dim_b or dim_a))
+    [block] = sparse_similarities(stack([a], dim_a), stack([b], dim_b or dim_a))
+    [row] = block
     return float(row[0])
 
 
@@ -166,6 +168,43 @@ def test_transform_many_rows_equal_transform(fit_texts, texts):
         lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
         assert matrix.indices[lo:hi].tolist() == indices.tolist()
         assert matrix.data[lo:hi].tobytes() == values.tobytes()
+
+
+def reference_fit(corpus):
+    """The per-token fit: document frequencies in a Counter, one scalar log per token."""
+    df = Counter()
+    for text in corpus:
+        df.update(set(tokenize(text)))
+    vocabulary = {tok: i for i, tok in enumerate(sorted(df))}
+    idf = np.empty(len(vocabulary))
+    for tok, i in vocabulary.items():
+        idf[i] = np.log((1.0 + len(corpus)) / (1.0 + df[tok])) + 1.0
+    return vocabulary, idf
+
+
+# repeated and mixed-case tokens, non-tokens ("x", "!!") and tokenless texts
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(words, max_size=8).map(" ".join), st.just(""),
+                          st.text(max_size=12)), min_size=1, max_size=30))
+def test_fit_tfidf_equals_counter_reference(corpus):
+    assume(any(tokenize(t) for t in corpus))
+    vocabulary, idf = reference_fit(corpus)
+    model = fit_tfidf(corpus)
+    assert model.vocabulary == vocabulary
+    assert list(model.vocabulary) == list(vocabulary)
+    assert model.idf.tobytes() == idf.tobytes()
+
+
+def test_transform_many_takes_rows_of_one_encoding():
+    texts = [it.text for it in make_items(60, overlap=0.5, seed=4)]
+    cell = encode(texts + ["unseen words only", "! ?"])
+    fit_rows = cell.take(range(0, 60, 2))
+    model = fit_tfidf(fit_rows)
+    assert model.vocabulary == fit_tfidf(texts[0::2]).vocabulary
+    matrix = transform_many(model, cell)
+    expected = transform_many(model, texts + ["unseen words only", "! ?"])
+    assert (matrix != expected).nnz == 0
+    assert matrix[60].nnz == 0 and matrix[61].nnz == 0
 
 
 @pytest.mark.parametrize("kwargs", [
