@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--embedding-endpoint", metavar="URL",
                    help="embedding service URL for the dense few-shot baseline")
     g.add_argument("--embedding-cache", metavar="DIR", help="embedding cache directory")
-    g.add_argument("--jobs", type=int, help="concurrent LLM calls per cell (default 1)")
+    g.add_argument("--jobs", type=int,
+                   help="LLM calls in flight at once across the whole run (default 1, serial)")
     g.add_argument("--force", action="store_true", help="recompute existing cell files")
 
     parser = argparse.ArgumentParser(

@@ -12,14 +12,16 @@ exponential backoff; a well-formed response is never retried.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import logging
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable
-
-import requests
 
 from .corpus import LabelSpace
 from .errors import TransportError
@@ -152,9 +154,9 @@ class LlmClient:
         api_key = os.environ.get(API_KEY_ENV)
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
         item_id = meta.item_id if meta else None
-        resp, attempts = post_json(cfg, payload, "completion endpoint", headers, item_id)
+        body, attempts = post_json(cfg, payload, "completion endpoint", headers, item_id)
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
             raise TransportError(f"malformed completion response (item {item_id})",
                                  item_id=item_id, attempts=attempts) from None
@@ -162,28 +164,38 @@ class LlmClient:
 
 
 def post_json(config, payload: dict, what: str, headers: dict | None = None,
-              item_id: str | None = None) -> tuple[requests.Response, int]:
-    """POST ``payload`` to ``config.endpoint`` until it answers 200; returns (response, attempts).
+              item_id: str | None = None) -> tuple[bytes, int]:
+    """POST ``payload`` as JSON to ``config.endpoint`` until it answers 200;
+    returns (response body, attempts).
 
-    Transport failures and 5xx answers are retried up to ``config.max_retries``
-    times, sleeping backoff * 2**(attempt - 1) before each retry; any other
-    status fails at once. Every TransportError carries the attempts made.
+    Transport failures (refused, reset or timed-out connections, broken HTTP)
+    and 5xx answers are retried up to ``config.max_retries`` times, sleeping
+    backoff * 2**(attempt - 1) before each retry; any other status fails at
+    once. Every TransportError carries the attempts made. Proxies come from
+    the environment (``NO_PROXY`` included) and certificates are verified.
     """
     item = "" if item_id is None else f" (item {item_id})"
+    request = urllib.request.Request(
+        config.endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json", **(headers or {})})
     last_failure = "no attempt made"
     for attempt in range(1, config.max_retries + 2):
+        status = None
         try:
-            resp = requests.post(config.endpoint, json=payload, headers=headers,
-                                 timeout=config.timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=config.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
             last_failure = f"transport failure: {exc}"
-        else:
-            if resp.status_code == 200:
-                return resp, attempt
-            if resp.status_code < 500:
-                raise TransportError(f"{what} returned {resp.status_code}{item}",
+        if status == 200:
+            return body, attempt
+        if status is not None:
+            if status < 500:
+                raise TransportError(f"{what} returned {status}{item}",
                                      item_id=item_id, attempts=attempt)
-            last_failure = f"server error {resp.status_code}"
+            last_failure = f"server error {status}"
         if attempt <= config.max_retries:
             delay = config.backoff * (2 ** (attempt - 1))
             log.warning("%s attempt %d/%d failed (%s); retrying in %.2fs",

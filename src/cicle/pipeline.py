@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -382,16 +383,17 @@ def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
     record.final_label = parse_label(resp.raw, labels)
 
 
-def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, config: RunConfig,
-                  test_embeddings=None) -> list[PredictionRecord]:
-    """Classify the cell's test set under one strategy; records come in test order.
+def cell_calls(res: CellResources, strategy: str, config: RunConfig,
+               test_embeddings=None) -> tuple[list[PredictionRecord], list[LlmCall]]:
+    """The CPU stage of one strategy over the cell's test set, batched on the
+    calling thread: probabilities, conformal sets, shot selection and prompts.
 
-    Two stages. All CPU work (probabilities, conformal sets, shot selection,
-    prompts) runs batched on the calling thread. Then the prompts go to the
-    LLM in test order, up to ``config.jobs`` calls in flight.
+    Returns every record, in test order, and the calls whose completions
+    still have to fill their records in.
     """
     if strategy == "base":
-        return [classify_base(res, item, probs) for item, probs in zip(res.test, res.test_probs)]
+        return [classify_base(res, item, probs)
+                for item, probs in zip(res.test, res.test_probs)], []
     if strategy == "cicle":
         records = [classify_cicle(res, item, probs)
                    for item, probs in zip(res.test, res.test_probs)]
@@ -401,13 +403,16 @@ def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, conf
         calls = [classify_fewshot(res, item, strategy, s, config)
                  for item, s in zip(res.test, shots)]
         records = [call.record for call in calls]
-    complete = lambda call: _complete_into(call, llm, res.label_space)
-    if config.jobs <= 1 or len(calls) <= 1:
-        for call in calls:
-            complete(call)
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            list(pool.map(complete, calls))
+    return records, calls
+
+
+def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, config: RunConfig,
+                  test_embeddings=None) -> list[PredictionRecord]:
+    """Classify the cell's test set under one strategy, one LLM call at a time;
+    records come in test order."""
+    records, calls = cell_calls(res, strategy, config, test_embeddings)
+    for call in calls:
+        _complete_into(call, llm, res.label_space)
     return records
 
 
@@ -436,12 +441,20 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                    embed_client: EmbeddingClient | None = None) -> list[PredictionRecord]:
     """Run every (dataset, size, strategy) cell and return all records.
 
-    Frozen datasets must already exist under ``output/data/{name}``. Existing
-    cell files are loaded instead of recomputed unless ``force`` is set. Each
-    cell failure is logged and skipped; the rest of the run proceeds. Once
-    every cell has run and ``run_manifest.json`` is written, any failure
-    raises one error naming each failed cell: a TransportError if one of the
-    failures was, otherwise a DataError.
+    Frozen datasets must already exist under ``output/data/{name}``. An
+    existing cell file is loaded instead of recomputed when its sha256 equals
+    its ``run_manifest.json`` entry, unless ``force`` is set; any other file
+    is recomputed with a warning. Each cell failure is logged and skipped;
+    the rest of the run proceeds. Once every cell has run and
+    ``run_manifest.json`` is written, any failure raises one error naming each
+    failed cell: a TransportError if one of the failures was, otherwise a
+    DataError.
+
+    With ``jobs`` 1 each (cell, strategy) completes its calls one by one and
+    writes its file before the next one starts. With more, one pool of
+    ``jobs`` threads serves the whole run: while one (cell, strategy)'s calls
+    complete, this thread runs the next one's CPU stage, then waits for the
+    previous calls and writes their file.
     """
     needs_llm = any(s != "base" for s in config.strategies)
     if needs_llm and llm_client is None:
@@ -451,53 +464,94 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             raise DataError("fewshot-dense strategy requires an embedding endpoint")
         embed_client = EmbeddingClient(config.embedding)
 
-    records: list[PredictionRecord] = []
+    # record files in (dataset, size, strategy) order, reused ones first within a size
+    order: list[str] = []
+    finished: dict[str, list[PredictionRecord]] = {}
     failures: list[tuple[str, Exception]] = []
     # entries for cells this run leaves alone carry over, so runs over different
     # strategies or sizes add up to one manifest that report can check them all by
     manifest_files = recorded_hashes(config.manifest_path)
     datasets_meta: dict[str, dict] = {}
-    for spec in config.datasets:
-        data_dir = config.data_dir / spec.name
-        pool, test, space, data_manifest = load_frozen(data_dir)
-        datasets_meta[spec.name] = data_manifest["sha256"]
-        test_embeddings = None
-        if "fewshot-dense" in config.strategies:
-            test_embeddings = embed_client.embed([t.text for t in test])
-        for size in dataset_sizes(config, spec, len(pool)):
-            pending = []
-            for strategy in config.strategies:
-                path = config.records_dir / record_filename(spec.name, size, config.seed, strategy)
-                if path.exists() and not config.force:
-                    log.info("cell file exists, reusing: %s", path.name)
-                    records.extend(read_records(path))
-                    manifest_files[path.name] = file_sha256(path)
-                else:
+
+    def failed(cell: str, exc: Exception) -> None:
+        log.error("cell %s failed: %s", cell, exc)
+        failures.append((cell, exc))
+
+    def finish(cell: str, path: Path, records: list[PredictionRecord], done: list) -> None:
+        # futures in submission order, so the first failing call is the one named
+        try:
+            wait(done)
+            for future in done:
+                future.result()
+        except (CicleError, ValueError, OSError) as exc:
+            failed(cell, exc)
+            return
+        write_records(records, path)
+        manifest_files[path.name] = file_sha256(path)
+        finished[path.name] = records
+
+    pool = ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
+    # (cell, path, records, futures) not yet written; a pooled run keeps one waiting
+    in_flight: deque = deque()
+    lag = 0 if pool is None else 1
+    try:
+        for spec in config.datasets:
+            pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
+            datasets_meta[spec.name] = data_manifest["sha256"]
+            test_embeddings = None
+            if "fewshot-dense" in config.strategies:
+                test_embeddings = embed_client.embed([t.text for t in test])
+            for size in dataset_sizes(config, spec, len(pool_items)):
+                pending = []
+                for strategy in config.strategies:
+                    path = config.records_dir / record_filename(spec.name, size, config.seed,
+                                                                strategy)
+                    if path.exists() and not config.force:
+                        if manifest_files.get(path.name) == file_sha256(path):
+                            log.info("cell file matches run_manifest.json, reusing: %s",
+                                     path.name)
+                            finished[path.name] = read_records(path)
+                            order.append(path.name)
+                            continue
+                        log.warning("cell file %s does not match its run_manifest.json entry; "
+                                    "recomputing it", path.name)
                     pending.append(strategy)
-            if not pending:
-                continue
-            cell_seed = stable_seed(config.seed, spec.name, size)
-            try:
-                subsample = stratified_subsample(pool, size, cell_seed)
-                res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
-                                 embed_client=embed_client, strategies=pending)
-            except (CicleError, ValueError, OSError) as exc:
-                log.error("cell %s size %d failed to build: %s", spec.name, size, exc)
-                failures.append((f"{spec.name}/{size}", exc))
-                continue
-            for strategy in pending:
-                path = config.records_dir / record_filename(spec.name, size, config.seed, strategy)
-                try:
-                    cell = classify_cell(res, strategy, llm_client, config,
-                                         test_embeddings=test_embeddings)
-                except (CicleError, ValueError, OSError) as exc:
-                    log.error("cell %s size %d strategy %s failed: %s",
-                              spec.name, size, strategy, exc)
-                    failures.append((f"{spec.name}/{size}/{strategy}", exc))
+                if not pending:
                     continue
-                write_records(cell, path)
-                manifest_files[path.name] = file_sha256(path)
-                records.extend(cell)
+                cell_seed = stable_seed(config.seed, spec.name, size)
+                try:
+                    subsample = stratified_subsample(pool_items, size, cell_seed)
+                    res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
+                                     embed_client=embed_client, strategies=pending)
+                except (CicleError, ValueError, OSError) as exc:
+                    failed(f"{spec.name}/{size}", exc)
+                    continue
+                for strategy in pending:
+                    cell = f"{spec.name}/{size}/{strategy}"
+                    path = config.records_dir / record_filename(spec.name, size, config.seed,
+                                                                strategy)
+                    try:
+                        if pool is None:
+                            records = classify_cell(res, strategy, llm_client, config,
+                                                    test_embeddings=test_embeddings)
+                            done = []
+                        else:
+                            records, calls = cell_calls(res, strategy, config, test_embeddings)
+                            done = [pool.submit(_complete_into, call, llm_client, space)
+                                    for call in calls]
+                            del calls  # each prompt goes once its call completes
+                    except (CicleError, ValueError, OSError) as exc:
+                        failed(cell, exc)
+                        continue
+                    order.append(path.name)
+                    in_flight.append((cell, path, records, done))
+                    while len(in_flight) > lag:
+                        finish(*in_flight.popleft())
+        while in_flight:
+            finish(*in_flight.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
     write_json({"config": manifest_config, "datasets": datasets_meta, "records": manifest_files},
@@ -507,4 +561,4 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                  else DataError)
         raise error(f"{len(failures)} failed cell(s): "
                     + "; ".join(f"{cell}: {exc}" for cell, exc in failures))
-    return records
+    return [record for name in order if name in finished for record in finished[name]]

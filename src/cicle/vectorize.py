@@ -9,6 +9,7 @@ always fetched from an external embedding service, never computed locally.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -202,8 +203,15 @@ class EmbeddingClient:
                 np.save(fh, vector)
 
     def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
-        resp, _ = post_json(self.config, {"texts": batch}, "embedding service")
-        vectors = resp.json().get("vectors")
+        body, _ = post_json(self.config, {"texts": batch}, "embedding service")
+        try:
+            reply = json.loads(body)
+        except ValueError:
+            raise DataError("embedding service returned a reply that is not JSON") from None
+        if not isinstance(reply, dict):
+            raise DataError(f"embedding service returned a JSON {type(reply).__name__}, "
+                            "not an object")
+        vectors = reply.get("vectors")
         if vectors is None or len(vectors) != len(batch):
             raise DataError(f"embedding service returned {0 if vectors is None else len(vectors)} "
                             f"vectors for {len(batch)} texts")

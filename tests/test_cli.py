@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cicle.cli import main
-from cicle.corpus import write_jsonl
+from cicle.corpus import file_sha256, write_jsonl
 from cicle.errors import TransportError
 from cicle import pipeline
 from cicle.pipeline import record_filename
@@ -124,7 +124,7 @@ def test_base_only_run_makes_no_network_calls(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("network call attempted")
 
-    monkeypatch.setattr("requests.post", boom)
+    monkeypatch.setattr("urllib.request.urlopen", boom)
     data = write_toy(tmp_path)
     out = tmp_path / "out"
     assert main(["prepare", *base_args(data, out)]) == 0
@@ -371,18 +371,38 @@ def cut_to(path, keep):
     path.write_text("".join(keep(lines)), encoding="utf-8")
 
 
-@pytest.mark.parametrize("edit,rerun,needle", [
-    (lambda lines: lines[:-6], False, "does not match the sha256 in run_manifest.json"),
-    (lambda lines: lines[:-6], True, "holds 54 records; the frozen test set has 60"),
-    (lambda lines: lines[1:2] + lines[:1] + lines[2:], True, "not in frozen test order"),
-], ids=["truncated", "truncated-then-reused", "reordered-then-reused"])
-def test_report_rejects_an_edited_record_file(tmp_path, capsys, edit, rerun, needle):
+def truncate(lines):
+    return lines[:-6]
+
+
+def swap_first_two(lines):
+    return lines[1:2] + lines[:1] + lines[2:]
+
+
+@pytest.mark.parametrize("edit,then,needle", [
+    (truncate, None, "does not match the sha256 in run_manifest.json"),
+    (truncate, "rerun", None),
+    (swap_first_two, "rerun", None),
+    (truncate, "rehash", "holds 54 records; the frozen test set has 60"),
+    (swap_first_two, "rehash", "not in frozen test order"),
+], ids=["truncated", "truncated-then-reused", "reordered-then-reused",
+        "truncated-then-rehashed", "reordered-then-rehashed"])
+def test_report_rejects_an_edited_record_file(tmp_path, capsys, edit, then, needle):
     out, args, path = prepared_and_run(tmp_path, capsys)
+    original = path.read_bytes()
     cut_to(path, edit)
-    if rerun:
-        # run reuses the edited file and records its hash, so only the content checks catch it
+    if then == "rerun":
+        # the edited file no longer hashes to its manifest entry: run recomputes it
         assert main(["run", *args]) == 0
-        capsys.readouterr()
+        assert path.read_bytes() == original
+        assert main(["report", *args]) == 0
+        return
+    if then == "rehash":
+        # the manifest blesses the edit, so only report's content checks catch it
+        manifest_path = out / "run_manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["records"][path.name] = file_sha256(path)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["report", *args]) == 3
     [line] = error_lines(capsys)
     assert line.startswith("error: data:") and path.name in line and needle in line

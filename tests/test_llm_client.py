@@ -1,5 +1,10 @@
 """Tests for the completion client: oracles, parsing, and the HTTP wire."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +207,74 @@ def test_api_key_header(serve, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV)
     LlmClient(LlmConfig(endpoint=url)).complete("p")
     assert seen["auth"] is None
+
+
+def test_remote_dropped_connection_is_retried(serve):
+    calls = []
+
+    def app(handler):
+        from conftest import read_json, respond_json
+        calls.append(read_json(handler))
+        if len(calls) == 1:
+            handler.close_connection = True  # hang up without a status line
+            return
+        respond_json(handler, 200, {"choices": [{"message": {"content": "World"}}]})
+
+    url = serve(app)
+    client = LlmClient(LlmConfig(endpoint=url, max_retries=1, backoff=0.0))
+    response = client.complete("p", META)
+    assert response.raw == "World"
+    assert response.attempts == 2
+    assert len(calls) == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# one completion in a fresh interpreter, so the process reads its proxies from its own env
+CHILD = """
+import gc, sys
+from cicle.errors import TransportError
+from cicle.llm_client import LlmClient, LlmConfig
+for url in sys.argv[1:]:
+    try:
+        print(LlmClient(LlmConfig(endpoint=url, max_retries=0, timeout=5.0)).complete("p").raw)
+    except TransportError as exc:
+        print("TransportError:", exc)
+    gc.collect()
+"""
+
+
+def run_child(*urls, python_flags=(), **env):
+    child_env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    child_env["PYTHONPATH"] = SRC
+    child_env.update(env)
+    return subprocess.run([sys.executable, *python_flags, "-c", CHILD, *urls], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def dead_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_no_proxy_reaches_a_local_server_past_the_environment_proxy(serve):
+    url = serve(scripted_chat_app([(200, "Sports")]))
+    proxy = f"http://127.0.0.1:{dead_port()}"
+    direct = run_child(url, http_proxy=proxy, NO_PROXY="127.0.0.1")
+    assert direct.returncode == 0, direct.stderr
+    assert direct.stdout.splitlines() == ["Sports"]
+    # without NO_PROXY the call goes to the dead proxy and fails
+    proxied = run_child(url, http_proxy=proxy)
+    assert proxied.returncode == 0, proxied.stderr
+    assert proxied.stdout.startswith("TransportError: completion endpoint failed")
+
+
+def test_error_replies_leave_no_resource_warning(serve):
+    urls = [serve(scripted_chat_app([(status, "")])) for status in (403, 500)]
+    result = run_child(*urls, python_flags=("-W", "error::ResourceWarning"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "TransportError: completion endpoint returned 403",
+        "TransportError: completion endpoint failed after 1 attempts (server error 500)"]
+    assert result.stderr == ""

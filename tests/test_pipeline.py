@@ -2,13 +2,15 @@
 
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cicle.conformal import ConformalSet
-from cicle.corpus import file_sha256, freeze_dataset, stable_seed
+from cicle import pipeline
+from cicle.corpus import file_sha256, freeze_dataset, load_frozen, stable_seed
 from cicle.errors import DataError
 from cicle.evalreport import build_report, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
@@ -57,6 +59,10 @@ def prepare(output, name="toy", n=240, overlap=0.0, seed=0, test_size=60):
     freeze_dataset(items, space, Path(output) / "data" / name, name,
                    test_size=test_size, test_seed=stable_seed(seed, "test", name))
     return items, space
+
+
+def read_test(output, name="toy"):
+    return load_frozen(Path(output) / "data" / name)[1]
 
 
 def perfect():
@@ -342,7 +348,14 @@ def test_run_experiment_skips_small_and_oversized_cells(tmp_path, caplog):
     assert "pool has only" in messages
 
 
-def test_run_experiment_reuses_existing_cells(tmp_path):
+def set_manifest_entry(config, path):
+    """Write ``path``'s current sha256 into the run manifest, as if a run had written it."""
+    manifest = json.loads(config.manifest_path.read_text(encoding="utf-8"))
+    manifest["records"][path.name] = file_sha256(path)
+    config.manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_run_experiment_reuses_existing_cells(tmp_path, caplog):
     out = tmp_path / "run"
     prepare(out)
     config = make_config(output=out, sizes=[80], strategies=["base"])
@@ -350,16 +363,54 @@ def test_run_experiment_reuses_existing_cells(tmp_path):
     path = out / "records" / record_filename("toy", 80, 0, "base")
     original = path.read_bytes()
 
+    # a file that does not hash to its manifest entry is recomputed, with a warning naming it
     sentinel = [PredictionRecord(item_id="fake", strategy="base", gold_label=0,
                                  final_label=0, base_probs=[1.0, 0.0, 0.0, 0.0])]
     write_records(sentinel, path)
-    stamped = path.read_bytes()
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        records = run_experiment(config)
+    assert path.read_bytes() == original
+    assert len(records) == 60
+    assert [rec.message for rec in caplog.records if path.name in rec.message]
 
+    # a file whose manifest entry is its own hash is reused as it is
+    write_records(sentinel, path)
+    set_manifest_entry(config, path)
+    stamped = path.read_bytes()
     records = run_experiment(make_config(output=out, sizes=[80], strategies=["base"]))
     assert path.read_bytes() == stamped
     assert [r.item_id for r in records] == ["fake"]
 
     run_experiment(make_config(output=out, sizes=[80], strategies=["base"], force=True))
+    assert path.read_bytes() == original
+
+
+def test_run_experiment_recomputes_a_record_file_edited_in_place(tmp_path, caplog):
+    out = tmp_path / "run"
+    prepare(out)
+    config = make_config(output=out, sizes=[80], strategies=["base", "cicle"])
+    run_experiment(config)
+    path = out / "records" / record_filename("toy", 80, 0, "cicle")
+    original = path.read_bytes()
+
+    # same ids, same count, one final_label changed: only the hash tells
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first["final_label"] = (first["final_label"] + 1) % 4
+    lines[0] = json.dumps(first, **JSON_STYLE) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.read_bytes() != original
+
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        records = run_experiment(config)
+    assert path.read_bytes() == original
+    assert [r for r in records if r.strategy == "cicle"] == read_records(path)
+    assert [rec.message for rec in caplog.records if path.name in rec.message]
+
+    # a record file with no manifest entry, say from an interrupted run, is recomputed too
+    config.manifest_path.unlink()
+    path.write_text("".join(lines), encoding="utf-8")
+    run_experiment(config)
     assert path.read_bytes() == original
 
 
@@ -411,14 +462,21 @@ GOLDEN_REPORT = {
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 6])
+def golden_config(out, **kw):
+    kw.setdefault("llm", LlmConfig(endpoint="noisy"))
+    return make_config(output=out, sizes=[80, 160],
+                       strategies=["base", "fewshot-random", "fewshot-sparse", "cicle"], **kw)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 6])
 def test_run_experiment_golden_bytes(tmp_path, jobs):
     out = tmp_path / "run"
     prepare(out, overlap=0.75)
-    config = make_config(output=out, sizes=[80, 160], jobs=jobs,
-                         strategies=["base", "fewshot-random", "fewshot-sparse", "cicle"],
-                         llm=LlmConfig(endpoint="noisy"))
+    config = golden_config(out, jobs=jobs)
     records = run_experiment(config)
+    assert [(r.strategy, r.item_id) for r in records] == [
+        (s, item.id) for size in config.sizes for s in config.strategies
+        for item in read_test(out)]
     cicle = [r for r in records if r.strategy == "cicle"]
     assert 0 < sum(r.bypassed for r in cicle) < len(cicle)
     digests = {p.name: file_sha256(p) for p in (out / "records").glob("*.jsonl")}
@@ -430,35 +488,85 @@ def test_run_experiment_golden_bytes(tmp_path, jobs):
     assert digests == GOLDEN_REPORT
 
 
+def tag_calls(monkeypatch, tag):
+    """Route run_experiment's CPU stage through ``tag(n, strategy, call)``, where n
+    counts (cell, strategy) pairs from 0 in the order the run builds them."""
+    real = pipeline.cell_calls
+    built = []
+
+    def tagged(res, strategy, *args, **kwargs):
+        records, calls = real(res, strategy, *args, **kwargs)
+        for call in calls:
+            tag(len(built), strategy, call)
+        built.append(strategy)
+        return records, calls
+
+    monkeypatch.setattr(pipeline, "cell_calls", tagged)
+    return built
+
+
 def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
-    peaks = {}
+    peaks, overlaps = {}, {}
     for jobs in (2, 6):
-        state = {"active": 0, "peak": 0}
-        lock = threading.Lock()
-        full = threading.Event()
+        state = {"peak": 0, "pairs": set()}
+        active: list[int] = []  # the pair number of each call in flight
+        cond = threading.Condition()
 
         def tracking(prompt, meta, params):
-            with lock:
-                state["active"] += 1
-                state["peak"] = max(state["peak"], state["active"])
-                if state["active"] >= jobs:
-                    full.set()
-            # hold each call until `jobs` calls are in flight at once, or give up
-            full.wait(timeout=0.5)
-            with lock:
-                state["active"] -= 1
+            pair = int(meta.item_id.split(":")[0])
+            with cond:
+                active.append(pair)
+                state["peak"] = max(state["peak"], len(active))
+                state["pairs"].update((min(pair, p), max(pair, p)) for p in active if p != pair)
+                cond.notify_all()
+                # hold each call until `jobs` calls are in flight at once, or give up
+                cond.wait_for(lambda: len(active) >= jobs, timeout=1.0)
+                active.remove(pair)
             return meta.gold_label
 
+        def tag(n, strategy, call):
+            call.meta = replace(call.meta, item_id=f"{n}:{call.meta.item_id}")
+
         out = tmp_path / f"run{jobs}"
-        prepare(out)
+        prepare(out, overlap=0.75)
         monkeypatch.setitem(ORACLES, "tracking-test", tracking)
+        built = tag_calls(monkeypatch, tag)
         records = run_experiment(make_config(
-            output=out, strategies=["fewshot-random"], jobs=jobs,
+            output=out, sizes=[80, 120], strategies=["fewshot-random", "cicle"], jobs=jobs,
             llm=LlmConfig(endpoint="tracking-test")))
-        assert len(records) == 60
-        assert all(r.final_label == r.gold_label for r in records)
+        assert len(built) == 4 and len(records) == 4 * 60
+        assert all(r.final_label == r.gold_label for r in records if r.prompt_stats)
         peaks[jobs] = state["peak"]
+        overlaps[jobs] = any(b == a + 1 for a, b in state["pairs"])
     assert peaks == {2: 2, 6: 6}
+    # one (cell, strategy)'s calls were still in flight when the next one's started
+    assert overlaps == {2: True, 6: True}
+
+
+def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
+    def flaky(prompt, meta, params):
+        if meta.item_id == "raise":
+            raise ValueError("oracle broke")
+        return ORACLES["noisy"](prompt, meta, params)
+
+    def tag(n, strategy, call):
+        # the second pair, toy/80/fewshot-random, fails on one of its items
+        if n == 1 and call.record.item_id == test_ids[7]:
+            call.meta = replace(call.meta, item_id="raise")
+
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    test_ids = [item.id for item in read_test(out)]
+    monkeypatch.setitem(ORACLES, "flaky", flaky)
+    tag_calls(monkeypatch, tag)
+    with pytest.raises(DataError) as exc:
+        run_experiment(golden_config(out, jobs=3, llm=LlmConfig(endpoint="flaky")))
+    assert str(exc.value) == "1 failed cell(s): toy/80/fewshot-random: oracle broke"
+    failed = record_filename("toy", 80, 0, "fewshot-random")
+    digests = {p.name: file_sha256(p) for p in (out / "records").glob("*.jsonl")}
+    assert digests == {name: sha for name, sha in GOLDEN_RECORDS.items() if name != failed}
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["records"] == digests
 
 
 def test_run_experiment_fewshot_dense(tmp_path, serve):

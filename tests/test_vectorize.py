@@ -268,6 +268,29 @@ def test_embed_wrong_count_is_data_error(serve):
         client.embed(["a", "b"])
 
 
+def raw_reply_app(body: bytes):
+    def app(handler):
+        from conftest import read_json
+        read_json(handler)
+        handler.send_response(200)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+    return app
+
+
+@pytest.mark.parametrize("body,needle", [
+    (b"[1, 2]", "a JSON list, not an object"),
+    (b"not json", "not JSON"),
+], ids=["list", "not-json"])
+def test_embed_reply_that_is_not_a_json_object_is_data_error(serve, body, needle):
+    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(body))))
+    with pytest.raises(DataError, match="^embedding service returned ") as err:
+        client.embed(["a", "b"])
+    assert needle in str(err.value)
+
+
 def test_embed_dimension_drift_is_data_error(serve):
     state = {"n": 0}
 
