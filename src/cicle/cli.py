@@ -17,10 +17,10 @@ from pathlib import Path
 
 from .corpus import file_sha256, freeze_dataset, load_dataset, load_frozen, stable_seed
 from .errors import DataError, TransportError
-from .evalreport import build_report, emit_report
+from .evalreport import build_report, cell_metrics, emit_report
 from .llm_client import ORACLES
-from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, dataset_sizes, read_records,
-                       record_filename, recorded_hashes, run_experiment)
+from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, config_key, dataset_sizes,
+                       read_records, record_filename, recorded_entries, run_experiment)
 from .prompting import template_from_file
 from .serialize import from_dict
 
@@ -166,18 +166,22 @@ def cmd_prepare(args) -> int:
 def cmd_run(args) -> int:
     """Classify every prepared cell and write one record file per cell."""
     config = build_run_config(args)
-    records = run_experiment(config)
-    print(f"run complete: {len(records)} records under {config.records_dir}")
+    n_records = run_experiment(config)
+    print(f"run complete: {n_records} records under {config.records_dir}")
     return 0
 
 
-def _check_cell(path: Path, records, sha256: str | None, test_ids: list[str]) -> None:
-    """A record file must be the one ``run`` wrote: its manifest hash, one record
-    per frozen test item, in test order."""
+def _check_cell(path: Path, records, sha256: str | None, key: str | None, run_key: str,
+                test_ids: list[str]) -> None:
+    """A record file must be the one ``run`` wrote under this configuration: its
+    manifest hash and key, one record per frozen test item, in test order."""
     if sha256 is None:
         raise DataError(f"{path.name} has no entry in run_manifest.json")
     if file_sha256(path) != sha256:
         raise DataError(f"{path.name} does not match the sha256 in run_manifest.json")
+    if key != run_key:
+        raise DataError(f"{path.name} was written under another configuration than this "
+                        "report's; run it again with these settings")
     if len(records) != len(test_ids):
         raise DataError(f"{path.name} holds {len(records)} records; "
                         f"the frozen test set has {len(test_ids)}")
@@ -186,16 +190,16 @@ def _check_cell(path: Path, records, sha256: str | None, test_ids: list[str]) ->
 
 
 def cmd_report(args) -> int:
-    """Aggregate verified record files into report.json and plot-ready CSVs."""
+    """Aggregate verified record files into report.json and plot-ready CSVs,
+    holding one file's records at a time."""
     config = build_run_config(args)
     paths = {}
-    test_ids = {}
-    class_counts = {}
+    datasets = {}  # name -> (test ids, class count, configuration key)
     missing: list[str] = []
     for spec in config.datasets:
-        pool, test, space, _ = load_frozen(config.data_dir / spec.name)
-        class_counts[spec.name] = len(space)
-        test_ids[spec.name] = [t.id for t in test]
+        pool, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
+        datasets[spec.name] = ([t.id for t in test], len(space),
+                               config_key(config, spec, data_manifest["sha256"]))
         for size in dataset_sizes(config, spec, len(pool)):
             for strategy in config.strategies:
                 path = config.records_dir / record_filename(spec.name, size, config.seed,
@@ -208,12 +212,14 @@ def cmd_report(args) -> int:
         raise DataError(f"missing record files: {', '.join(missing)}")
     if not config.manifest_path.exists():
         raise DataError(f"{config.manifest_path} not found; run the cells before reporting")
-    hashes = recorded_hashes(config.manifest_path)
-    cells = {}
-    for key, path in paths.items():
-        cells[key] = read_records(path)
-        _check_cell(path, cells[key], hashes.get(path.name), test_ids[key[0]])
-    report = build_report(cells, class_counts)
+    hashes, keys = recorded_entries(config.manifest_path)
+    per_cell = {}
+    for cell, path in paths.items():
+        test_ids, n_classes, run_key = datasets[cell[0]]
+        records = read_records(path)
+        _check_cell(path, records, hashes.get(path.name), keys.get(path.name), run_key, test_ids)
+        per_cell[cell] = cell_metrics(records, n_classes)
+    report = build_report(per_cell)
     written = emit_report(report, Path(config.output) / "report")
     print(f"report written: {', '.join(p.name for p in written)}")
     return 0

@@ -172,26 +172,17 @@ def _strategy_order(strategies) -> list[str]:
                                              len(STRATEGIES), s))
 
 
-def build_report(cells: Mapping[CellKey, Sequence[PredictionRecord]],
-                 class_counts: Mapping[str, int]) -> RunReport:
-    """Metrics, learning-curve aggregates, regime means and reductions.
+def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
+    """Learning-curve aggregates, regime means and reductions over cell metrics.
 
-    ``cells`` maps (dataset, size, strategy) to that cell's records;
-    ``class_counts`` gives the label-space size per dataset. Regime means
-    cover the datasets holding every size of the regime; regimes no dataset
-    fully covers are dropped with a warning. Reductions are emitted per
-    dataset whenever the conformal strategy and at least one few-shot
+    ``per_cell`` maps (dataset, size, strategy) to that cell's metrics.
+    Regime means cover the datasets holding every size of the regime; regimes
+    no dataset fully covers are dropped with a warning. Reductions are emitted
+    per dataset whenever the conformal strategy and at least one few-shot
     baseline are present.
     """
-    if not cells:
+    if not per_cell:
         raise ValueError("no cells to report")
-    per_cell: dict[CellKey, CellMetrics] = {}
-    for key in sorted(cells):
-        dataset = key[0]
-        if dataset not in class_counts:
-            raise DataError(f"no class count supplied for dataset {dataset!r}")
-        per_cell[key] = cell_metrics(cells[key], class_counts[dataset])
-
     datasets = sorted({d for d, _, _ in per_cell})
     strategies = _strategy_order({s for _, _, s in per_cell})
     sizes_by_dataset = {d: sorted({s for dd, s, _ in per_cell if dd == d}) for d in datasets}
@@ -222,7 +213,7 @@ def build_report(cells: Mapping[CellKey, Sequence[PredictionRecord]],
                          for s in baselines_present}
             reductions[dataset] = reduction_stats(cicle_cells, baselines)
 
-    return RunReport(per_cell=per_cell, aggregates=aggregates, regimes=regime_means,
+    return RunReport(per_cell=dict(per_cell), aggregates=aggregates, regimes=regime_means,
                      reductions=reductions)
 
 

@@ -14,6 +14,7 @@ calibration and use the whole subsample.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -187,18 +188,32 @@ def read_records(path) -> list[PredictionRecord]:
     return [PredictionRecord.from_json(obj, where) for where, obj in read_jsonl(path)]
 
 
-def recorded_hashes(manifest_path) -> dict[str, str]:
-    """Record file name -> sha256, from a run manifest; empty when there is none yet."""
+def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
+    """Record file name -> sha256 and name -> configuration key, from a run
+    manifest; both are empty when there is no manifest yet."""
     path = Path(manifest_path)
     if not path.exists():
-        return {}
+        return {}, {}
     try:
-        hashes = json.loads(path.read_text(encoding="utf-8"))["records"]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        tables = manifest["records"], manifest.get("keys", {})
     except (json.JSONDecodeError, KeyError, TypeError):
-        hashes = None
-    if not isinstance(hashes, dict):
-        raise DataError(f"{path} is not a run manifest with a records table")
-    return hashes
+        tables = None, None
+    if not all(isinstance(table, dict) for table in tables):
+        raise DataError(f"{path} is not a run manifest with records and keys tables")
+    return tables
+
+
+# RunConfig fields that shape no record byte, or that the record file name holds
+_UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "force")
+
+
+def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
+    """The sha256 of everything besides the file name that shapes a dataset's
+    record files: the run configuration, the dataset's task and its frozen splits."""
+    shaping = {k: v for k, v in vars(config).items() if k not in _UNKEYED}
+    blob = json.dumps([shaping, spec.task, data_sha256], **JSON_STYLE)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -438,17 +453,17 @@ def dataset_sizes(config: RunConfig, spec: DatasetSpec, pool_size: int) -> list[
 
 
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
-                   embed_client: EmbeddingClient | None = None) -> list[PredictionRecord]:
-    """Run every (dataset, size, strategy) cell and return all records.
+                   embed_client: EmbeddingClient | None = None) -> int:
+    """Run every (dataset, size, strategy) cell; returns the number of records
+    in the run's record files.
 
     Frozen datasets must already exist under ``output/data/{name}``. An
-    existing cell file is loaded instead of recomputed when its sha256 equals
-    its ``run_manifest.json`` entry, unless ``force`` is set; any other file
-    is recomputed with a warning. Each cell failure is logged and skipped;
-    the rest of the run proceeds. Once every cell has run and
-    ``run_manifest.json`` is written, any failure raises one error naming each
-    failed cell: a TransportError if one of the failures was, otherwise a
-    DataError.
+    existing cell file is kept when its sha256 and configuration key equal its
+    ``run_manifest.json`` entries, unless ``force`` is set; any other file is
+    recomputed with a warning. The manifest is rewritten after each file, so
+    an interrupted run keeps its finished files. A failed cell is logged and
+    skipped; once every cell has run, any failure raises one error naming
+    each failed cell: a TransportError if one of them was, else a DataError.
 
     With ``jobs`` 1 each (cell, strategy) completes its calls one by one and
     writes its file before the next one starts. With more, one pool of
@@ -464,20 +479,25 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             raise DataError("fewshot-dense strategy requires an embedding endpoint")
         embed_client = EmbeddingClient(config.embedding)
 
-    # record files in (dataset, size, strategy) order, reused ones first within a size
-    order: list[str] = []
-    finished: dict[str, list[PredictionRecord]] = {}
+    n_records = 0
     failures: list[tuple[str, Exception]] = []
     # entries for cells this run leaves alone carry over, so runs over different
     # strategies or sizes add up to one manifest that report can check them all by
-    manifest_files = recorded_hashes(config.manifest_path)
+    hashes, keys = recorded_entries(config.manifest_path)
     datasets_meta: dict[str, dict] = {}
+    manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
+
+    def write_manifest() -> None:
+        write_json({"config": manifest_config, "datasets": datasets_meta, "keys": keys,
+                    "records": hashes}, config.manifest_path)
 
     def failed(cell: str, exc: Exception) -> None:
         log.error("cell %s failed: %s", cell, exc)
         failures.append((cell, exc))
 
-    def finish(cell: str, path: Path, records: list[PredictionRecord], done: list) -> None:
+    def finish(cell: str, path: Path, key: str, records: list[PredictionRecord],
+               done: list) -> None:
+        nonlocal n_records
         # futures in submission order, so the first failing call is the one named
         try:
             wait(done)
@@ -487,34 +507,41 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             failed(cell, exc)
             return
         write_records(records, path)
-        manifest_files[path.name] = file_sha256(path)
-        finished[path.name] = records
+        hashes[path.name] = file_sha256(path)
+        keys[path.name] = key
+        write_manifest()
+        n_records += len(records)
 
     pool = ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    # (cell, path, records, futures) not yet written; a pooled run keeps one waiting
+    # (cell, path, key, records, futures) not yet written; a pooled run keeps one waiting
     in_flight: deque = deque()
     lag = 0 if pool is None else 1
     try:
         for spec in config.datasets:
             pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
             datasets_meta[spec.name] = data_manifest["sha256"]
+            key = config_key(config, spec, data_manifest["sha256"])
             test_embeddings = None
             if "fewshot-dense" in config.strategies:
                 test_embeddings = embed_client.embed([t.text for t in test])
             for size in dataset_sizes(config, spec, len(pool_items)):
+                paths = {strategy: config.records_dir / record_filename(spec.name, size,
+                                                                        config.seed, strategy)
+                         for strategy in config.strategies}
                 pending = []
-                for strategy in config.strategies:
-                    path = config.records_dir / record_filename(spec.name, size, config.seed,
-                                                                strategy)
+                for strategy, path in paths.items():
                     if path.exists() and not config.force:
-                        if manifest_files.get(path.name) == file_sha256(path):
+                        if hashes.get(path.name) != file_sha256(path):
+                            log.warning("cell file %s does not match its run_manifest.json "
+                                        "entry; recomputing it", path.name)
+                        elif keys.get(path.name) != key:
+                            log.warning("cell file %s was written under another configuration; "
+                                        "recomputing it", path.name)
+                        else:
                             log.info("cell file matches run_manifest.json, reusing: %s",
                                      path.name)
-                            finished[path.name] = read_records(path)
-                            order.append(path.name)
+                            n_records += len(test)
                             continue
-                        log.warning("cell file %s does not match its run_manifest.json entry; "
-                                    "recomputing it", path.name)
                     pending.append(strategy)
                 if not pending:
                     continue
@@ -528,8 +555,6 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                     continue
                 for strategy in pending:
                     cell = f"{spec.name}/{size}/{strategy}"
-                    path = config.records_dir / record_filename(spec.name, size, config.seed,
-                                                                strategy)
                     try:
                         if pool is None:
                             records = classify_cell(res, strategy, llm_client, config,
@@ -543,8 +568,8 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                     except (CicleError, ValueError, OSError) as exc:
                         failed(cell, exc)
                         continue
-                    order.append(path.name)
-                    in_flight.append((cell, path, records, done))
+                    in_flight.append((cell, paths[strategy], key, records, done))
+                    del records  # the queue holds the only reference until the file is written
                     while len(in_flight) > lag:
                         finish(*in_flight.popleft())
         while in_flight:
@@ -553,12 +578,10 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
-    write_json({"config": manifest_config, "datasets": datasets_meta, "records": manifest_files},
-               config.manifest_path)
+    write_manifest()
     if failures:
         error = (TransportError if any(isinstance(exc, TransportError) for _, exc in failures)
                  else DataError)
         raise error(f"{len(failures)} failed cell(s): "
                     + "; ".join(f"{cell}: {exc}" for cell, exc in failures))
-    return [record for name in order if name in finished for record in finished[name]]
+    return n_records

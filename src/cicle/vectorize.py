@@ -211,10 +211,12 @@ class EmbeddingClient:
         if not isinstance(reply, dict):
             raise DataError(f"embedding service returned a JSON {type(reply).__name__}, "
                             "not an object")
-        vectors = reply.get("vectors")
-        if vectors is None or len(vectors) != len(batch):
-            raise DataError(f"embedding service returned {0 if vectors is None else len(vectors)} "
-                            f"vectors for {len(batch)} texts")
+        vectors = reply.get("vectors", [])
+        if not isinstance(vectors, list):
+            raise DataError("embedding service returned a reply whose vectors are not a list")
+        if len(vectors) != len(batch):
+            raise DataError(f"embedding service returned {len(vectors)} vectors for "
+                            f"{len(batch)} texts")
         out = [np.asarray(v, dtype=float) for v in vectors]
         for v in out:
             if v.ndim != 1 or not np.all(np.isfinite(v)):

@@ -19,7 +19,7 @@ from cicle.corpus import LabeledText, freeze_dataset, stable_seed, write_jsonl
 from cicle.classifier import nll_and_grad
 from cicle.evalreport import cell_metrics, macro_f1
 from cicle.llm_client import ORACLES, LlmConfig
-from cicle.pipeline import DatasetSpec, RunConfig, run_experiment
+from cicle.pipeline import DatasetSpec, RunConfig, read_records, record_filename, run_experiment
 from cicle.vectorize import fit_tfidf, stack, transform
 
 from conftest import make_items, space_for
@@ -32,6 +32,11 @@ def verdict(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{num:02d}] {name}: {status}{suffix}", flush=True)
     assert ok, f"[{num:02d}] {name}: {status}{suffix}"
+
+
+def cell_records(config, size, strategy):
+    name = config.datasets[0].name
+    return read_records(config.records_dir / record_filename(name, size, config.seed, strategy))
 
 
 def skip(num, name, reason):
@@ -105,14 +110,12 @@ def cicle_run(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(ORACLES, "counting-perfect", counting)
-        records = run_experiment(config)
-    return records, len(completions)
+        run_experiment(config)
+    return [cell_records(config, size, "cicle") for size in config.sizes], len(completions)
 
 
 def test_03_perfect_oracle_identity(cicle_run):
-    records, _ = cicle_run
-    # records come back cell by cell: two cells of 80 test items each
-    cells = [records[:80], records[80:]]
+    cells, _ = cicle_run
     details = []
     ok = True
     for cell in cells:
@@ -125,8 +128,9 @@ def test_03_perfect_oracle_identity(cicle_run):
 
 
 def test_04_bypass_accounting(cicle_run):
-    records, completions = cicle_run
-    multi = sum(1 for r in records if r.strategy == "cicle" and len(r.conformal_set) >= 2)
+    cells, completions = cicle_run
+    multi = sum(1 for cell in cells for r in cell
+                if r.strategy == "cicle" and len(r.conformal_set) >= 2)
     verdict(4, "bypass-accounting", completions == multi,
             f"{completions} LLM calls for {multi} multi-class sets")
 
@@ -281,10 +285,10 @@ def test_09_agnews_base_macro_f1(agnews_run):
     config = RunConfig(datasets=[DatasetSpec(name="agnews", path="unused")],
                        output=str(agnews_run), sizes=sizes, strategies=["base"],
                        alpha=0.05, k=2, seed=0)
-    records = run_experiment(config)
+    run_experiment(config)
     scores = []
-    for i, size in enumerate(sizes):
-        cell = records[i * 1000:(i + 1) * 1000]
+    for size in sizes:
+        cell = cell_records(config, size, "base")
         scores.append(macro_f1([r.final_label for r in cell],
                                [r.gold_label for r in cell], 4))
     avg = sum(scores) / len(scores)
@@ -299,8 +303,8 @@ def test_10_agnews_shot_reduction(agnews_run):
     config = RunConfig(datasets=[DatasetSpec(name="agnews", path="unused")],
                        output=str(agnews_run), sizes=[5000], strategies=["cicle"],
                        alpha=0.05, k=2, seed=0)
-    records = run_experiment(config)
-    mean_shots = cell_metrics(records, 4).mean_shot_count
+    run_experiment(config)
+    mean_shots = cell_metrics(cell_records(config, 5000, "cicle"), 4).mean_shot_count
     budget = 0.75 * config.k * 4
     verdict(10, "agnews-shot-reduction", mean_shots <= budget,
             f"mean shot count {mean_shots:.2f} vs full-prompt budget {config.k * 4}")

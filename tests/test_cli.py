@@ -424,6 +424,15 @@ def test_report_rejects_a_file_the_manifest_does_not_list(tmp_path, capsys):
     assert line.startswith("error: data:") and "run_manifest.json not found" in line
 
 
+def test_report_rejects_a_file_written_under_another_configuration(tmp_path, capsys):
+    out, args, _ = prepared_and_run(tmp_path, capsys)
+    assert main(["report", *args, "--alpha", "0.3"]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and "another configuration" in line
+    assert record_filename("toy", 80, 0, "base") in line
+    assert not (out / "report" / "report.json").exists()
+
+
 def test_runs_over_strategy_subsets_add_up_to_one_manifest(tmp_path, capsys):
     data = write_toy(tmp_path)
     out = tmp_path / "out"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cicle.classifier import TrainConfig, predict_proba, train
 from cicle.conformal import (
@@ -184,6 +185,28 @@ def test_marginal_coverage_on_synthetic_scores():
         coverages.append(float(np.mean(test_scores <= cal.q_hat)))
     mean_cov = float(np.mean(coverages))
     assert 0.89 <= mean_cov <= 0.912
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 500), st.integers(1, 999))
+def test_coverage_given_the_calibration_set_is_beta_distributed(n, a):
+    # With Uniform(0, 1) scores, a calibration set covers a fresh score with
+    # probability q_hat, its r-th order statistic: Beta(r, n + 1 - r) with r the
+    # conformal quantile rank (Angelopoulos & Bates, arXiv 2107.07511, 3.2). r is
+    # computed exactly here, so a wrong quantile_rank fails this test too.
+    alpha = a / 1000
+    r = math.ceil((n + 1) * (1 - Fraction(a, 1000)))
+    rng = np.random.default_rng(2107)
+    splits = 200
+    q_hats = np.array([calibration_from_scores(rng.uniform(size=n), alpha).q_hat
+                       for _ in range(splits)])
+    if r > n:
+        assert np.all(q_hats == 1.0)
+        return
+    mean = r / (n + 1)
+    sd = math.sqrt(mean * (1 - mean) / (n + 2) / splits)
+    assert abs(q_hats.mean() - mean) <= 5 * sd
+    assert stats.kstest(q_hats, stats.beta(r, n + 1 - r).cdf).pvalue > 1e-4
 
 
 def fitted_model_and_split(overlap=0.6, n=200, seed=3):

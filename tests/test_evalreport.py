@@ -144,12 +144,16 @@ def metrics(f1=0.5, tokens=0.0, shots=0.0):
                        n_records=10)
 
 
+def metrics_of(cells, n_classes=2):
+    return {key: cell_metrics(records, n_classes) for key, records in cells.items()}
+
+
 def test_aggregate_all_sizes_means_per_strategy():
     # macro-F1 is 1.0 for an all-correct cell and 0.0 for an all-wrong one
     right, wrong = [rec(0, 0), rec(1, 1)], [rec(0, 1), rec(1, 0)]
     cells = {("d", 100, "base"): right, ("d", 200, "base"): wrong,
              ("d", 100, "cicle"): right, ("d", 200, "cicle"): right}
-    report = build_report(cells, {"d": 2})
+    report = build_report(metrics_of(cells))
     assert report.aggregates == {("d", "base"): 0.5, ("d", "cicle"): 1.0}
 
 
@@ -157,7 +161,7 @@ def test_aggregate_all_sizes_missing_cell():
     cells = {("d", 100, "base"): [rec(0, 0)], ("d", 100, "cicle"): [rec(0, 0)],
              ("d", 200, "cicle"): [rec(0, 0)]}
     with pytest.raises(DataError, match="d/200/base"):
-        build_report(cells, {"d": 2})
+        build_report(metrics_of(cells))
 
 
 def test_regime_aggregate_means_across_datasets():
@@ -249,7 +253,7 @@ def synthetic_cells():
 
 
 def test_build_report_sections():
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
+    report = build_report(metrics_of(synthetic_cells()))
     assert len(report.per_cell) == 12
     assert report.per_cell[("alpha", 100, "cicle")].bypass_rate == pytest.approx(1 / 3)
     assert set(report.aggregates) == {(d, s) for d in ("alpha", "beta")
@@ -263,7 +267,7 @@ def test_build_report_sections():
 
 def test_build_report_without_cicle_has_no_reductions():
     cells = {k: v for k, v in synthetic_cells().items() if k[2] != "cicle"}
-    report = build_report(cells, {"alpha": 2, "beta": 2})
+    report = build_report(metrics_of(cells))
     assert report.reductions == {}
 
 
@@ -277,21 +281,19 @@ def test_build_report_drops_uncovered_regimes(caplog):
             size = 1000
         cells[(dataset, size, strategy)] = records
     with caplog.at_level("WARNING", logger="cicle.evalreport"):
-        report = build_report(cells, {"alpha": 2, "beta": 2})
+        report = build_report(metrics_of(cells))
     assert not any(r == "medium" for r, _ in report.regimes)
     assert any(r == "low" for r, _ in report.regimes)
     assert any("medium" in record.message for record in caplog.records)
 
 
-def test_build_report_requires_class_counts():
-    with pytest.raises(DataError, match="class count"):
-        build_report({("d", 100, "base"): [rec(0, 0)]}, {})
+def test_build_report_requires_cells():
     with pytest.raises(ValueError, match="no cells"):
-        build_report({}, {"d": 2})
+        build_report({})
 
 
 def test_emit_report_files_and_determinism(tmp_path):
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
+    report = build_report(metrics_of(synthetic_cells()))
     first = emit_report(report, tmp_path / "r1")
     names = [p.name for p in first]
     assert names == ["report.json", "cells.csv", "curve_alpha.csv", "curve_beta.csv",
@@ -315,7 +317,7 @@ def test_emit_report_files_and_determinism(tmp_path):
 
 
 def test_curve_csv_blank_for_missing_cell(tmp_path):
-    report = build_report(synthetic_cells(), {"alpha": 2, "beta": 2})
+    report = build_report(metrics_of(synthetic_cells()))
     del report.per_cell[("alpha", 500, "fewshot-random")]
     del report.per_cell[("alpha", 500, "cicle")]
     emit_report(report, tmp_path)

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cicle.classifier import TrainConfig
 from cicle.conformal import ConformalSet
 from cicle import pipeline
 from cicle.corpus import file_sha256, freeze_dataset, load_frozen, stable_seed
 from cicle.errors import DataError
-from cicle.evalreport import build_report, emit_report
+from cicle.evalreport import build_report, cell_metrics, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
 from cicle.pipeline import (
     DEFAULT_SIZES,
@@ -26,7 +27,7 @@ from cicle.pipeline import (
     run_experiment,
     write_records,
 )
-from cicle.prompting import PromptStats
+from cicle.prompting import DEFAULT_TEMPLATE, PromptStats
 from cicle.serialize import JSON_STYLE
 from cicle.vectorize import EmbeddingConfig
 
@@ -63,6 +64,13 @@ def prepare(output, name="toy", n=240, overlap=0.0, seed=0, test_size=60):
 
 def read_test(output, name="toy"):
     return load_frozen(Path(output) / "data" / name)[1]
+
+
+def run_records(config, name="toy"):
+    """Every record the run's files hold, file by file in (size, strategy) order."""
+    return [record for size in config.sizes for s in config.strategies
+            for record in read_records(config.records_dir
+                                       / record_filename(name, size, config.seed, s))]
 
 
 def perfect():
@@ -286,8 +294,7 @@ def test_run_experiment_end_to_end(tmp_path):
     prepare(out)
     config = make_config(output=out, sizes=[80, 120],
                          strategies=["base", "fewshot-random", "cicle"])
-    records = run_experiment(config)
-    assert len(records) == 2 * 3 * 60
+    assert run_experiment(config) == 2 * 3 * 60
 
     files = sorted(p.name for p in (out / "records").glob("*.jsonl"))
     expected = sorted(record_filename("toy", size, 0, s)
@@ -311,9 +318,9 @@ def test_run_experiment_record_invariants(tmp_path):
     prepare(out, overlap=0.75)
     config = make_config(output=out, sizes=[120],
                          strategies=["base", "fewshot-random", "fewshot-sparse", "cicle"])
-    records = run_experiment(config)
+    run_experiment(config)
     by_strategy = {}
-    for rec in records:
+    for rec in run_records(config):
         by_strategy.setdefault(rec.strategy, []).append(rec)
     assert set(by_strategy) == {"base", "fewshot-random", "fewshot-sparse", "cicle"}
 
@@ -368,18 +375,17 @@ def test_run_experiment_reuses_existing_cells(tmp_path, caplog):
                                  final_label=0, base_probs=[1.0, 0.0, 0.0, 0.0])]
     write_records(sentinel, path)
     with caplog.at_level("WARNING", logger="cicle.pipeline"):
-        records = run_experiment(config)
+        assert run_experiment(config) == 60
     assert path.read_bytes() == original
-    assert len(records) == 60
     assert [rec.message for rec in caplog.records if path.name in rec.message]
 
-    # a file whose manifest entry is its own hash is reused as it is
+    # a file whose manifest entry is its own hash is reused as it is; it counts as
+    # one record per test item
     write_records(sentinel, path)
     set_manifest_entry(config, path)
     stamped = path.read_bytes()
-    records = run_experiment(make_config(output=out, sizes=[80], strategies=["base"]))
+    assert run_experiment(make_config(output=out, sizes=[80], strategies=["base"])) == 60
     assert path.read_bytes() == stamped
-    assert [r.item_id for r in records] == ["fake"]
 
     run_experiment(make_config(output=out, sizes=[80], strategies=["base"], force=True))
     assert path.read_bytes() == original
@@ -402,9 +408,8 @@ def test_run_experiment_recomputes_a_record_file_edited_in_place(tmp_path, caplo
     assert path.read_bytes() != original
 
     with caplog.at_level("WARNING", logger="cicle.pipeline"):
-        records = run_experiment(config)
+        run_experiment(config)
     assert path.read_bytes() == original
-    assert [r for r in records if r.strategy == "cicle"] == read_records(path)
     assert [rec.message for rec in caplog.records if path.name in rec.message]
 
     # a record file with no manifest entry, say from an interrupted run, is recomputed too
@@ -412,6 +417,118 @@ def test_run_experiment_recomputes_a_record_file_edited_in_place(tmp_path, caplo
     path.write_text("".join(lines), encoding="utf-8")
     run_experiment(config)
     assert path.read_bytes() == original
+
+
+def spy_writes(monkeypatch):
+    """The names of the record files the run writes from now on."""
+    written = []
+    real = pipeline.write_records
+
+    def spy(records, path):
+        written.append(Path(path).name)
+        real(records, path)
+
+    monkeypatch.setattr(pipeline, "write_records", spy)
+    return written
+
+
+def test_run_experiment_recomputes_a_file_written_under_another_alpha(tmp_path):
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    path = out / "records" / record_filename("toy", 80, 0, "cicle")
+    run_experiment(make_config(output=out, strategies=["cicle"], alpha=0.05))
+    at_005 = path.read_bytes()
+    run_experiment(make_config(output=out, strategies=["cicle"], alpha=0.3))
+
+    fresh = tmp_path / "fresh"
+    prepare(fresh, overlap=0.75)
+    run_experiment(make_config(output=fresh, strategies=["cicle"], alpha=0.3))
+    at_03 = (fresh / "records" / path.name).read_bytes()
+    assert at_03 != at_005
+    assert path.read_bytes() == at_03
+
+
+def keyed_config(out, **kw):
+    kw.setdefault("llm", LlmConfig(endpoint="noisy"))
+    kw.setdefault("strategies", ["cicle"])
+    return make_config(output=out, **kw)
+
+
+@pytest.mark.parametrize("change", [
+    {"alpha": 0.3},
+    {"k": 1},
+    {"calib_fraction": 0.3},
+    {"template": replace(DEFAULT_TEMPLATE, instruction="Reply with one label.")},
+    {"datasets": [spec(task="topic labelling")]},
+    {"llm": LlmConfig(endpoint="perfect")},
+    {"llm": LlmConfig(endpoint="noisy", oracle_params={"default_accuracy": 0.5})},
+    {"train": TrainConfig(C=0.5)},
+    {"test_size": 50},
+], ids=["alpha", "k", "calib_fraction", "template", "task", "llm-endpoint", "oracle-params",
+        "train-C", "re-prepared-test-size"])
+def test_run_experiment_recomputes_a_file_when_its_key_changes(tmp_path, monkeypatch, caplog,
+                                                               change):
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    run_experiment(keyed_config(out))
+    change = dict(change)
+    if "test_size" in change:
+        # the frozen splits change; the run configuration stays as it was
+        prepare(out, overlap=0.75, test_size=change.pop("test_size"))
+    name = record_filename("toy", 80, 0, "cicle")
+    written = spy_writes(monkeypatch)
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        run_experiment(keyed_config(out, **change))
+    assert written == [name]
+    assert [rec.message for rec in caplog.records if name in rec.message] == [
+        f"cell file {name} was written under another configuration; recomputing it"]
+
+
+def test_rerun_reuses_every_file_without_decoding_it(tmp_path, monkeypatch, caplog):
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    run_experiment(keyed_config(out, sizes=[80, 120], strategies=["base", "cicle"], jobs=1))
+    written = spy_writes(monkeypatch)
+
+    def no_decoding(path):
+        raise AssertionError(f"run decoded {path}")
+
+    monkeypatch.setattr(pipeline, "read_records", no_decoding)
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        # --jobs, the size list and the strategy list are not part of the key
+        assert run_experiment(keyed_config(out, sizes=[80, 120],
+                                           strategies=["base", "cicle"], jobs=3)) == 4 * 60
+        assert run_experiment(keyed_config(out, sizes=[120], strategies=["cicle"])) == 60
+    assert written == []
+    assert not caplog.records
+
+
+def test_an_interrupted_run_keeps_its_finished_files(tmp_path, monkeypatch, caplog):
+    def interrupting(prompt, meta, params):
+        if meta.item_id == "interrupt":
+            raise KeyboardInterrupt
+        return ORACLES["noisy"](prompt, meta, params)
+
+    def tag(n, strategy, call):
+        if n == 1:
+            call.meta = replace(call.meta, item_id="interrupt")
+
+    out = tmp_path / "run"
+    prepare(out, overlap=0.75)
+    monkeypatch.setitem(ORACLES, "interrupting", interrupting)
+    config = make_config(output=out, strategies=["fewshot-random", "cicle"],
+                         llm=LlmConfig(endpoint="interrupting"))
+    with monkeypatch.context() as mp, pytest.raises(KeyboardInterrupt):
+        tag_calls(mp, tag)
+        run_experiment(config)
+    finished = record_filename("toy", 80, 0, "fewshot-random")
+    assert sorted(p.name for p in (out / "records").iterdir()) == [finished]
+
+    written = spy_writes(monkeypatch)
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        run_experiment(config)
+    assert written == [record_filename("toy", 80, 0, "cicle")]
+    assert not caplog.records
 
 
 def test_run_experiment_parallel_is_byte_identical(tmp_path):
@@ -473,7 +590,8 @@ def test_run_experiment_golden_bytes(tmp_path, jobs):
     out = tmp_path / "run"
     prepare(out, overlap=0.75)
     config = golden_config(out, jobs=jobs)
-    records = run_experiment(config)
+    assert run_experiment(config) == 2 * 4 * 60
+    records = run_records(config)
     assert [(r.strategy, r.item_id) for r in records] == [
         (s, item.id) for size in config.sizes for s in config.strategies
         for item in read_test(out)]
@@ -481,9 +599,10 @@ def test_run_experiment_golden_bytes(tmp_path, jobs):
     assert 0 < sum(r.bypassed for r in cicle) < len(cicle)
     digests = {p.name: file_sha256(p) for p in (out / "records").glob("*.jsonl")}
     assert digests == GOLDEN_RECORDS
-    cells = {("toy", size, s): read_records(out / "records" / record_filename("toy", size, 0, s))
-             for size in config.sizes for s in config.strategies}
-    emit_report(build_report(cells, {"toy": 4}), out / "report")
+    per_cell = {("toy", size, s): cell_metrics(
+                    read_records(out / "records" / record_filename("toy", size, 0, s)), 4)
+                for size in config.sizes for s in config.strategies}
+    emit_report(build_report(per_cell), out / "report")
     digests = {p.name: file_sha256(p) for p in (out / "report").iterdir()}
     assert digests == GOLDEN_REPORT
 
@@ -531,11 +650,11 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
         prepare(out, overlap=0.75)
         monkeypatch.setitem(ORACLES, "tracking-test", tracking)
         built = tag_calls(monkeypatch, tag)
-        records = run_experiment(make_config(
-            output=out, sizes=[80, 120], strategies=["fewshot-random", "cicle"], jobs=jobs,
-            llm=LlmConfig(endpoint="tracking-test")))
-        assert len(built) == 4 and len(records) == 4 * 60
-        assert all(r.final_label == r.gold_label for r in records if r.prompt_stats)
+        config = make_config(output=out, sizes=[80, 120], strategies=["fewshot-random", "cicle"],
+                             jobs=jobs, llm=LlmConfig(endpoint="tracking-test"))
+        assert run_experiment(config) == 4 * 60
+        assert len(built) == 4
+        assert all(r.final_label == r.gold_label for r in run_records(config) if r.prompt_stats)
         peaks[jobs] = state["peak"]
         overlaps[jobs] = any(b == a + 1 for a, b in state["pairs"])
     assert peaks == {2: 2, 6: 6}
@@ -576,9 +695,8 @@ def test_run_experiment_fewshot_dense(tmp_path, serve):
     config = make_config(output=out, sizes=[80], strategies=["fewshot-dense"],
                          embedding=EmbeddingConfig(endpoint=url,
                                                    cache_dir=tmp_path / "cache"))
-    records = run_experiment(config)
-    assert len(records) == 60
-    for rec in records:
+    assert run_experiment(config) == 60
+    for rec in run_records(config):
         assert rec.strategy == "fewshot-dense"
         assert rec.final_label == rec.gold_label
         assert rec.prompt_stats.shot_count == 8

@@ -291,6 +291,12 @@ def test_embed_reply_that_is_not_a_json_object_is_data_error(serve, body, needle
     assert needle in str(err.value)
 
 
+def test_embed_vectors_that_are_not_a_list_is_data_error(serve):
+    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(b'{"vectors": 5}'))))
+    with pytest.raises(DataError, match="^embedding service returned .*vectors are not a list"):
+        client.embed(["a", "b"])
+
+
 def test_embed_dimension_drift_is_data_error(serve):
     state = {"n": 0}
 
