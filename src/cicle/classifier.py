@@ -5,12 +5,16 @@ formulation with inverse regularization strength C):
 
     L(W, b) = sum_i -ln softmax(W x_i + b)_{y_i} + (1 / 2C) * ||W||_F^2
 
-Training is deterministic: zero initialization and a full-batch L-BFGS
-minimizer driven by the analytic gradient below, stopping when the gradient
-infinity-norm falls below ``tol``, after ``max_iter`` iterations, or when a
-line search can make no further progress. L-BFGS-B's relative-reduction test
-is off (``ftol`` 0), so a fit never stops on a flat stretch of the loss while
-its gradient is still above ``tol``. Only the first stop counts as converged.
+Training is deterministic: zero initialization and scipy's Newton-CG, a
+truncated Newton method (Lin, Weng & Keerthi, "Trust region Newton method for
+large-scale logistic regression", JMLR 9, 2008). Each iteration solves the
+Newton system by conjugate gradients, using exact Hessian-vector products at
+the current softmax, then line-searches along that direction. The solver
+stops when an iteration moves the parameters by at most ``XTOL`` on average,
+when its line search can make no further progress, or after ``max_iter``
+iterations. Whatever the stop, the fit counts as converged only when the
+gradient infinity-norm at the returned weights, computed after the solve, is
+at most ``tol``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ from scipy.optimize import minimize
 from .corpus import LabelSpace
 
 log = logging.getLogger(__name__)
+
+# Newton-CG stops once an iteration moves the parameters by at most this much
+# on average. On the benchmark grid (corpus seeds 1-3) the final gradient
+# inf-norm is then 6e-11 to 1.2e-8, far below the default tol; with 1e-10 more
+# fits end in scipy's "precision loss" stop instead.
+XTOL = 1e-9
 
 
 @dataclass
@@ -60,13 +70,9 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return P
 
 
-def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
-                 C: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalized negative log-likelihood and its analytic gradient.
-
-    Returns (loss, dW, db). Kept public so the gradient can be checked
-    against finite differences of the loss alone.
-    """
+def _objective_terms(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
+                     C: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, dW, db, P): the objective, its gradient, and the softmax P it used."""
     n = X.shape[0]
     Z = X @ W.T + b
     Zmax = Z.max(axis=1, keepdims=True)
@@ -74,18 +80,30 @@ def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
     rows = np.arange(n)
     loss = float(np.sum(lse - Z[rows, y]) + 0.5 / C * np.sum(W * W))
     P = np.exp(Z - lse[:, None])
-    P[rows, y] -= 1.0
-    dW = (X.T @ P).T + W / C
-    db = P.sum(axis=0)
-    return loss, np.asarray(dW), db
+    R = P.copy()
+    R[rows, y] -= 1.0
+    dW = (X.T @ R).T + W / C
+    db = R.sum(axis=0)
+    return loss, np.asarray(dW), db, P
+
+
+def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
+                 C: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Penalized negative log-likelihood and its analytic gradient.
+
+    Returns (loss, dW, db). Kept public so the gradient can be checked
+    against finite differences of the loss alone.
+    """
+    loss, dW, db, _ = _objective_terms(W, b, X, y, C)
+    return loss, dW, db
 
 
 def train(X: sp.csr_matrix, y, label_space: LabelSpace,
           config: TrainConfig | None = None) -> LogisticModel:
     """Fit the model on the CSR rows of X and their class indices y.
 
-    Training data must contain at least two distinct classes. A model that fails to reach
-    the gradient tolerance within max_iter is still returned, flagged with
+    Training data must contain at least two distinct classes. A model whose
+    final gradient is above the tolerance is still returned, flagged with
     ``converged=False`` and a logged warning.
     """
     config = config or TrainConfig()
@@ -98,27 +116,48 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace,
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single class; need at least two")
     V = X.shape[1]
+    # the latest evaluated point, so that the Hessian products and the final
+    # check reuse its softmax and gradient instead of recomputing them
+    last: dict = {"params": None}
+
+    def evaluate(params: np.ndarray) -> dict:
+        if not np.array_equal(params, last["params"]):
+            loss, dW, db, P = _objective_terms(params[: K * V].reshape(K, V), params[K * V:],
+                                               X, y, config.C)
+            last.update(params=params.copy(), loss=loss,
+                        grad=np.concatenate([dW.ravel(), db]), P=P)
+        return last
 
     def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-        W = params[: K * V].reshape(K, V)
-        b = params[K * V:]
-        loss, dW, db = nll_and_grad(W, b, X, y, config.C)
-        return loss, np.concatenate([dW.ravel(), db])
+        point = evaluate(params)
+        return point["loss"], point["grad"]
+
+    def hessp(params: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # the Hessian at params times v = (dW, db): row i's logits move by
+        # A_i = dW x_i + db, which the softmax Jacobian at P_i maps to
+        # G_i = P_i * A_i - P_i (P_i . A_i)
+        P = evaluate(params)["P"]
+        dW = v[: K * V].reshape(K, V)
+        PA = P * (X @ dW.T + v[K * V:])
+        G = PA - P * PA.sum(axis=1, keepdims=True)
+        return np.concatenate([((X.T @ G).T + dW / config.C).ravel(), G.sum(axis=0)])
 
     result = minimize(
         objective,
         np.zeros(K * V + K),
         jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 0.0},
+        hessp=hessp,
+        method="Newton-CG",
+        options={"maxiter": config.max_iter, "xtol": XTOL},
     )
     W = result.x[: K * V].reshape(K, V).copy()
     b = result.x[K * V:].copy()
-    grad_norm = np.abs(result.jac).max()
+    # Newton-CG's result.jac is the gradient before its last step, so take the final one
+    grad_norm = np.abs(evaluate(result.x)["grad"]).max()
     converged = bool(grad_norm <= config.tol)
     if not converged:
         log.warning("training did not converge: gradient inf-norm %.3e > tol %.3e after %d "
-                    "iterations; L-BFGS-B stopped with: %s",
+                    "iterations; Newton-CG stopped with: %s",
                     grad_norm, config.tol, result.nit, result.message)
     return LogisticModel(W=W, b=b, label_space=label_space, converged=converged)
 

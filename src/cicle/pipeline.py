@@ -20,7 +20,7 @@ import logging
 import re
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -204,15 +204,24 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
     return tables
 
 
-# RunConfig fields that shape no record byte, or that the record file name holds
-_UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "force")
+# The version of the program's record bytes. It is part of every configuration
+# key, so files written before a change to what the same configuration and
+# data produce (say, a new solver) are recomputed once. Version 2: Newton-CG.
+RECORDS_VERSION = 2
+# RunConfig fields that shape no record byte, or that the record file name
+# holds. run reads the frozen split, whose sha256 is keyed, never test_size.
+_UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "force", "test_size")
 
 
 def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
     """The sha256 of everything besides the file name that shapes a dataset's
-    record files: the run configuration, the dataset's task and its frozen splits."""
+    record files: the records version, the run configuration, the dataset's
+    task and its frozen splits."""
     shaping = {k: v for k, v in vars(config).items() if k not in _UNKEYED}
-    blob = json.dumps([shaping, spec.task, data_sha256], **JSON_STYLE)
+    if config.embedding is not None:
+        # the cache directory only picks where vectors are kept
+        shaping["embedding"] = replace(config.embedding, cache_dir=None)
+    blob = json.dumps([RECORDS_VERSION, shaping, spec.task, data_sha256], **JSON_STYLE)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

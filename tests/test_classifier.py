@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cicle import classifier
 from cicle.classifier import (
     LogisticModel,
     TrainConfig,
@@ -192,10 +193,25 @@ def test_non_convergence_logs_stop_reason(caplog):
     with caplog.at_level("WARNING", logger="cicle.classifier"):
         model = train(X, y, space, config)
     [warning] = [rec.message for rec in caplog.records if "did not converge" in rec.message]
-    assert "L-BFGS-B stopped with:" in warning and "ITERATIONS REACHED LIMIT" in warning
+    assert "Newton-CG stopped with:" in warning and "Maximum number of iterations" in warning
     # the flag taken from the optimizer's final gradient matches a fresh gradient
     _, dW, db = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
     assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
+
+
+def test_converged_reads_the_gradient_at_the_returned_weights():
+    # Newton-CG's own result.jac is the gradient before its last step; at every
+    # iteration cap the flag must match a fresh gradient at the returned weights
+    _, _, _, X, y, _ = fitted_toy(n=60)
+    space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
+    flags = []
+    for max_iter in range(1, 16):
+        config = TrainConfig(max_iter=max_iter)
+        model = train(X, y, space, config)
+        _, dW, db = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+        assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
+        flags.append(model.converged)
+    assert not flags[0] and flags[-1]
 
 
 def fd_gradient(W, b, X, y, C, h=1e-5):
@@ -239,6 +255,84 @@ def test_gradient_matches_finite_differences(seed):
     numeric = np.concatenate([fdW.ravel(), fdb])
     rel_err = np.abs(analytic - numeric).max() / max(1.0, np.abs(analytic).max())
     assert rel_err < 1e-5
+
+
+def random_problem(rng):
+    """A small random sparse problem: X, y, K, V and C, as in the gradient check."""
+    K = int(rng.integers(2, 4))
+    V = int(rng.integers(3, 6))
+    n = int(rng.integers(4, 9))
+    rows = []
+    for _ in range(n):
+        nnz = int(rng.integers(1, V + 1))
+        idx = np.sort(rng.choice(V, size=nnz, replace=False)).astype(np.int32)
+        vals = rng.normal(size=nnz)
+        rows.append((idx, vals / math.sqrt(float(vals @ vals))))
+    y = np.arange(n) % K  # every class present
+    return stack(rows, V), rng.permutation(y), K, V, float(rng.choice([0.5, 1.0, 2.0]))
+
+
+def solver_callables(monkeypatch, X, y, K, C):
+    """The objective and hessp that ``train`` hands to scipy's minimize."""
+    seen = {}
+    real = classifier.minimize
+
+    def spy(fun, x0, **kwargs):
+        seen.update(fun=fun, hessp=kwargs["hessp"])
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(classifier, "minimize", spy)
+    train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), TrainConfig(C=C))
+    return seen["fun"], seen["hessp"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hessp_matches_finite_differences_of_the_gradient(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    X, y, K, V, C = random_problem(rng)
+    fun, hessp = solver_callables(monkeypatch, X, y, K, C)
+    at = 0.5 * rng.normal(size=K * V + K)
+    v = rng.normal(size=K * V + K)
+    # the objective's latest point is elsewhere; hessp must use the softmax at its own point
+    fun(0.5 * rng.normal(size=K * V + K))
+    product = hessp(at, v)
+
+    def grad(params):
+        _, dW, db = nll_and_grad(params[: K * V].reshape(K, V), params[K * V:], X, y, C)
+        return np.concatenate([dW.ravel(), db])
+
+    h = 1e-5
+    numeric = (grad(at + h * v) - grad(at - h * v)) / (2 * h)
+    assert np.abs(product - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-6
+
+
+@st.composite
+def training_problems(draw):
+    """Sparse problems with at least one empty row and a class that has one row."""
+    K = draw(st.integers(2, 5))
+    V = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 30))
+    rows = [row({})]
+    for _ in range(n - 1):
+        cols = draw(st.lists(st.integers(0, V - 1), unique=True, max_size=V))  # may be empty
+        rows.append(row({c: float(rng.uniform(0.1, 3.0)) for c in cols}))
+    # class 0 has exactly one row; the others draw from the remaining classes
+    y = [0] + [draw(st.integers(1, K - 1)) for _ in range(n - 1)]
+    order = rng.permutation(n)
+    C = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    return stack([rows[i] for i in order], V), np.asarray(y)[order], K, C
+
+
+@settings(max_examples=40, deadline=None)
+@given(training_problems())
+def test_training_reaches_the_gradient_tolerance(problem):
+    X, y, K, C = problem
+    config = TrainConfig(C=C)
+    model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), config)
+    _, dW, db = nll_and_grad(model.W, model.b, X, y, C)
+    assert max(np.abs(dW).max(), np.abs(db).max()) <= config.tol
+    assert model.converged
 
 
 def test_predict_dimension_mismatch():

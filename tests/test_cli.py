@@ -433,6 +433,28 @@ def test_report_rejects_a_file_written_under_another_configuration(tmp_path, cap
     assert not (out / "report" / "report.json").exists()
 
 
+def test_run_with_another_test_size_reuses_the_files(tmp_path, capsys, caplog, monkeypatch):
+    # run reads the frozen split, so --test-size only matters to prepare
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = base_args(data, out, "--strategies", "base,cicle")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
+
+    def no_writes(records, path):
+        raise AssertionError(f"run rewrote {path}")
+
+    monkeypatch.setattr(pipeline, "write_records", no_writes)
+    other = [a if a != "60" else "50" for a in args]
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        assert main(["run", *other]) == 0
+    assert not caplog.records
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
+    assert sorted(before) == [record_filename("toy", 80, 0, s) for s in ("base", "cicle")]
+    assert main(["report", *other]) == 0
+
+
 def test_runs_over_strategy_subsets_add_up_to_one_manifest(tmp_path, capsys):
     data = write_toy(tmp_path)
     out = tmp_path / "out"

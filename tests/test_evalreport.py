@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.conformal import ConformalSet
 from cicle.errors import DataError
@@ -76,6 +78,25 @@ def test_macro_f1_matches_brute_force(trial):
     count = rng.randint(1, 50)
     golds = [rng.randrange(n) for _ in range(count)]
     preds = [None if rng.random() < 0.1 else rng.randrange(n) for _ in range(count)]
+    assert macro_f1(preds, golds, n) == pytest.approx(
+        brute_force_macro_f1(preds, golds, n), abs=1e-12)
+
+
+@st.composite
+def label_vectors(draw):
+    """(predictions, golds, class count): predictions may be None, and any class
+    may be absent from either side."""
+    n = draw(st.integers(1, 6))
+    classes = st.integers(0, n - 1)
+    golds = draw(st.lists(classes, min_size=1, max_size=50))
+    preds = draw(st.lists(st.none() | classes, min_size=len(golds), max_size=len(golds)))
+    return preds, golds, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_vectors())
+def test_macro_f1_matches_brute_force_on_any_labels(case):
+    preds, golds, n = case
     assert macro_f1(preds, golds, n) == pytest.approx(
         brute_force_macro_f1(preds, golds, n), abs=1e-12)
 
