@@ -19,8 +19,8 @@ from .corpus import file_sha256, freeze_dataset, load_dataset, load_frozen, stab
 from .errors import DataError, TransportError
 from .evalreport import build_report, cell_metrics, emit_report
 from .llm_client import ORACLES
-from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, config_key, dataset_sizes,
-                       read_records, record_filename, recorded_entries, run_experiment)
+from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, cell_files, config_key,
+                       read_records, recorded_entries, run_experiment, stale_reason)
 from .prompting import template_from_file
 from .serialize import from_dict
 
@@ -171,41 +171,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_cell(path: Path, records, sha256: str | None, key: str | None, run_key: str,
-                test_ids: list[str]) -> None:
-    """A record file must be the one ``run`` wrote under this configuration: its
-    manifest hash and key, one record per frozen test item, in test order."""
-    if sha256 is None:
-        raise DataError(f"{path.name} has no entry in run_manifest.json")
-    if file_sha256(path) != sha256:
-        raise DataError(f"{path.name} does not match the sha256 in run_manifest.json")
-    if key != run_key:
-        raise DataError(f"{path.name} was written under another configuration than this "
-                        "report's; run it again with these settings")
-    if len(records) != len(test_ids):
-        raise DataError(f"{path.name} holds {len(records)} records; "
-                        f"the frozen test set has {len(test_ids)}")
-    if [r.item_id for r in records] != test_ids:
-        raise DataError(f"{path.name}: item ids are not in frozen test order")
-
-
 def cmd_report(args) -> int:
-    """Aggregate verified record files into report.json and plot-ready CSVs,
-    holding one file's records at a time."""
+    """Aggregate the record files ``run`` would reuse into report.json and
+    plot-ready CSVs, holding one file's records at a time."""
     config = build_run_config(args)
-    paths = {}
-    datasets = {}  # name -> (test ids, class count, configuration key)
+    cells = {}  # (dataset, size, strategy) -> (path, test ids, class count, configuration key)
     missing: list[str] = []
     for spec in config.datasets:
         pool, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
-        datasets[spec.name] = ([t.id for t in test], len(space),
-                               config_key(config, spec, data_manifest["sha256"]))
-        for size in dataset_sizes(config, spec, len(pool)):
-            for strategy in config.strategies:
-                path = config.records_dir / record_filename(spec.name, size, config.seed,
-                                                            strategy)
+        dataset = ([t.id for t in test], len(space),
+                   config_key(config, spec, data_manifest["sha256"]))
+        for size, paths in cell_files(config, spec, len(pool)).items():
+            for strategy, path in paths.items():
                 if path.exists():
-                    paths[spec.name, size, strategy] = path
+                    cells[spec.name, size, strategy] = (path, *dataset)
                 else:
                     missing.append(path.name)
     if missing:
@@ -214,10 +193,16 @@ def cmd_report(args) -> int:
         raise DataError(f"{config.manifest_path} not found; run the cells before reporting")
     hashes, keys = recorded_entries(config.manifest_path)
     per_cell = {}
-    for cell, path in paths.items():
-        test_ids, n_classes, run_key = datasets[cell[0]]
+    for cell, (path, test_ids, n_classes, key) in cells.items():
         records = read_records(path)
-        _check_cell(path, records, hashes.get(path.name), keys.get(path.name), run_key, test_ids)
+        reason = stale_reason(path.name, file_sha256(path), key, hashes, keys)
+        if reason is not None:
+            raise DataError(f"{path.name} {reason}")
+        if len(records) != len(test_ids):
+            raise DataError(f"{path.name} holds {len(records)} records; "
+                            f"the frozen test set has {len(test_ids)}")
+        if [r.item_id for r in records] != test_ids:
+            raise DataError(f"{path.name}: item ids are not in frozen test order")
         per_cell[cell] = cell_metrics(records, n_classes)
     report = build_report(per_cell)
     written = emit_report(report, Path(config.output) / "report")

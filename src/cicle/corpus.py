@@ -71,11 +71,10 @@ class LabelSpace:
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train and calibration parts plus the seed that produced them."""
+    """Disjoint train and calibration parts."""
 
     train: list[LabeledText]
     calibration: list[LabeledText]
-    seed: int
 
 
 def reduce_primary_label(item: Mapping) -> LabeledText:
@@ -211,9 +210,9 @@ def stratified_subsample(data: Sequence[LabeledText], n: int, seed: int) -> list
 def stratified_split(data: Sequence[LabeledText], calib_fraction: float, seed: int) -> DatasetSplit:
     """Split into train + calibration parts with stratified class proportions.
 
-    The total calibration size is calib_fraction of the data (half-up
-    rounding), apportioned per class by largest remainder. Frozen test sets
-    are supplied separately.
+    The calibration part is the ``stratified_subsample`` of calib_fraction
+    of the data (half-up rounding); the train part is the rest, in input
+    order. Frozen test sets are supplied separately.
     """
     if not (0.0 < calib_fraction < 1.0):
         raise ValueError(f"calib_fraction must be in (0, 1), got {calib_fraction}")
@@ -221,17 +220,10 @@ def stratified_split(data: Sequence[LabeledText], calib_fraction: float, seed: i
     thin = [c for c in classes if len(by_label[c]) < 2]
     if thin:
         log.warning("classes with fewer than 2 items may yield an empty part: %s", ", ".join(thin))
-    n_cal = int(calib_fraction * len(data) + 0.5)
-    alloc = apportion([len(by_label[c]) for c in classes], n_cal)
-    rng = random.Random(seed)
-    calib_ids: set[str] = set()
-    calibration: list[LabeledText] = []
-    for c, a in zip(classes, alloc):
-        picked = rng.sample(by_label[c], a)
-        calibration.extend(picked)
-        calib_ids.update(item.id for item in picked)
+    calibration = stratified_subsample(data, int(calib_fraction * len(data) + 0.5), seed)
+    calib_ids = {item.id for item in calibration}
     train = [item for item in data if item.id not in calib_ids]
-    return DatasetSplit(train=train, calibration=calibration, seed=seed)
+    return DatasetSplit(train=train, calibration=calibration)
 
 
 def stable_seed(*parts) -> int:

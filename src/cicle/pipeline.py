@@ -249,16 +249,19 @@ class CellResources:
     baseline_vectors: sp.csr_matrix | None = None
     baseline_test_vectors: sp.csr_matrix | None = None
     baseline_embeddings: np.ndarray | None = None
+    test_embeddings: np.ndarray | None = None
 
 
 def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
                label_space: LabelSpace, config: RunConfig, cell_seed: int,
                task: str = "text classification",
                embed_client: EmbeddingClient | None = None,
-               strategies: Sequence[str] | None = None) -> CellResources:
+               strategies: Sequence[str] | None = None,
+               test_embeddings: np.ndarray | None = None) -> CellResources:
     """Fit the per-cell models and shot pools needed by the given strategies,
     vectorize the test set under each fitted tf-idf model, and compute its
-    class probabilities."""
+    class probabilities. fewshot-dense takes the test set's ``test_embeddings``
+    when given (a run embeds them once per dataset), else embeds it here."""
     strategies = list(config.strategies if strategies is None else strategies)
     subsample = list(subsample)
     res = CellResources(label_space=label_space, test=list(test), task=task)
@@ -298,6 +301,8 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
             if embed_client is None:
                 raise DataError("fewshot-dense requires an embedding endpoint")
             res.baseline_embeddings = np.array(embed_client.embed([t.text for t in subsample]))
+            res.test_embeddings = (embed_client.embed([t.text for t in res.test])
+                                   if test_embeddings is None else test_embeddings)
     return res
 
 
@@ -363,8 +368,7 @@ def classify_cicle(res: CellResources, item: LabeledText, probs: np.ndarray) -> 
     return record
 
 
-def _fewshot_shots(res: CellResources, strategy: str, config: RunConfig,
-                   test_embeddings) -> list[ShotSet]:
+def _fewshot_shots(res: CellResources, strategy: str, config: RunConfig) -> list[ShotSet]:
     classes = [list(res.label_space.labels)] * len(res.test)
     ids = [item.id for item in res.test]
     if strategy == "fewshot-random":
@@ -374,9 +378,7 @@ def _fewshot_shots(res: CellResources, strategy: str, config: RunConfig,
         return select_sparse(res.baseline_pool, res.baseline_vectors, res.baseline_test_vectors,
                              classes, config.k, ids)
     if strategy == "fewshot-dense":
-        if test_embeddings is None or res.baseline_embeddings is None:
-            raise DataError("fewshot-dense requires precomputed embeddings")
-        return select_dense(res.baseline_pool, res.baseline_embeddings, test_embeddings,
+        return select_dense(res.baseline_pool, res.baseline_embeddings, res.test_embeddings,
                             classes, config.k, ids)
     raise ValueError(f"not a few-shot strategy: {strategy!r}")
 
@@ -407,8 +409,8 @@ def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
     record.final_label = parse_label(resp.raw, labels)
 
 
-def cell_calls(res: CellResources, strategy: str, config: RunConfig,
-               test_embeddings=None) -> tuple[list[PredictionRecord], list[LlmCall]]:
+def cell_calls(res: CellResources, strategy: str,
+               config: RunConfig) -> tuple[list[PredictionRecord], list[LlmCall]]:
     """The CPU stage of one strategy over the cell's test set, batched on the
     calling thread: probabilities, conformal sets, shot selection and prompts.
 
@@ -423,18 +425,18 @@ def cell_calls(res: CellResources, strategy: str, config: RunConfig,
                    for item, probs in zip(res.test, res.test_probs)]
         calls = _cicle_calls(res, records, config)
     else:
-        shots = _fewshot_shots(res, strategy, config, test_embeddings)
+        shots = _fewshot_shots(res, strategy, config)
         calls = [classify_fewshot(res, item, strategy, s, config)
                  for item, s in zip(res.test, shots)]
         records = [call.record for call in calls]
     return records, calls
 
 
-def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None, config: RunConfig,
-                  test_embeddings=None) -> list[PredictionRecord]:
+def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None,
+                  config: RunConfig) -> list[PredictionRecord]:
     """Classify the cell's test set under one strategy, one LLM call at a time;
     records come in test order."""
-    records, calls = cell_calls(res, strategy, config, test_embeddings)
+    records, calls = cell_calls(res, strategy, config)
     for call in calls:
         _complete_into(call, llm, res.label_space)
     return records
@@ -444,12 +446,14 @@ def record_filename(dataset: str, size: int, seed: int, strategy: str) -> str:
     return f"{dataset}_{size}_{seed}_{strategy}.jsonl"
 
 
-def dataset_sizes(config: RunConfig, spec: DatasetSpec, pool_size: int) -> list[int]:
-    """The configured sizes a dataset runs at: at least its minimum, at most its pool.
+def cell_files(config: RunConfig, spec: DatasetSpec, pool_size: int) -> dict[int, dict[str, Path]]:
+    """Each size a dataset runs at -> each configured strategy's record file path.
 
-    Each skipped size is logged once; ``run`` and ``report`` both ask here.
+    A dataset runs at the configured sizes from its minimum up to its pool
+    size; each skipped size is logged once. ``run`` and ``report`` both walk
+    their cells through here.
     """
-    kept = []
+    cells = {}
     for size in config.sizes:
         if size < spec.min_size:
             log.warning("skipping %s size %d: below the dataset minimum %d",
@@ -457,8 +461,23 @@ def dataset_sizes(config: RunConfig, spec: DatasetSpec, pool_size: int) -> list[
         elif size > pool_size:
             log.warning("skipping %s size %d: pool has only %d items", spec.name, size, pool_size)
         else:
-            kept.append(size)
-    return kept
+            cells[size] = {s: config.records_dir / record_filename(spec.name, size, config.seed, s)
+                           for s in config.strategies}
+    return cells
+
+
+def stale_reason(name: str, sha256: str, key: str, hashes: dict[str, str],
+                 keys: dict[str, str]) -> str | None:
+    """Why the record file ``name`` (bytes hashing to ``sha256``) is not what the
+    configuration keyed ``key`` writes, by the manifest's tables; None when it is.
+    ``run`` reuses, and ``report`` accepts, exactly the files judged None."""
+    if name not in hashes:
+        return "has no entry in run_manifest.json"
+    if hashes[name] != sha256:
+        return "does not match the sha256 in run_manifest.json"
+    if keys.get(name) != key:
+        return "was written under another configuration"
+    return None
 
 
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
@@ -467,12 +486,12 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
     in the run's record files.
 
     Frozen datasets must already exist under ``output/data/{name}``. An
-    existing cell file is kept when its sha256 and configuration key equal its
-    ``run_manifest.json`` entries, unless ``force`` is set; any other file is
-    recomputed with a warning. The manifest is rewritten after each file, so
-    an interrupted run keeps its finished files. A failed cell is logged and
-    skipped; once every cell has run, any failure raises one error naming
-    each failed cell: a TransportError if one of them was, else a DataError.
+    existing cell file is kept when ``stale_reason`` finds none, unless
+    ``force`` is set; any other file is recomputed with a warning naming the
+    reason. The manifest is rewritten after each file, so an interrupted run
+    keeps its finished files. A failed cell is logged and skipped; once every
+    cell has run, any failure raises one error naming each failed cell: a
+    TransportError if one of them was, else a DataError.
 
     With ``jobs`` 1 each (cell, strategy) completes its calls one by one and
     writes its file before the next one starts. With more, one pool of
@@ -530,27 +549,19 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
             datasets_meta[spec.name] = data_manifest["sha256"]
             key = config_key(config, spec, data_manifest["sha256"])
-            test_embeddings = None
-            if "fewshot-dense" in config.strategies:
-                test_embeddings = embed_client.embed([t.text for t in test])
-            for size in dataset_sizes(config, spec, len(pool_items)):
-                paths = {strategy: config.records_dir / record_filename(spec.name, size,
-                                                                        config.seed, strategy)
-                         for strategy in config.strategies}
+            test_embeddings = (embed_client.embed([t.text for t in test])
+                               if "fewshot-dense" in config.strategies else None)
+            for size, paths in cell_files(config, spec, len(pool_items)).items():
                 pending = []
                 for strategy, path in paths.items():
                     if path.exists() and not config.force:
-                        if hashes.get(path.name) != file_sha256(path):
-                            log.warning("cell file %s does not match its run_manifest.json "
-                                        "entry; recomputing it", path.name)
-                        elif keys.get(path.name) != key:
-                            log.warning("cell file %s was written under another configuration; "
-                                        "recomputing it", path.name)
-                        else:
+                        reason = stale_reason(path.name, file_sha256(path), key, hashes, keys)
+                        if reason is None:
                             log.info("cell file matches run_manifest.json, reusing: %s",
                                      path.name)
                             n_records += len(test)
                             continue
+                        log.warning("cell file %s %s; recomputing it", path.name, reason)
                     pending.append(strategy)
                 if not pending:
                     continue
@@ -558,7 +569,8 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                 try:
                     subsample = stratified_subsample(pool_items, size, cell_seed)
                     res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
-                                     embed_client=embed_client, strategies=pending)
+                                     embed_client=embed_client, strategies=pending,
+                                     test_embeddings=test_embeddings)
                 except (CicleError, ValueError, OSError) as exc:
                     failed(f"{spec.name}/{size}", exc)
                     continue
@@ -566,11 +578,10 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                     cell = f"{spec.name}/{size}/{strategy}"
                     try:
                         if pool is None:
-                            records = classify_cell(res, strategy, llm_client, config,
-                                                    test_embeddings=test_embeddings)
+                            records = classify_cell(res, strategy, llm_client, config)
                             done = []
                         else:
-                            records, calls = cell_calls(res, strategy, config, test_embeddings)
+                            records, calls = cell_calls(res, strategy, config)
                             done = [pool.submit(_complete_into, call, llm_client, space)
                                     for call in calls]
                             del calls  # each prompt goes once its call completes

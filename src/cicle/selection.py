@@ -82,11 +82,19 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _warn_short(cls: str, available: int, k: int) -> None:
-    if available == 0:
-        log.warning("class %r has no pool items; selecting zero shots", cls)
-    elif available < k:
-        log.warning("class %r has only %d pool items for k=%d; taking all", cls, available, k)
+def _warn_short(shot_sets: list[ShotSet], k: int) -> None:
+    """Log once per class that some query got fewer than k shots of, naming the
+    fewest any query got."""
+    fewest: dict[str, int] = {}
+    for shots in shot_sets:
+        for cls, items in shots.per_class:
+            if len(items) < k:
+                fewest[cls] = min(fewest.get(cls, k), len(items))
+    for cls, n in fewest.items():
+        if n == 0:
+            log.warning("class %r has no pool items; selecting zero shots", cls)
+        else:
+            log.warning("class %r has only %d pool items for k=%d; taking all", cls, n, k)
 
 
 def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
@@ -103,11 +111,11 @@ def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
         per_class: list[tuple[str, list[LabeledText]]] = []
         for cls in order:
             idxs = pool.candidates(cls, exclude_id)
-            _warn_short(cls, len(idxs), k)
             # sampling positions draws exactly what sampling the index list would
             chosen = rng.sample(range(len(idxs)), min(k, len(idxs)))
             per_class.append((cls, [pool.items[idxs[j]] for j in chosen]))
         shot_sets.append(ShotSet(per_class=per_class))
+    _warn_short(shot_sets, k)
     return shot_sets
 
 
@@ -209,12 +217,11 @@ def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarr
         for r, order in enumerate(orders):
             per_class: list[tuple[str, list[LabeledText]]] = []
             for cls in order:
-                picks = ranked[r, cls]
-                _warn_short(cls, len(picks), k)
-                per_class.append((cls, [pool.items[i] for i in picks]))
+                per_class.append((cls, [pool.items[i] for i in ranked[r, cls]]))
             shot_sets.append(ShotSet(per_class=per_class))
     if len(shot_sets) != len(classes):
         raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
+    _warn_short(shot_sets, k)
     return shot_sets
 
 

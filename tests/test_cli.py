@@ -433,6 +433,48 @@ def test_report_rejects_a_file_written_under_another_configuration(tmp_path, cap
     assert not (out / "report" / "report.json").exists()
 
 
+def drop_manifest_entry(out, path, args):
+    manifest_path = out / "run_manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["records"][path.name]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def edit_bytes(out, path, args):
+    cut_to(path, truncate)
+
+
+def rerun_at_another_alpha(out, path, args):
+    assert main(["run", *args, "--alpha", "0.3"]) == 0
+
+
+@pytest.mark.parametrize("make_stale,reason", [
+    (drop_manifest_entry, "has no entry in run_manifest.json"),
+    (edit_bytes, "does not match the sha256 in run_manifest.json"),
+    (rerun_at_another_alpha, "was written under another configuration"),
+], ids=["manifest-entry-deleted", "bytes-edited", "alpha-changed"])
+def test_report_rejects_exactly_the_files_run_recomputes(tmp_path, capsys, caplog, make_stale,
+                                                         reason):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    args = base_args(data, out, "--strategies", "cicle")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    path = out / "records" / record_filename("toy", 80, 0, "cicle")
+    original = path.read_bytes()
+    make_stale(out, path, args)
+    capsys.readouterr()
+    assert main(["report", *args]) == 3
+    assert error_lines(capsys) == [f"error: data: {path.name} {reason}"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        assert main(["run", *args]) == 0
+    assert [rec.message for rec in caplog.records] == [
+        f"cell file {path.name} {reason}; recomputing it"]
+    assert path.read_bytes() == original
+    assert main(["report", *args]) == 0
+
+
 def test_run_with_another_test_size_reuses_the_files(tmp_path, capsys, caplog, monkeypatch):
     # run reads the frozen split, so --test-size only matters to prepare
     data = write_toy(tmp_path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,40 @@ def test_split_deterministic():
     assert a.calibration == b.calibration and a.train == b.train
     c = stratified_split(items, 0.25, seed=2)
     assert {it.id for it in c.calibration} != {it.id for it in a.calibration}
+
+
+def per_class_calibration(items, fraction, seed):
+    """The calibration draw as a per-class loop: largest-remainder counts over
+    the sorted classes, then one seeded ``rng.sample`` per class, in order."""
+    by_label = {}
+    for it in items:
+        by_label.setdefault(it.label, []).append(it)
+    classes = sorted(by_label)
+    alloc = apportion([len(by_label[c]) for c in classes], int(fraction * len(items) + 0.5))
+    rng = random.Random(seed)
+    return [it for c, a in zip(classes, alloc) for it in rng.sample(by_label[c], a)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+       fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**64 - 1))
+def test_split_draws_calibration_as_a_per_class_loop(counts, fraction, seed):
+    items = [LabeledText(id=f"{c}-{i}", text="t", label=f"c{c}")
+             for c, n in enumerate(counts) for i in range(n)]
+    random.Random(seed).shuffle(items)
+    split = stratified_split(items, fraction, seed)
+    assert split.calibration == per_class_calibration(items, fraction, seed)
+    calib = set(split.calibration)
+    assert split.train == [it for it in items if it not in calib]
+
+
+def test_split_warns_when_a_class_gets_no_calibration_item(caplog):
+    items = make_items(40, n_classes=1) + [LabeledText(id="b1", text="bb", label="bravo"),
+                                           LabeledText(id="b2", text="bb", label="bravo")]
+    with caplog.at_level("WARNING"):
+        split = stratified_split(items, 0.2, seed=0)
+    assert {it.label for it in split.calibration} == {"alpha"}
+    assert "zero allocation: bravo" in caplog.text
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])

@@ -123,6 +123,35 @@ def test_short_class_takes_all_and_warns(caplog):
     assert any("no pool items" in m for m in messages)
 
 
+def one_item_veg_selectors(n):
+    """select_random and select_sparse over n queries and a pool with one "veg" item."""
+    pool = ShotPool(small_pool()[:4])
+    tfidf = fit_tfidf([it.text for it in pool.items])
+    pool_vectors = transform_many(tfidf, [it.text for it in pool.items])
+    queries = transform_many(tfidf, ["carrot apple"] * n)
+    classes = [["fruit", "veg"]] * n
+    return {
+        "random": lambda exclude: select_random(pool, classes, 2, range(n), exclude),
+        "sparse": lambda exclude: select_sparse(pool, pool_vectors, queries, classes, 2, exclude),
+    }
+
+
+@pytest.mark.parametrize("selector", ["random", "sparse"])
+@pytest.mark.parametrize("exclude_first,expected", [
+    (False, "class 'veg' has only 1 pool items for k=2; taking all"),
+    (True, "class 'veg' has no pool items; selecting zero shots"),
+], ids=["every-query-short", "one-query-empty"])
+def test_a_short_class_warns_once_per_call(caplog, selector, exclude_first, expected):
+    # when the one veg item is the first query's own, that query gets no veg shot
+    n = 1000
+    select = one_item_veg_selectors(n)[selector]
+    exclude = ["b0" if exclude_first else None] + [None] * (n - 1)
+    with caplog.at_level("WARNING", logger="cicle.selection"):
+        shot_sets = select(exclude)
+    assert [len(dict(s.per_class)["veg"]) for s in shot_sets[:2]] == [1 - exclude_first, 1]
+    assert [rec.message for rec in caplog.records] == [expected]
+
+
 def sparse_fixture():
     pool = small_pool()
     tfidf = fit_tfidf([it.text for it in pool])
