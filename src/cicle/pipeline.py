@@ -6,10 +6,10 @@ the frozen data, never on scheduling: item seeds are derived from the run
 seed and the item id, records are written in test-set order, and no
 timestamps enter any artifact.
 
-The conformal strategy and the plain few-shot baselines draw their shots
-from different pools on purpose: the conformal route must not see
-calibration items (they tuned its threshold), while the baselines need no
-calibration and use the whole subsample.
+Each prompting strategy draws its shots from one ``ShotSource``, and cicle
+and the few-shot baselines share one select-and-prompt step. cicle's pool is
+the cell's train part, since calibration items tuned its threshold; the
+baselines need no calibration and draw from the whole subsample.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, sta
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("base", "fewshot-random", "fewshot-sparse", "fewshot-dense", "cicle")
+FEWSHOT = ("fewshot-random", "fewshot-sparse", "fewshot-dense")
+STRATEGIES = ("base", *FEWSHOT, "cicle")
 DEFAULT_SIZES = (100, 200, 300, 400, 500, 1000, 2000, 3000, 4000, 5000)
 DEFAULT_STRATEGIES = ("base", "fewshot-random", "fewshot-sparse", "cicle")
 
@@ -226,14 +227,22 @@ def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
 
 
 @dataclass
+class ShotSource:
+    """One prompting strategy's shot pool, the pool's vectors and the test set's
+    vectors in the same space; both vectors are None for fewshot-random."""
+
+    pool: ShotPool
+    pool_vectors: sp.csr_matrix | np.ndarray | None = None
+    test_vectors: sp.csr_matrix | np.ndarray | None = None
+
+
+@dataclass
 class CellResources:
     """Everything one (dataset, size) cell shares across its strategies.
 
-    The test set is vectorized once under each fitted tf-idf model, as CSR
-    rows, and its class probabilities are computed once: base and cicle share
-    ``test_vectors`` and ``test_probs``. Model-side fields stay None when
-    neither base nor cicle runs; baseline fields stay None for the strategies
-    that were not requested.
+    The test set's class probabilities are computed once, for base and cicle
+    alike; model-side fields stay None when neither runs. ``shots`` holds one
+    shot source per requested prompting strategy.
     """
 
     label_space: LabelSpace
@@ -241,15 +250,8 @@ class CellResources:
     task: str = "text classification"
     model: LogisticModel | None = None
     calibration: ConformalCalibration | None = None
-    test_vectors: sp.csr_matrix | None = None
     test_probs: np.ndarray | None = None
-    shot_pool: ShotPool | None = None
-    shot_vectors: sp.csr_matrix | None = None
-    baseline_pool: ShotPool | None = None
-    baseline_vectors: sp.csr_matrix | None = None
-    baseline_test_vectors: sp.csr_matrix | None = None
-    baseline_embeddings: np.ndarray | None = None
-    test_embeddings: np.ndarray | None = None
+    shots: dict[str, ShotSource] = field(default_factory=dict)
 
 
 def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
@@ -258,10 +260,10 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
                embed_client: EmbeddingClient | None = None,
                strategies: Sequence[str] | None = None,
                test_embeddings: np.ndarray | None = None) -> CellResources:
-    """Fit the per-cell models and shot pools needed by the given strategies,
-    vectorize the test set under each fitted tf-idf model, and compute its
-    class probabilities. fewshot-dense takes the test set's ``test_embeddings``
-    when given (a run embeds them once per dataset), else embeds it here."""
+    """Fit the per-cell models and the shot source of each prompting strategy
+    among ``strategies``, and compute the test set's class probabilities.
+    fewshot-dense embeds the subsample with ``embed_client`` and takes the test
+    set's ``test_embeddings`` from the caller, which embeds them once per dataset."""
     strategies = list(config.strategies if strategies is None else strategies)
     subsample = list(subsample)
     res = CellResources(label_space=label_space, test=list(test), task=task)
@@ -280,29 +282,29 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         X = transform_many(tfidf, train_texts)
         y = [label_space.position(t.label) for t in split.train]
         res.model = train(X, y, label_space, config.train)
-        res.test_vectors = transform_many(tfidf, test_texts)
-        res.test_probs = predict_proba(res.model, res.test_vectors)
+        test_vectors = transform_many(tfidf, test_texts)
+        res.test_probs = predict_proba(res.model, test_vectors)
         if "cicle" in strategies:
-            res.shot_pool = ShotPool(split.train)
-            res.shot_vectors = X
+            res.shots["cicle"] = ShotSource(ShotPool(split.train), X, test_vectors)
             cal_X = transform_many(tfidf, texts.take(row[t.id] for t in split.calibration))
             cal_y = [label_space.position(t.label) for t in split.calibration]
             res.calibration = calibrate(predict_proba(res.model, cal_X), cal_y, config.alpha)
 
-    fewshot = [s for s in strategies if s.startswith("fewshot-")]
+    fewshot = [s for s in strategies if s in FEWSHOT]
     if fewshot:
-        res.baseline_pool = ShotPool(subsample)
+        pool = ShotPool(subsample)
+        if "fewshot-random" in fewshot:
+            res.shots["fewshot-random"] = ShotSource(pool)
         if "fewshot-sparse" in fewshot:
             pool_texts = texts.take(range(len(subsample)))
             tfidf = fit_tfidf(pool_texts)
-            res.baseline_vectors = transform_many(tfidf, pool_texts)
-            res.baseline_test_vectors = transform_many(tfidf, test_texts)
+            res.shots["fewshot-sparse"] = ShotSource(pool, transform_many(tfidf, pool_texts),
+                                                     transform_many(tfidf, test_texts))
         if "fewshot-dense" in fewshot:
-            if embed_client is None:
+            if embed_client is None or test_embeddings is None:
                 raise DataError("fewshot-dense requires an embedding endpoint")
-            res.baseline_embeddings = np.array(embed_client.embed([t.text for t in subsample]))
-            res.test_embeddings = (embed_client.embed([t.text for t in res.test])
-                                   if test_embeddings is None else test_embeddings)
+            res.shots["fewshot-dense"] = ShotSource(
+                pool, np.array(embed_client.embed([t.text for t in subsample])), test_embeddings)
     return res
 
 
@@ -313,15 +315,6 @@ class LlmCall:
     record: PredictionRecord
     prompt: str
     meta: PromptMeta
-
-
-def _llm_call(res: CellResources, record: PredictionRecord, item: LabeledText, shots: ShotSet,
-              mode: str, config: RunConfig) -> LlmCall:
-    prompt, stats = build_prompt(config.template, shots, item, mode=mode, task=res.task)
-    record.prompt_stats = stats
-    meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
-                      last_shot_label=shots.last_shot_label(), item_id=item.id)
-    return LlmCall(record=record, prompt=prompt, meta=meta)
 
 
 def classify_base(res: CellResources, item: LabeledText, probs: np.ndarray) -> PredictionRecord:
@@ -335,16 +328,16 @@ def classify_base(res: CellResources, item: LabeledText, probs: np.ndarray) -> P
     )
 
 
-def classify_fewshot(res: CellResources, item: LabeledText, strategy: str, shots: ShotSet,
-                     config: RunConfig) -> LlmCall:
-    """The few-shot prompt for one item: k shots for every class in label order."""
-    record = PredictionRecord(
+def classify_fewshot(res: CellResources, item: LabeledText, strategy: str) -> PredictionRecord:
+    """One item's few-shot record; cell_calls prompts it over every class in label order."""
+    if strategy not in FEWSHOT:
+        raise ValueError(f"not a few-shot strategy: {strategy!r}")
+    return PredictionRecord(
         item_id=item.id,
         strategy=strategy,
         gold_label=res.label_space.position(item.label),
         final_label=None,
     )
-    return _llm_call(res, record, item, shots, "fewshot", config)
 
 
 def classify_cicle(res: CellResources, item: LabeledText, probs: np.ndarray) -> PredictionRecord:
@@ -368,32 +361,17 @@ def classify_cicle(res: CellResources, item: LabeledText, probs: np.ndarray) -> 
     return record
 
 
-def _fewshot_shots(res: CellResources, strategy: str, config: RunConfig) -> list[ShotSet]:
-    classes = [list(res.label_space.labels)] * len(res.test)
-    ids = [item.id for item in res.test]
+def _select(res: CellResources, strategy: str, rows: list[int],
+            classes: list[list[str]], config: RunConfig) -> list[ShotSet]:
+    """Shots from ``strategy``'s source for each of ``rows``, in the order ``classes`` gives it."""
+    source = res.shots[strategy]
+    ids = [res.test[i].id for i in rows]
     if strategy == "fewshot-random":
         seeds = [stable_seed(config.seed, "item", i) for i in ids]
-        return select_random(res.baseline_pool, classes, config.k, seeds, ids)
-    if strategy == "fewshot-sparse":
-        return select_sparse(res.baseline_pool, res.baseline_vectors, res.baseline_test_vectors,
-                             classes, config.k, ids)
-    if strategy == "fewshot-dense":
-        return select_dense(res.baseline_pool, res.baseline_embeddings, res.test_embeddings,
-                            classes, config.k, ids)
-    raise ValueError(f"not a few-shot strategy: {strategy!r}")
-
-
-def _cicle_calls(res: CellResources, records: list[PredictionRecord],
-                 config: RunConfig) -> list[LlmCall]:
-    gated = [i for i, rec in enumerate(records) if not rec.bypassed]
-    if not gated:
-        return []
-    labels = res.label_space.labels
-    classes = [[labels[c] for c in records[i].conformal_set.classes()] for i in gated]
-    shots = select_sparse(res.shot_pool, res.shot_vectors, res.test_vectors[gated], classes,
-                          config.k, [res.test[i].id for i in gated])
-    return [_llm_call(res, records[i], res.test[i], s, "cicle", config)
-            for i, s in zip(gated, shots)]
+        return select_random(source.pool, classes, config.k, seeds, ids)
+    select = select_dense if strategy == "fewshot-dense" else select_sparse
+    return select(source.pool, source.pool_vectors, source.test_vectors[rows], classes,
+                  config.k, ids)
 
 
 def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
@@ -414,21 +392,35 @@ def cell_calls(res: CellResources, strategy: str,
     """The CPU stage of one strategy over the cell's test set, batched on the
     calling thread: probabilities, conformal sets, shot selection and prompts.
 
-    Returns every record, in test order, and the calls whose completions
-    still have to fill their records in.
+    cicle prompts the rows its gate does not bypass, over their sets' classes;
+    the few-shot baselines prompt every row over every class. Returns every
+    record, in test order, and the calls whose completions still have to fill
+    their records in.
     """
     if strategy == "base":
         return [classify_base(res, item, probs)
                 for item, probs in zip(res.test, res.test_probs)], []
+    labels = res.label_space.labels
     if strategy == "cicle":
         records = [classify_cicle(res, item, probs)
                    for item, probs in zip(res.test, res.test_probs)]
-        calls = _cicle_calls(res, records, config)
+        rows = [i for i, rec in enumerate(records) if not rec.bypassed]
+        if not rows:
+            return records, []
+        classes = [[labels[c] for c in records[i].conformal_set.classes()] for i in rows]
     else:
-        shots = _fewshot_shots(res, strategy, config)
-        calls = [classify_fewshot(res, item, strategy, s, config)
-                 for item, s in zip(res.test, shots)]
-        records = [call.record for call in calls]
+        records = [classify_fewshot(res, item, strategy) for item in res.test]
+        rows = list(range(len(records)))
+        classes = [list(labels)] * len(rows)
+    mode = "cicle" if strategy == "cicle" else "fewshot"
+    calls = []
+    for i, shots in zip(rows, _select(res, strategy, rows, classes, config)):
+        item, record = res.test[i], records[i]
+        prompt, record.prompt_stats = build_prompt(config.template, shots, item, mode=mode,
+                                                   task=res.task)
+        meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
+                          last_shot_label=shots.last_shot_label(), item_id=item.id)
+        calls.append(LlmCall(record=record, prompt=prompt, meta=meta))
     return records, calls
 
 
@@ -549,8 +541,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
             datasets_meta[spec.name] = data_manifest["sha256"]
             key = config_key(config, spec, data_manifest["sha256"])
-            test_embeddings = (embed_client.embed([t.text for t in test])
-                               if "fewshot-dense" in config.strategies else None)
+            test_embeddings = None  # embedded by the first fewshot-dense cell built
             for size, paths in cell_files(config, spec, len(pool_items)).items():
                 pending = []
                 for strategy, path in paths.items():
@@ -568,6 +559,8 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                 cell_seed = stable_seed(config.seed, spec.name, size)
                 try:
                     subsample = stratified_subsample(pool_items, size, cell_seed)
+                    if "fewshot-dense" in pending and test_embeddings is None:
+                        test_embeddings = np.array(embed_client.embed([t.text for t in test]))
                     res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
                                      embed_client=embed_client, strategies=pending,
                                      test_embeddings=test_embeddings)

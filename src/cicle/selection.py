@@ -82,19 +82,24 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _warn_short(shot_sets: list[ShotSet], k: int) -> None:
+def _warn_short(pool: ShotPool, shot_sets: list[ShotSet], k: int) -> None:
     """Log once per class that some query got fewer than k shots of, naming the
-    fewest any query got."""
+    class's pool size, and the fewest shots a query got when excluding its own
+    item cost it one."""
     fewest: dict[str, int] = {}
     for shots in shot_sets:
         for cls, items in shots.per_class:
             if len(items) < k:
                 fewest[cls] = min(fewest.get(cls, k), len(items))
     for cls, n in fewest.items():
-        if n == 0:
+        available = len(pool.candidates(cls))
+        if available == 0:
             log.warning("class %r has no pool items; selecting zero shots", cls)
-        else:
+        elif n == available:
             log.warning("class %r has only %d pool items for k=%d; taking all", cls, n, k)
+        else:
+            log.warning("class %r has %d pool items for k=%d; a query that is one of them "
+                        "gets %d", cls, available, k, n)
 
 
 def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
@@ -115,7 +120,7 @@ def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
             chosen = rng.sample(range(len(idxs)), min(k, len(idxs)))
             per_class.append((cls, [pool.items[idxs[j]] for j in chosen]))
         shot_sets.append(ShotSet(per_class=per_class))
-    _warn_short(shot_sets, k)
+    _warn_short(pool, shot_sets, k)
     return shot_sets
 
 
@@ -221,7 +226,7 @@ def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarr
             shot_sets.append(ShotSet(per_class=per_class))
     if len(shot_sets) != len(classes):
         raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
-    _warn_short(shot_sets, k)
+    _warn_short(pool, shot_sets, k)
     return shot_sets
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from cicle.classifier import TrainConfig
 from cicle.conformal import ConformalSet
-from cicle import pipeline
-from cicle.corpus import file_sha256, freeze_dataset, load_frozen, stable_seed
-from cicle.errors import DataError
+from cicle import pipeline, vectorize
+from cicle.corpus import (file_sha256, freeze_dataset, load_frozen, stable_seed,
+                          stratified_split)
+from cicle.errors import DataError, TransportError
 from cicle.evalreport import build_report, cell_metrics, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
 from cicle.pipeline import (
@@ -29,7 +30,7 @@ from cicle.pipeline import (
 )
 from cicle.prompting import DEFAULT_TEMPLATE, PromptStats
 from cicle.serialize import JSON_STYLE
-from cicle.vectorize import EmbeddingConfig
+from cicle.vectorize import EmbeddingClient, EmbeddingConfig
 
 from conftest import embedding_app, make_items, space_for
 
@@ -201,6 +202,44 @@ def test_build_cell_dense_requires_embedding_client():
     with pytest.raises(DataError, match="embedding"):
         build_cell(items, items[:5], space_for(items),
                    make_config(strategies=["fewshot-dense"]), cell_seed=1)
+
+
+def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(
+        monkeypatch, serve):
+    # calibration items tuned cicle's threshold, so they are never its shots;
+    # the few-shot baselines need no calibration and draw from the whole subsample
+    items = make_items(200, n_classes=4, overlap=0.75)
+    test = make_items(40, n_classes=4, seed=100, overlap=0.75, prefix="te")
+    strategies = ["cicle", "fewshot-random", "fewshot-sparse", "fewshot-dense"]
+    config = make_config(sizes=[200], strategies=strategies)
+    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(embedding_app(dim=8))))
+    res = build_cell(items, test, space_for(items), config, cell_seed=3, embed_client=client,
+                     test_embeddings=np.array(client.embed([t.text for t in test])))
+    split = stratified_split(items, config.calib_fraction, 3)
+    train_ids = {t.id for t in split.train}
+    cal_ids = {t.id for t in split.calibration}
+    drawn = []
+
+    def spying(real):
+        def spy(pool, *args):
+            shot_sets = real(pool, *args)
+            drawn.append(({it.id for it in pool.items},
+                          {it.id for s in shot_sets for _, its in s.per_class for it in its}))
+            return shot_sets
+        return spy
+
+    for name in ("select_random", "select_sparse", "select_dense"):
+        monkeypatch.setattr(pipeline, name, spying(getattr(pipeline, name)))
+    for strategy in strategies:
+        drawn.clear()
+        classify_cell(res, strategy, perfect(), config)
+        [(pool_ids, shot_ids)] = drawn
+        if strategy == "cicle":
+            assert pool_ids == train_ids
+            assert shot_ids and not shot_ids & cal_ids
+        else:
+            assert pool_ids == train_ids | cal_ids
+            assert shot_ids & cal_ids and shot_ids & train_ids
 
 
 def test_record_json_roundtrip():
@@ -734,6 +773,26 @@ def test_run_experiment_fewshot_dense(tmp_path, serve):
         assert rec.strategy == "fewshot-dense"
         assert rec.final_label == rec.gold_label
         assert rec.prompt_stats.shot_count == 8
+
+
+def test_a_reused_dense_rerun_embeds_nothing(tmp_path, monkeypatch, serve):
+    calls = []
+    url = serve(embedding_app(dim=8, calls=calls))
+    out = tmp_path / "run"
+    prepare(out)
+    config = make_config(output=out, strategies=["fewshot-dense"],
+                         embedding=EmbeddingConfig(endpoint=url))
+    assert run_experiment(config) == 60
+    # the test set once, then the subsample in batches of 64
+    assert [len(texts) for texts in calls] == [60, 64, 16]
+    written = spy_writes(monkeypatch)
+
+    def down(*args, **kwargs):
+        raise TransportError("embedding service is down")
+
+    monkeypatch.setattr(vectorize, "post_json", down)
+    assert run_experiment(config) == 60
+    assert written == []
 
 
 def test_run_experiment_requires_prepared_data(tmp_path):

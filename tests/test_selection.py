@@ -139,7 +139,7 @@ def one_item_veg_selectors(n):
 @pytest.mark.parametrize("selector", ["random", "sparse"])
 @pytest.mark.parametrize("exclude_first,expected", [
     (False, "class 'veg' has only 1 pool items for k=2; taking all"),
-    (True, "class 'veg' has no pool items; selecting zero shots"),
+    (True, "class 'veg' has 1 pool items for k=2; a query that is one of them gets 0"),
 ], ids=["every-query-short", "one-query-empty"])
 def test_a_short_class_warns_once_per_call(caplog, selector, exclude_first, expected):
     # when the one veg item is the first query's own, that query gets no veg shot
