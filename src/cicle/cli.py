@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .llm_client import ORACLES
 from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, cell_files, config_key,
                        read_records, recorded_entries, run_experiment, stale_reason)
 from .prompting import template_from_file
-from .serialize import from_dict
+from .serialize import from_dict, read_json
 
 
 class UsageError(ValueError):
@@ -45,20 +44,24 @@ def _parse_int_list(value: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
 
 
-def _section(payload: dict, key: str) -> dict:
-    raw = payload.get(key) or {}
-    if not isinstance(raw, dict):
-        raise DataError(f"config.{key} must be an object, got {type(raw).__name__}")
-    return dict(raw)
+def _overlay(payload: dict, key: str, **flags) -> None:
+    """Set the non-None ``flags`` over the config file's ``key`` section. An
+    empty section is left out, so the dataclass default applies; a section that
+    is not an object is left for ``from_dict`` to reject."""
+    section = payload.pop(key, None) or {}
+    if isinstance(section, dict):
+        section = {**section, **{k: v for k, v in flags.items() if v is not None}}
+    if section:
+        payload[key] = section
 
 
-def _build_datasets(payload: dict, args) -> list[DatasetSpec]:
+def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
     entries = payload.get("datasets", [])
     if not isinstance(entries, list):
-        raise DataError("config.datasets must be a list")
+        raise DataError(f"{where}.datasets must be a list")
     by_name = {}
     for i, entry in enumerate(entries):
-        spec = from_dict(DatasetSpec, entry, f"config.datasets[{i}]")
+        spec = from_dict(DatasetSpec, entry, f"{where}.datasets[{i}]")
         by_name[spec.name] = spec
     for value in args.dataset or []:
         name, path = _split_pair(value, "--dataset")
@@ -83,53 +86,14 @@ def _build_datasets(payload: dict, args) -> list[DatasetSpec]:
     return list(by_name.values())
 
 
-def _build_llm(payload: dict, args) -> dict:
-    raw = _section(payload, "llm")
-    raw.pop("deterministic", None)  # decoding is always deterministic; old files still name it
-    if args.oracle and args.llm_endpoint:
-        raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
-    if args.oracle:
-        if args.oracle not in ORACLES:
-            raise UsageError(
-                f"unknown oracle {args.oracle!r}; known oracles: {', '.join(sorted(ORACLES))}")
-        raw["endpoint"] = args.oracle
-    if args.llm_endpoint:
-        raw["endpoint"] = args.llm_endpoint
-    if args.model_id:
-        raw["model_id"] = args.model_id
-    if args.max_new_tokens is not None:
-        raw["max_new_tokens"] = args.max_new_tokens
-    raw.setdefault("endpoint", "perfect")
-    return raw
-
-
-def _build_embedding(payload: dict, args) -> dict | None:
-    raw = _section(payload, "embedding")
-    if args.embedding_endpoint:
-        raw["endpoint"] = args.embedding_endpoint
-    if args.embedding_cache:
-        raw["cache_dir"] = args.embedding_cache
-    return raw or None
-
-
 def build_run_config(args) -> RunConfig:
     """Merge the JSON config file (if any) with flag overrides; flags win.
 
     Every section goes through ``from_dict``, so an unknown key, a missing
-    required field or a value of the wrong type is a DataError.
+    required field or a value of the wrong type is a DataError naming the file.
     """
-    payload: dict = {}
-    if args.config:
-        path = Path(args.config)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config {path} is not valid JSON: {exc.msg}") from None
-        if not isinstance(payload, dict):
-            raise DataError("config root must be a JSON object")
-
+    payload = read_json(args.config, "config") if args.config else {}
+    where = f"config ({args.config})" if args.config else "config"
     flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
              "calib_fraction": args.calib_fraction, "test_size": args.test_size,
              "jobs": args.jobs}
@@ -144,10 +108,20 @@ def build_run_config(args) -> RunConfig:
                              f"choose from {', '.join(STRATEGIES)}")
     if args.template or isinstance(payload.get("template"), str):
         payload["template"] = template_from_file(args.template or payload["template"])
-    payload["datasets"] = _build_datasets(payload, args)
-    payload["llm"] = _build_llm(payload, args)
-    payload["embedding"] = _build_embedding(payload, args)
-    return from_dict(RunConfig, payload, "config", force=bool(args.force))
+    payload["datasets"] = _build_datasets(payload, args, where)
+    if args.oracle and args.llm_endpoint:
+        raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
+    if args.oracle and args.oracle not in ORACLES:
+        raise UsageError(
+            f"unknown oracle {args.oracle!r}; known oracles: {', '.join(sorted(ORACLES))}")
+    _overlay(payload, "llm", endpoint=args.oracle or args.llm_endpoint, model_id=args.model_id,
+             max_new_tokens=args.max_new_tokens)
+    if isinstance(payload.get("llm"), dict):
+        # decoding is always deterministic; old files still name it
+        payload["llm"].pop("deterministic", None)
+    _overlay(payload, "embedding", endpoint=args.embedding_endpoint,
+             cache_dir=args.embedding_cache)
+    return from_dict(RunConfig, payload, where)
 
 
 def cmd_prepare(args) -> int:
@@ -166,7 +140,7 @@ def cmd_prepare(args) -> int:
 def cmd_run(args) -> int:
     """Classify every prepared cell and write one record file per cell."""
     config = build_run_config(args)
-    n_records = run_experiment(config)
+    n_records = run_experiment(config, force=args.force)
     print(f"run complete: {n_records} records under {config.records_dir}")
     return 0
 

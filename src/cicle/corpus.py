@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .serialize import atomic_open, read_jsonl, write_json
+from .serialize import atomic_open, read_json, read_jsonl, write_json
 
 log = logging.getLogger(__name__)
 
@@ -283,14 +283,18 @@ def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSp
     manifest_path = dir_path / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no frozen dataset at {dir_path} (missing manifest.json); run prepare first")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path, "frozen dataset manifest")
+    labels = manifest.get("labels")
+    if not (isinstance(manifest.get("sha256"), dict) and isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise DataError(f"{manifest_path} is not a frozen manifest with sha256 and labels")
     for name in ("pool.jsonl", "test.jsonl"):
-        if file_sha256(dir_path / name) != manifest.get("sha256", {}).get(name):
+        if file_sha256(dir_path / name) != manifest["sha256"].get(name):
             raise DataError(f"{dir_path / name} does not match the sha256 in its manifest.json; "
                             "run prepare again")
     pool = _read_jsonl(dir_path / "pool.jsonl")
     test = _read_jsonl(dir_path / "test.jsonl")
-    space = LabelSpace.from_labels(manifest["labels"])
+    space = LabelSpace.from_labels(labels)
     for item in test:
         if item.label not in space:
             raise DataError(f"frozen test item {item.id!r} has label outside the label space")

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .pipeline import STRATEGIES, PredictionRecord
+from .pipeline import FEWSHOT, STRATEGIES, PredictionRecord
 from .serialize import atomic_open, write_json
 
 log = logging.getLogger(__name__)
@@ -167,11 +167,6 @@ def reduction_stats(cicle_cells: Sequence[CellMetrics],
     return out
 
 
-def _strategy_order(strategies) -> list[str]:
-    return sorted(strategies, key=lambda s: (STRATEGIES.index(s) if s in STRATEGIES else
-                                             len(STRATEGIES), s))
-
-
 def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
     """Learning-curve aggregates, regime means and reductions over cell metrics.
 
@@ -184,7 +179,7 @@ def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
     if not per_cell:
         raise ValueError("no cells to report")
     datasets = sorted({d for d, _, _ in per_cell})
-    strategies = _strategy_order({s for _, _, s in per_cell})
+    strategies = sorted({s for _, _, s in per_cell}, key=STRATEGIES.index)
     sizes_by_dataset = {d: sorted({s for dd, s, _ in per_cell if dd == d}) for d in datasets}
 
     # a dataset's all-size mean is a regime of its own sizes over that one dataset
@@ -204,7 +199,7 @@ def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
                                              strategies))
 
     reductions: dict[str, dict[str, float]] = {}
-    baselines_present = [s for s in strategies if s.startswith("fewshot-")]
+    baselines_present = [s for s in strategies if s in FEWSHOT]
     if "cicle" in strategies and baselines_present:
         for dataset in datasets:
             sizes = sizes_by_dataset[dataset]
@@ -267,7 +262,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     written.append(path)
 
     datasets = sorted({d for d, _, _ in keys})
-    strategies = _strategy_order({s for _, _, s in keys})
+    strategies = sorted({s for _, _, s in keys}, key=STRATEGIES.index)
     for dataset in datasets:
         sizes = sorted({s for d, s, _ in keys if d == dataset})
         rows = []

@@ -33,7 +33,7 @@ API_KEY_ENV = "CICLE_API_KEY"
 
 @dataclass
 class LlmConfig:
-    endpoint: str
+    endpoint: str = "perfect"
     model_id: str = "default"
     max_new_tokens: int = 5
     timeout: float = 60.0

@@ -35,7 +35,7 @@ from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
-from .serialize import JSON_STYLE, atomic_open, read_jsonl, write_json
+from .serialize import JSON_STYLE, atomic_open, read_json, read_jsonl, write_json
 # transform and stack are not called here; perfbench/spans.py wraps these names
 from .vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack, transform,
                         transform_many)
@@ -76,12 +76,11 @@ class RunConfig:
     strategies: Sequence[str] = DEFAULT_STRATEGIES
     calib_fraction: float = 0.2
     template: PromptTemplate = DEFAULT_TEMPLATE
-    llm: LlmConfig = field(default_factory=lambda: LlmConfig(endpoint="perfect"))
+    llm: LlmConfig = field(default_factory=LlmConfig)
     embedding: EmbeddingConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     test_size: int = 1000
     jobs: int = 1
-    force: bool = False
 
     def __post_init__(self):
         if not self.datasets:
@@ -195,11 +194,8 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
     path = Path(manifest_path)
     if not path.exists():
         return {}, {}
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        tables = manifest["records"], manifest.get("keys", {})
-    except (json.JSONDecodeError, KeyError, TypeError):
-        tables = None, None
+    manifest = read_json(path, "run manifest")
+    tables = manifest.get("records"), manifest.get("keys", {})
     if not all(isinstance(table, dict) for table in tables):
         raise DataError(f"{path} is not a run manifest with records and keys tables")
     return tables
@@ -211,7 +207,7 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
 RECORDS_VERSION = 2
 # RunConfig fields that shape no record byte, or that the record file name
 # holds. run reads the frozen split, whose sha256 is keyed, never test_size.
-_UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "force", "test_size")
+_UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "test_size")
 
 
 def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
@@ -412,12 +408,10 @@ def cell_calls(res: CellResources, strategy: str,
         records = [classify_fewshot(res, item, strategy) for item in res.test]
         rows = list(range(len(records)))
         classes = [list(labels)] * len(rows)
-    mode = "cicle" if strategy == "cicle" else "fewshot"
     calls = []
     for i, shots in zip(rows, _select(res, strategy, rows, classes, config)):
         item, record = res.test[i], records[i]
-        prompt, record.prompt_stats = build_prompt(config.template, shots, item, mode=mode,
-                                                   task=res.task)
+        prompt, record.prompt_stats = build_prompt(config.template, shots, item, task=res.task)
         meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
                           last_shot_label=shots.last_shot_label(), item_id=item.id)
         calls.append(LlmCall(record=record, prompt=prompt, meta=meta))
@@ -473,7 +467,7 @@ def stale_reason(name: str, sha256: str, key: str, hashes: dict[str, str],
 
 
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
-                   embed_client: EmbeddingClient | None = None) -> int:
+                   embed_client: EmbeddingClient | None = None, force: bool = False) -> int:
     """Run every (dataset, size, strategy) cell; returns the number of records
     in the run's record files.
 
@@ -505,10 +499,9 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
     # strategies or sizes add up to one manifest that report can check them all by
     hashes, keys = recorded_entries(config.manifest_path)
     datasets_meta: dict[str, dict] = {}
-    manifest_config = {k: v for k, v in vars(config).items() if k != "force"}
 
     def write_manifest() -> None:
-        write_json({"config": manifest_config, "datasets": datasets_meta, "keys": keys,
+        write_json({"config": config, "datasets": datasets_meta, "keys": keys,
                     "records": hashes}, config.manifest_path)
 
     def failed(cell: str, exc: Exception) -> None:
@@ -545,7 +538,7 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             for size, paths in cell_files(config, spec, len(pool_items)).items():
                 pending = []
                 for strategy, path in paths.items():
-                    if path.exists() and not config.force:
+                    if path.exists() and not force:
                         reason = stale_reason(path.name, file_sha256(path), key, hashes, keys)
                         if reason is None:
                             log.info("cell file matches run_manifest.json, reusing: %s",

@@ -2,23 +2,19 @@
 
 A prompt is intro, then the shots class-major in ShotSet order, then the
 query, then the output instruction, joined by blank lines. The ShotSet's
-class order must already reflect the mode: label order for plain few-shot,
-descending base probability for the conformal pipeline.
+class order must already be the strategy's: label order for the few-shot
+baselines, descending base probability for cicle.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import LabeledText
 from .errors import DataError
 from .selection import ShotSet
-from .serialize import from_dict
-
-MODES = ("fewshot", "cicle")
+from .serialize import from_dict, read_json
 
 _PLACEHOLDERS = {
     "task_intro": ("{task}",),
@@ -53,12 +49,7 @@ DEFAULT_TEMPLATE = PromptTemplate(
 
 def template_from_file(path) -> PromptTemplate:
     """Load the four template segments from a JSON file."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read template {path}: {exc}") from None
-    return from_dict(PromptTemplate, payload, f"template {path}")
+    return from_dict(PromptTemplate, read_json(path, "template"), f"template {path}")
 
 
 @dataclass(frozen=True)
@@ -81,19 +72,13 @@ def _example(example_format: str, text: str, label: str) -> tuple[str, int]:
     return part, count_tokens(part)
 
 
-def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, mode: str,
+def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText,
                  task: str = "text classification") -> tuple[str, PromptStats]:
     """Assemble the classification prompt and its size statistics.
 
-    In fewshot mode an empty ShotSet is an error; in cicle mode the conformal
-    set guarantees at least one candidate class (its pool may still be empty,
-    which only reduces the shot count).
+    A candidate class whose pool holds no shot still counts as a candidate;
+    it only reduces the shot count.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown prompt mode {mode!r}; expected one of {MODES}")
-    shot_count = shots.shot_count()
-    if mode == "fewshot" and shot_count == 0:
-        raise ValueError("few-shot prompt requires at least one example")
     intro = template.task_intro.replace("{task}", task)
     query_part = template.query_format.replace("{text}", query.text)
     examples = [_example(template.example_format, item.text, item.label)
@@ -105,7 +90,7 @@ def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText, m
                    + sum(map(count_tokens, (intro, query_part, template.instruction))))
     stats = PromptStats(
         token_count=token_count,
-        shot_count=shot_count,
+        shot_count=shots.shot_count(),
         candidate_count=len(shots.per_class),
     )
     return prompt, stats

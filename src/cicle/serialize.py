@@ -1,11 +1,14 @@
-"""The one artifact writer and the one config-dict reader.
+"""The one artifact writer and the one reader of each file format read back.
 
 Every artifact goes through ``atomic_open``: bytes land in a temp file beside
 the target, which then replaces it, so a write that fails or is interrupted
-leaves the previous file intact and no partial one. Every JSON artifact is
-encoded with ``JSON_STYLE``, which writes a dataclass as its field dict, and
-every JSONL file is read through ``read_jsonl``; config-file dicts become
-dataclasses through ``from_dict``, which rejects what it does not recognize.
+leaves the previous file intact and no partial one. JSON artifacts are encoded
+with ``JSON_STYLE``, which writes a dataclass as its field dict; the frozen
+splits are not, since ``corpus.write_jsonl`` keeps ``id, text, label`` order and
+their sha256s enter every configuration key. Every JSON file read back goes
+through ``read_json`` and every JSONL file through ``read_jsonl``, which raise
+one DataError naming the file; config dicts become dataclasses through
+``from_dict``, which rejects what it does not recognize.
 """
 
 from __future__ import annotations
@@ -52,6 +55,20 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; a file that cannot be read, is not
+    JSON or holds no object raises one DataError naming ``what`` and the path."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise DataError(f"cannot read {what} {path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} {path} does not hold a JSON object")
+    return obj
+
+
 def read_jsonl(path):
     """Yield ``(f"{path}:{lineno}", obj)`` for each non-blank line of a JSONL file.
 
@@ -72,18 +89,18 @@ def read_jsonl(path):
             yield where, obj
 
 
-def from_dict(cls, raw, where: str, **given):
+def from_dict(cls, raw, where: str):
     """Build dataclass ``cls`` from a config-file dict, recursing into dataclass fields.
 
     Unknown keys, missing required fields and values of the wrong type raise
-    DataError naming them. ``given`` sets fields that the file may not set;
-    a ``raw`` that is already a ``cls`` is returned as is.
+    DataError naming them after ``where``; a ``raw`` that is already a ``cls``
+    is returned as is.
     """
     if isinstance(raw, cls):
         return raw
     if not isinstance(raw, dict):
         raise DataError(f"{where} must be an object, got {type(raw).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
         raise DataError(f"{where} has unknown keys: {', '.join(unknown)}")
@@ -92,7 +109,7 @@ def from_dict(cls, raw, where: str, **given):
     if missing:
         raise DataError(f"{where} is missing fields: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{k: _coerce(hints[k], v, f"{where}.{k}") for k, v in raw.items()}, **given)
+    return cls(**{k: _coerce(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
 
 
 def _coerce(tp, value, where: str):

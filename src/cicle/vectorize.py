@@ -190,11 +190,28 @@ class EmbeddingClient:
         key = hashlib.sha256(f"{self.config.endpoint}\n{text}".encode("utf-8")).hexdigest()
         return Path(self.config.cache_dir) / f"{key}.npy"
 
+    def _checked(self, vector, source: str) -> np.ndarray:
+        """``vector`` as a finite 1-d float array of the client's one dimension,
+        for a cached and a fresh vector alike; ``source`` names it in errors."""
+        v = np.asarray(vector, dtype=float)
+        if v.ndim != 1 or not np.all(np.isfinite(v)):
+            raise DataError(f"{source} holds a non-finite or non-1d vector")
+        if self._dim is None:
+            self._dim = len(v)
+        elif len(v) != self._dim:
+            raise DataError(f"embedding dimension drift: {source} holds {len(v)} dimensions, "
+                            f"expected {self._dim}")
+        return v
+
     def _cache_get(self, text: str) -> np.ndarray | None:
         path = self._cache_path(text)
         if path is None or not path.exists():
             return None
-        return np.load(path)
+        try:
+            vector = np.load(path)
+        except (OSError, ValueError, EOFError) as exc:
+            raise DataError(f"cannot read embedding cache file {path}: {exc}") from None
+        return self._checked(vector, f"embedding cache file {path}")
 
     def _cache_put(self, text: str, vector: np.ndarray) -> None:
         path = self._cache_path(text)
@@ -217,15 +234,7 @@ class EmbeddingClient:
         if len(vectors) != len(batch):
             raise DataError(f"embedding service returned {len(vectors)} vectors for "
                             f"{len(batch)} texts")
-        out = [np.asarray(v, dtype=float) for v in vectors]
-        for v in out:
-            if v.ndim != 1 or not np.all(np.isfinite(v)):
-                raise DataError("embedding service returned a non-finite or non-1d vector")
-            if self._dim is None:
-                self._dim = len(v)
-            elif len(v) != self._dim:
-                raise DataError(f"embedding dimension drift: got {len(v)}, expected {self._dim}")
-        return out
+        return [self._checked(v, "embedding service reply") for v in vectors]
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         """Embed texts in order; duplicates and cached entries cost no remote calls."""
@@ -240,11 +249,6 @@ class EmbeddingClient:
             seen.add(text)
             cached = self._cache_get(text)
             if cached is not None:
-                if self._dim is None:
-                    self._dim = len(cached)
-                elif len(cached) != self._dim:
-                    raise DataError(
-                        f"embedding dimension drift in cache: got {len(cached)}, expected {self._dim}")
                 resolved[text] = cached
             else:
                 missing.append(text)

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cicle.cli import main
+from cicle.cli import build_parser, build_run_config, main
 from cicle.corpus import file_sha256, write_jsonl
 from cicle.errors import TransportError
+from cicle.llm_client import LlmConfig
 from cicle import pipeline
 from cicle.pipeline import record_filename
 
@@ -279,6 +280,7 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("section,key", [
     ("llm", "concurrency_limit"),
     ("embedding", "batchsize"),
+    ("embedding", "deterministic"),  # only an llm section may keep the old key
     ("top", "alpah"),
     ("train", "c"),
     ("template", "intro"),
@@ -305,6 +307,20 @@ def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
     assert rc == 3
     lines = error_lines(capsys)
     assert len(lines) == 1 and lines[0].startswith("error: data:") and key in lines[0]
+
+
+@pytest.mark.parametrize("sections", [
+    {"llm": None, "embedding": None},
+    {"llm": {}, "embedding": {}},
+    {},
+], ids=["null", "empty", "absent"])
+def test_null_or_empty_sections_take_the_defaults(tmp_path, sections):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"datasets": [{"name": "toy", "path": "toy.jsonl"}],
+                                       **sections}), encoding="utf-8")
+    config = build_run_config(build_parser().parse_args(["run", "--config", str(config_path)]))
+    assert config.llm == LlmConfig() and config.llm.endpoint == "perfect"
+    assert config.embedding is None
 
 
 def test_old_config_files_may_keep_llm_deterministic(tmp_path):
@@ -547,6 +563,71 @@ def test_transport_failure_in_a_cell_exits_4(tmp_path, capsys, monkeypatch):
     assert line.startswith("error: transport: 2 failed cell(s): toy/2: ")
     assert line.endswith("; toy/100/cicle: endpoint gone")
     assert (out / "records" / record_filename("toy", 100, 0, "base")).exists()
+
+
+def drop_required(name, text):
+    # a record file is JSONL: only its first record loses the field
+    head, sep, tail = text.partition("\n") if name == "record" else (text, "", "")
+    obj = json.loads(head)
+    if name == "config":
+        del obj["datasets"][0]["path"]
+    else:
+        del obj[{"frozen-manifest": "labels", "run-manifest": "records", "record": "final_label",
+                 "template": "instruction"}[name]]
+    return json.dumps(obj) + sep + tail
+
+
+def sha256_list(name, text):
+    return json.dumps({**json.loads(text), "sha256": []})
+
+
+CORRUPTIONS = {
+    "empty": lambda name, text: "",
+    "not-json": lambda name, text: "{nope",
+    "list": lambda name, text: "[]",
+    "null": lambda name, text: "null",
+    "missing-field": drop_required,
+}
+READ_BACK = ("frozen-manifest", "run-manifest", "record", "config", "template")
+
+
+@pytest.mark.parametrize("name,corruption", [
+    *((name, corruption) for name in READ_BACK for corruption in CORRUPTIONS),
+    ("frozen-manifest", "sha256-list"),
+])
+def test_a_corrupt_file_read_back_fails_cleanly_naming_it(tmp_path, capsys, name, corruption):
+    data = write_toy(tmp_path)
+    out = tmp_path / "out"
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps({"task_intro": "{task}", "example_format": "{text} {label}",
+                                    "query_format": "{text}", "instruction": ""}),
+                        encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"datasets": [{"name": "toy", "path": str(data)}],
+                                  "output": str(out), "sizes": [80], "test_size": 60,
+                                  "strategies": ["base"], "template": str(template)}),
+                      encoding="utf-8")
+    args = ["--config", str(config)]
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    path = {"frozen-manifest": out / "data" / "toy" / "manifest.json",
+            "run-manifest": out / "run_manifest.json",
+            "record": out / "records" / record_filename("toy", 80, 0, "base"),
+            "config": config, "template": template}[name]
+    original = path.read_text(encoding="utf-8")
+    corrupt = {**CORRUPTIONS, "sha256-list": sha256_list}[corruption]
+    path.write_text(corrupt(name, original), encoding="utf-8")
+    capsys.readouterr()
+    # a record file that no longer matches its manifest entry is recomputed by run
+    commands = ("report",) if name == "record" else ("run", "report")
+    for command in commands:
+        assert main([command, *args]) == 3
+        [line] = error_lines(capsys)
+        assert line.startswith("error: data:")
+        assert (path.name if name == "record" else str(path)) in line
+    if name == "record":
+        assert main(["run", *args]) == 0
+        assert path.read_text(encoding="utf-8") == original
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

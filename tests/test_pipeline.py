@@ -426,7 +426,7 @@ def test_run_experiment_reuses_existing_cells(tmp_path, caplog):
     assert run_experiment(make_config(output=out, sizes=[80], strategies=["base"])) == 60
     assert path.read_bytes() == stamped
 
-    run_experiment(make_config(output=out, sizes=[80], strategies=["base"], force=True))
+    run_experiment(make_config(output=out, sizes=[80], strategies=["base"]), force=True)
     assert path.read_bytes() == original
 
 

@@ -33,8 +33,7 @@ QUERY = LabeledText(id="q", text="claim your reward", label="spam")
 
 
 def test_default_prompt_layout():
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY, "fewshot",
-                                 task="spam detection")
+    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY, task="spam detection")
     blocks = prompt.split("\n\n")
     assert len(blocks) == 7
     assert "spam detection" in blocks[0]
@@ -47,7 +46,7 @@ def test_default_prompt_layout():
 
 
 def test_prompt_stats():
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY, "fewshot")
+    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY)
     assert stats.shot_count == 4
     assert stats.candidate_count == 2
     assert stats.token_count == len(prompt.split())
@@ -58,19 +57,13 @@ def test_shots_emitted_class_major_in_given_order():
         ("ham", [item(0, "hello there", "ham")]),
         ("spam", [item(1, "buy pills", "spam")]),
     ])
-    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, QUERY, "fewshot")
+    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, QUERY)
     assert prompt.index("hello there") < prompt.index("buy pills")
 
 
-def test_fewshot_mode_requires_shots():
-    empty = ShotSet(per_class=[("spam", []), ("ham", [])])
-    with pytest.raises(ValueError, match="at least one example"):
-        build_prompt(DEFAULT_TEMPLATE, empty, QUERY, "fewshot")
-
-
-def test_cicle_mode_allows_zero_shots():
+def test_a_candidate_class_may_have_no_shots():
     empty = ShotSet(per_class=[("spam", [])])
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, empty, QUERY, "cicle")
+    prompt, stats = build_prompt(DEFAULT_TEMPLATE, empty, QUERY)
     assert stats.shot_count == 0
     assert stats.candidate_count == 1
     assert "claim your reward" in prompt
@@ -82,14 +75,9 @@ def test_cicle_candidate_count_tracks_set_size():
         ("ham", [item(1, "c d", "ham")]),
         ("news", [item(2, "e f", "news")]),
     ])
-    _, stats = build_prompt(DEFAULT_TEMPLATE, shots, QUERY, "cicle")
+    _, stats = build_prompt(DEFAULT_TEMPLATE, shots, QUERY)
     assert stats.candidate_count == 3
     assert stats.shot_count == 3
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY, "zeroshot")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -122,7 +110,7 @@ def test_template_from_file_roundtrip(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     template = template_from_file(path)
     assert template.task_intro == payload["task_intro"]
-    prompt, _ = build_prompt(template, two_class_shots(), QUERY, "fewshot", task="filtering")
+    prompt, _ = build_prompt(template, two_class_shots(), QUERY, task="filtering")
     assert prompt.startswith("Sort texts for filtering.")
     assert "IN free money now OUT spam" in prompt
 
@@ -188,6 +176,6 @@ def prompt_cases(draw):
 @given(prompt_cases())
 def test_prompt_equals_chained_replace_and_counts_its_tokens(case):
     template, shots, query, task = case
-    prompt, stats = build_prompt(template, shots, query, "cicle", task=task)
+    prompt, stats = build_prompt(template, shots, query, task=task)
     assert prompt == reference_prompt(template, shots, query, task)
     assert stats.token_count == count_tokens(prompt)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cicle.errors import DataError
-from cicle.serialize import atomic_open, from_dict, read_jsonl, write_json
+from cicle.serialize import atomic_open, from_dict, read_json, read_jsonl, write_json
 
 
 def test_write_json_bytes(tmp_path):
@@ -46,6 +46,23 @@ def test_read_jsonl_names_each_line(tmp_path):
     assert list(read_jsonl(path)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", {"b": 2})]
 
 
+@pytest.mark.parametrize("content,needle", [
+    (None, "cannot read thing .*: No such file"),
+    (b"\xff{}", "cannot read thing .*: not valid JSON"),
+    (b'{"a": 1', "cannot read thing .*: not valid JSON"),
+    (b"[1]", "thing .* does not hold a JSON object"),
+], ids=["missing", "not-utf-8", "not-json", "list"])
+def test_read_json_names_what_and_the_file(tmp_path, content, needle):
+    path = tmp_path / "thing.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=needle) as err:
+        read_json(path, "thing")
+    assert str(path) in str(err.value)
+    path.write_text('{"a": [1]}', encoding="utf-8")
+    assert read_json(path, "thing") == {"a": [1]}
+
+
 @dataclass
 class Inner:
     name: str
@@ -58,7 +75,6 @@ class Outer:
     sizes: list[int] = field(default_factory=list)
     note: str | None = None
     flag: bool = False
-    forced: bool = False
 
 
 def test_from_dict_builds_nested_dataclasses():
@@ -81,12 +97,7 @@ def test_from_dict_builds_nested_dataclasses():
     ({"inner": {"name": "x"}, "flag": 1}, "cfg.flag must be bool"),
     ({"inner": {"name": "x"}, "note": 7}, "cfg.note must be str"),
     ({"inner": ["x"]}, "cfg.inner must be an object"),
-    ({"inner": {"name": "x"}, "forced": True}, "cfg has unknown keys: forced"),
 ])
 def test_from_dict_rejects_and_names_the_key(raw, needle):
     with pytest.raises(DataError, match=needle):
-        from_dict(Outer, raw, "cfg", forced=False)
-
-
-def test_from_dict_given_fields_are_set():
-    assert from_dict(Outer, {"inner": {"name": "x"}}, "cfg", forced=True).forced is True
+        from_dict(Outer, raw, "cfg")

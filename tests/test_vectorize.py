@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cicle import vectorize
 from cicle.errors import DataError, TransportError
 from cicle.selection import sparse_similarities
 from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack,
@@ -312,6 +313,35 @@ def test_embed_dimension_drift_is_data_error(serve):
     client = EmbeddingClient(EmbeddingConfig(endpoint=url, batch_size=1))
     with pytest.raises(DataError, match="drift"):
         client.embed(["a", "b"])
+
+
+def no_service(*args, **kwargs):
+    raise AssertionError("the embedding service was called")
+
+
+@pytest.mark.parametrize("write,needle", [
+    (lambda path: path.write_bytes(b""), "cannot read embedding cache file"),
+    (lambda path: np.save(path, np.ones((2, 4))), "non-finite or non-1d"),
+    (lambda path: np.save(path, np.array([0.5, np.nan, 0.5, 0.5])), "non-finite or non-1d"),
+], ids=["empty", "2-d", "non-finite"])
+def test_a_bad_cache_file_is_a_data_error_naming_it(tmp_path, monkeypatch, write, needle):
+    monkeypatch.setattr(vectorize, "post_json", no_service)
+    client = EmbeddingClient(EmbeddingConfig(endpoint="http://127.0.0.1:9/embed",
+                                             cache_dir=str(tmp_path)))
+    path = client._cache_path("hello")
+    write(path)
+    with pytest.raises(DataError, match=needle) as err:
+        client.embed(["hello"])
+    assert str(path) in str(err.value)
+
+
+def test_cached_and_fresh_vectors_share_one_dimension(serve, tmp_path):
+    url = serve(embedding_app(dim=8))
+    client = EmbeddingClient(EmbeddingConfig(endpoint=url, cache_dir=str(tmp_path)))
+    np.save(client._cache_path("cached"), np.ones(4))
+    with pytest.raises(DataError, match="drift: embedding service reply holds 8 dimensions, "
+                                        "expected 4"):
+        client.embed(["cached", "fresh"])
 
 
 def test_embed_retries_5xx_then_succeeds(serve):
