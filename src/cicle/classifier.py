@@ -58,7 +58,6 @@ class LogisticModel:
 
     W: np.ndarray
     b: np.ndarray
-    label_space: LabelSpace
     converged: bool = True
 
 
@@ -159,7 +158,7 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace,
         log.warning("training did not converge: gradient inf-norm %.3e > tol %.3e after %d "
                     "iterations; Newton-CG stopped with: %s",
                     grad_norm, config.tol, result.nit, result.message)
-    return LogisticModel(W=W, b=b, label_space=label_space, converged=converged)
+    return LogisticModel(W=W, b=b, converged=converged)
 
 
 def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:

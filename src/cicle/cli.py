@@ -149,35 +149,34 @@ def cmd_report(args) -> int:
     """Aggregate the record files ``run`` would reuse into report.json and
     plot-ready CSVs, holding one file's records at a time."""
     config = build_run_config(args)
-    cells = {}  # (dataset, size, strategy) -> (path, test ids, class count, configuration key)
+    hashes, keys = recorded_entries(config.manifest_path)
+    per_cell = {}
     missing: list[str] = []
     for spec in config.datasets:
         pool, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
-        dataset = ([t.id for t in test], len(space),
-                   config_key(config, spec, data_manifest["sha256"]))
+        test_ids = [t.id for t in test]
+        key = config_key(config, spec, data_manifest["sha256"])
         for size, paths in cell_files(config, spec, len(pool)).items():
             for strategy, path in paths.items():
-                if path.exists():
-                    cells[spec.name, size, strategy] = (path, *dataset)
-                else:
+                if not path.exists():
                     missing.append(path.name)
+                    continue
+                if not config.manifest_path.exists():
+                    raise DataError(f"{config.manifest_path} not found; "
+                                    "run the cells before reporting")
+                # judge the bytes by run's reuse rule before decoding them
+                reason = stale_reason(path.name, file_sha256(path), key, hashes, keys)
+                if reason is not None:
+                    raise DataError(f"{path.name} {reason}")
+                records = read_records(path)
+                if len(records) != len(test_ids):
+                    raise DataError(f"{path.name} holds {len(records)} records; "
+                                    f"the frozen test set has {len(test_ids)}")
+                if [r.item_id for r in records] != test_ids:
+                    raise DataError(f"{path.name}: item ids are not in frozen test order")
+                per_cell[spec.name, size, strategy] = cell_metrics(records, len(space))
     if missing:
         raise DataError(f"missing record files: {', '.join(missing)}")
-    if not config.manifest_path.exists():
-        raise DataError(f"{config.manifest_path} not found; run the cells before reporting")
-    hashes, keys = recorded_entries(config.manifest_path)
-    per_cell = {}
-    for cell, (path, test_ids, n_classes, key) in cells.items():
-        records = read_records(path)
-        reason = stale_reason(path.name, file_sha256(path), key, hashes, keys)
-        if reason is not None:
-            raise DataError(f"{path.name} {reason}")
-        if len(records) != len(test_ids):
-            raise DataError(f"{path.name} holds {len(records)} records; "
-                            f"the frozen test set has {len(test_ids)}")
-        if [r.item_id for r in records] != test_ids:
-            raise DataError(f"{path.name}: item ids are not in frozen test order")
-        per_cell[cell] = cell_metrics(records, n_classes)
     report = build_report(per_cell)
     written = emit_report(report, Path(config.output) / "report")
     print(f"report written: {', '.join(p.name for p in written)}")
@@ -256,10 +255,7 @@ def main(argv=None) -> int:
     except TransportError as exc:
         _report_error("transport", exc)
         return 4
-    except DataError as exc:
-        _report_error("data", exc)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         _report_error("data", exc)
         return 3
 

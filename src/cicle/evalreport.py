@@ -252,14 +252,13 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     written = [path]
 
     keys = sorted(report.per_cell)
-    path = out_dir / "cells.csv"
-    _write_csv(path,
-               ["dataset", "size", "strategy", "n_records", "macro_f1", "mean_token_count",
-                "mean_shot_count", "bypass_rate", "invalid_rate", "empirical_coverage"],
-               [[d, s, strat, m.n_records, m.macro_f1, m.mean_token_count, m.mean_shot_count,
-                 m.bypass_rate, m.invalid_rate, m.empirical_coverage]
-                for (d, s, strat), m in ((k, report.per_cell[k]) for k in keys)])
-    written.append(path)
+    tables = {}  # file name -> (header, rows), in write order
+    tables["cells.csv"] = (
+        ["dataset", "size", "strategy", "n_records", "macro_f1", "mean_token_count",
+         "mean_shot_count", "bypass_rate", "invalid_rate", "empirical_coverage"],
+        [[d, s, strat, m.n_records, m.macro_f1, m.mean_token_count, m.mean_shot_count,
+          m.bypass_rate, m.invalid_rate, m.empirical_coverage]
+         for (d, s, strat), m in ((k, report.per_cell[k]) for k in keys)])
 
     datasets = sorted({d for d, _, _ in keys})
     strategies = sorted({s for _, _, s in keys}, key=STRATEGIES.index)
@@ -272,25 +271,20 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
                 m = report.per_cell.get((dataset, size, strategy))
                 row.append(None if m is None else m.macro_f1)
             rows.append(row)
-        path = out_dir / f"curve_{dataset}.csv"
-        _write_csv(path, ["size"] + list(strategies), rows)
-        written.append(path)
+        tables[f"curve_{dataset}.csv"] = (["size"] + list(strategies), rows)
 
-    path = out_dir / "aggregates.csv"
-    _write_csv(path, ["dataset", "strategy", "macro_f1"],
-               [[d, s, v] for (d, s), v in sorted(report.aggregates.items())])
-    written.append(path)
-
+    tables["aggregates.csv"] = (["dataset", "strategy", "macro_f1"],
+                                [[d, s, v] for (d, s), v in sorted(report.aggregates.items())])
     if report.regimes:
-        path = out_dir / "regimes.csv"
-        _write_csv(path, ["regime", "strategy", "macro_f1"],
-                   [[r, s, v] for (r, s), v in sorted(report.regimes.items())])
-        written.append(path)
-
+        tables["regimes.csv"] = (["regime", "strategy", "macro_f1"],
+                                 [[r, s, v] for (r, s), v in sorted(report.regimes.items())])
     if report.reductions:
-        path = out_dir / "reductions.csv"
-        _write_csv(path, ["dataset", "prompt_reduction_pct", "shot_reduction_pct"],
-                   [[d, v["prompt_reduction_pct"], v["shot_reduction_pct"]]
-                    for d, v in sorted(report.reductions.items())])
+        tables["reductions.csv"] = (["dataset", "prompt_reduction_pct", "shot_reduction_pct"],
+                                    [[d, v["prompt_reduction_pct"], v["shot_reduction_pct"]]
+                                     for d, v in sorted(report.reductions.items())])
+
+    for name, (header, rows) in tables.items():
+        path = out_dir / name
+        _write_csv(path, header, rows)
         written.append(path)
     return written

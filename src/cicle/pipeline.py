@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .classifier import LogisticModel, TrainConfig, predict_proba, train
+from .classifier import TrainConfig, predict_proba, train
 from .conformal import ConformalCalibration, ConformalSet, calibrate, predict_set
 from .corpus import (LabeledText, LabelSpace, file_sha256, load_frozen, stable_seed,
                      stratified_split, stratified_subsample)
@@ -244,7 +244,6 @@ class CellResources:
     label_space: LabelSpace
     test: list[LabeledText]
     task: str = "text classification"
-    model: LogisticModel | None = None
     calibration: ConformalCalibration | None = None
     test_probs: np.ndarray | None = None
     shots: dict[str, ShotSource] = field(default_factory=dict)
@@ -277,14 +276,14 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         tfidf = fit_tfidf(train_texts)
         X = transform_many(tfidf, train_texts)
         y = [label_space.position(t.label) for t in split.train]
-        res.model = train(X, y, label_space, config.train)
+        model = train(X, y, label_space, config.train)
         test_vectors = transform_many(tfidf, test_texts)
-        res.test_probs = predict_proba(res.model, test_vectors)
+        res.test_probs = predict_proba(model, test_vectors)
         if "cicle" in strategies:
             res.shots["cicle"] = ShotSource(ShotPool(split.train), X, test_vectors)
             cal_X = transform_many(tfidf, texts.take(row[t.id] for t in split.calibration))
             cal_y = [label_space.position(t.label) for t in split.calibration]
-            res.calibration = calibrate(predict_proba(res.model, cal_X), cal_y, config.alpha)
+            res.calibration = calibrate(predict_proba(model, cal_X), cal_y, config.alpha)
 
     fewshot = [s for s in strategies if s in FEWSHOT]
     if fewshot:

@@ -71,16 +71,14 @@ def test_train_config_defaults():
 
 
 def test_zero_model_is_uniform():
-    space = LabelSpace.from_labels(["a", "b", "c", "d"])
-    model = LogisticModel(W=np.zeros((4, 3)), b=np.zeros(4), label_space=space)
+    model = LogisticModel(W=np.zeros((4, 3)), b=np.zeros(4))
     [probs] = predict_proba(model, vec(3, {0: 1.0}))
     assert probs == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-12)
 
 
 def test_bias_only_softmax_hand_case():
     # b = (ln 2, 0) on an empty vector gives exactly (2/3, 1/3)
-    model = LogisticModel(W=np.zeros((2, 5)), b=np.array([math.log(2.0), 0.0]),
-                          label_space=binary_space())
+    model = LogisticModel(W=np.zeros((2, 5)), b=np.array([math.log(2.0), 0.0]))
     [probs] = predict_proba(model, vec(5, {}))
     assert probs[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert probs[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -90,10 +88,9 @@ def test_logit_shift_invariance():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
-    space = LabelSpace.from_labels(["a", "b", "c"])
     x = vec(4, {1: 0.6, 3: 0.8})
-    [base] = predict_proba(LogisticModel(W=W, b=b, label_space=space), x)
-    [shifted] = predict_proba(LogisticModel(W=W, b=b + 17.5, label_space=space), x)
+    [base] = predict_proba(LogisticModel(W=W, b=b), x)
+    [shifted] = predict_proba(LogisticModel(W=W, b=b + 17.5), x)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -104,8 +101,8 @@ def predict(model, X):
 def test_predict_tie_goes_to_lowest_index():
     # the base strategy's label is the argmax; a tie goes to the lowest class index
     space = LabelSpace.from_labels(["a", "b", "c"])
-    model = LogisticModel(W=np.zeros((3, 2)), b=np.zeros(3), label_space=space)
-    res = CellResources(label_space=space, test=[], model=model)
+    model = LogisticModel(W=np.zeros((3, 2)), b=np.zeros(3))
+    res = CellResources(label_space=space, test=[])
     [probs] = predict_proba(model, vec(2, {0: 1.0}))
     record = classify_base(res, LabeledText(id="q", text="q", label="c"), probs)
     assert record.final_label == 0
@@ -366,8 +363,7 @@ def models_and_matrices(draw):
             continue
         cols = draw(st.lists(st.integers(0, V - 1), unique=True, max_size=V))  # may be empty
         rows.append(row({c: float(rng.uniform(0.1, 3.0)) for c in cols}))
-    model = LogisticModel(W=W, b=b, label_space=LabelSpace.from_labels(
-        [f"c{i}" for i in range(K)]))
+    model = LogisticModel(W=W, b=b)
     return model, rows, stack(rows, V)
 
 

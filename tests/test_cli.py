@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from cicle.cli import build_parser, build_run_config, main
 from cicle.corpus import file_sha256, write_jsonl
 from cicle.errors import TransportError
 from cicle.llm_client import LlmConfig
-from cicle import pipeline
+from cicle import cli, pipeline
 from cicle.pipeline import record_filename
 
 from conftest import make_items
@@ -366,6 +367,11 @@ def test_malformed_record_names_file_and_line(tmp_path, capsys):
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[3] = bad
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the manifest blesses the edit, so report decodes the file
+        manifest_path = out / "run_manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["records"][path.name] = file_sha256(path)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", *args]) == 3
         [line] = error_lines(capsys)
@@ -423,6 +429,41 @@ def test_report_rejects_an_edited_record_file(tmp_path, capsys, edit, then, need
     [line] = error_lines(capsys)
     assert line.startswith("error: data:") and path.name in line and needle in line
     assert not (out / "report" / "report.json").exists()
+
+
+def edit_first_final_label(text):
+    return re.sub(r'("final_label": ?)(\d+)', lambda m: m[1] + str((int(m[2]) + 1) % 4),
+                  text, count=1)
+
+
+STALE_EDITS = {
+    "not-json": lambda text: "{nope",
+    "empty": lambda text: "",
+    "truncated": lambda text: "".join(truncate(text.splitlines(keepends=True))),
+    "final-label-edited": edit_first_final_label,
+}
+
+
+@pytest.mark.parametrize("edit", STALE_EDITS)
+def test_report_never_decodes_a_stale_record_file(tmp_path, capsys, monkeypatch, edit):
+    # report judges a file's bytes by run's reuse rule before it decodes them, so
+    # every edit the manifest does not bless gets one error, whatever it broke
+    out, args, path = prepared_and_run(tmp_path, capsys)
+    original = path.read_text(encoding="utf-8")
+    edited = STALE_EDITS[edit](original)
+    assert edited != original
+    path.write_text(edited, encoding="utf-8")
+    read_records = cli.read_records
+
+    def refuse_the_stale_file(p):
+        if Path(p) == path:
+            raise AssertionError(f"report decoded the stale file {path.name}")
+        return read_records(p)
+
+    monkeypatch.setattr(cli, "read_records", refuse_the_stale_file)
+    assert main(["report", *args]) == 3
+    [line] = error_lines(capsys)
+    assert line == f"error: data: {path.name} does not match the sha256 in run_manifest.json"
 
 
 def test_report_rejects_a_file_the_manifest_does_not_list(tmp_path, capsys):
