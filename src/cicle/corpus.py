@@ -77,46 +77,41 @@ class DatasetSplit:
     calibration: list[LabeledText]
 
 
-def reduce_primary_label(item: Mapping) -> LabeledText:
-    """Collapse a multi-label row to its primary label (first in stored order)."""
-    labels = item.get("labels")
-    if not labels:
-        raise DataError(f"row {item.get('id')!r}: empty label list")
-    return LabeledText(id=str(item["id"]), text=str(item["text"]), label=str(labels[0]))
+def _dataset_row(obj: Mapping, where: str) -> LabeledText:
+    """The one check of a dataset row, for JSONL objects, CSV rows and frozen splits.
 
-
-def _row_from_json(obj: Mapping, where: str) -> LabeledText:
+    A row has ``text``, a ``label`` or a non-empty ``labels`` list (multi-label
+    sources are reduced to the first entry) and an ``id``. Neither the text nor
+    the label may be null or blank.
+    """
     if "text" not in obj:
         raise DataError(f"{where}: missing 'text' field")
-    if "label" in obj:
-        if "id" not in obj:
-            raise DataError(f"{where}: missing 'id' field")
-        item = LabeledText(id=str(obj["id"]), text=str(obj["text"]), label=str(obj["label"]))
-    elif "labels" in obj:
-        if "id" not in obj:
-            raise DataError(f"{where}: missing 'id' field")
-        try:
-            item = reduce_primary_label(obj)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-    else:
+    if "label" not in obj and "labels" not in obj:
         raise DataError(f"{where}: missing 'label' (or 'labels') field")
-    if not item.text.strip():
-        raise DataError(f"{where}: empty text")
-    return item
+    if "id" not in obj:
+        raise DataError(f"{where}: missing 'id' field")
+    if "label" in obj:
+        label = obj["label"]
+    elif obj["labels"]:
+        label = obj["labels"][0]
+    else:
+        raise DataError(f"{where}: empty label list")
+    for name, value in (("text", obj["text"]), ("label", label)):
+        if value is None or not str(value).strip():
+            raise DataError(f"{where}: empty {name}")
+    return LabeledText(id=str(obj["id"]), text=str(obj["text"]), label=str(label))
 
 
 def _read_jsonl(path: Path) -> list[LabeledText]:
-    return [_row_from_json(obj, where) for where, obj in read_jsonl(path)]
+    return [_dataset_row(obj, where) for where, obj in read_jsonl(path)]
 
 
 def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], LabelSpace]:
     """Read a JSONL or CSV dataset file.
 
-    JSONL rows carry ``id``/``text``/``label`` (or ``labels`` for multi-label
-    sources, reduced to the first entry). CSV files carry a ``text,label``
-    header and get synthesized row ids. Row order is preserved; the label
-    space is the sorted set of distinct labels encountered.
+    CSV files carry a ``text,label`` header and get synthesized row ids; rows
+    of either format pass the one row check, ``_dataset_row``. Row order is
+    preserved; the label space is the sorted set of distinct labels encountered.
     """
     path = Path(path)
     if not path.exists():
@@ -138,14 +133,8 @@ def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], Label
             if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                 raise DataError(f"{path}:1: CSV header must contain 'text' and 'label'")
             for i, row in enumerate(reader, start=1):
-                lineno = reader.line_num
-                text = row.get("text") or ""
-                label = row.get("label") or ""
-                if not text.strip():
-                    raise DataError(f"{path}:{lineno}: empty text")
-                if not label.strip():
-                    raise DataError(f"{path}:{lineno}: empty label")
-                items.append(LabeledText(id=f"row-{i:06d}", text=text, label=label))
+                obj = {"id": f"row-{i:06d}", "text": row["text"], "label": row["label"]}
+                items.append(_dataset_row(obj, f"{path}:{reader.line_num}"))
 
     if not items:
         raise DataError(f"{path}: empty dataset")

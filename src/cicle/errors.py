@@ -12,7 +12,6 @@ class DataError(CicleError):
 class TransportError(CicleError):
     """A remote call failed, possibly after exhausting retries."""
 
-    def __init__(self, message: str, item_id: str | None = None, attempts: int = 0):
+    def __init__(self, message: str, attempts: int = 0):
         super().__init__(message)
-        self.item_id = item_id
         self.attempts = attempts

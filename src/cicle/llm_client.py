@@ -31,6 +31,10 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "CICLE_API_KEY"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class LlmConfig:
     endpoint: str = "perfect"
@@ -46,6 +50,18 @@ class LlmConfig:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        params = self.oracle_params
+        unknown = sorted(set(params) - {"accuracy", "default_accuracy", "seed"})
+        if unknown:
+            raise ValueError(f"oracle_params has unknown keys: {', '.join(unknown)}")
+        accuracy = params.get("accuracy", {})
+        if not (isinstance(accuracy, dict) and all(map(_is_number, accuracy.values()))):
+            raise ValueError("oracle_params.accuracy must be an object of numbers")
+        if not _is_number(params.get("default_accuracy", 0.8)):
+            raise ValueError("oracle_params.default_accuracy must be a number")
+        seed = params.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError("oracle_params.seed must be an integer")
 
     @property
     def is_remote(self) -> bool:
@@ -99,7 +115,7 @@ def _oracle_noisy(prompt: str, meta: PromptMeta | None, params: dict) -> str:
     gold = meta.gold_label
     acc = params.get("accuracy", {}).get(gold, params.get("default_accuracy", 0.8))
     digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=8).digest()
-    rng = random.Random(int.from_bytes(digest, "big") ^ int(params.get("seed", 0)))
+    rng = random.Random(int.from_bytes(digest, "big") ^ params.get("seed", 0))
     if gold is not None and gold in meta.classes and rng.random() < acc:
         return gold
     wrong = [c for c in meta.classes if c != gold]
@@ -137,13 +153,13 @@ class LlmClient:
     def complete(self, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
         start = time.monotonic()
         if self.config.is_remote:
-            raw, attempts = self._complete_remote(prompt, meta)
+            raw, attempts = self._complete_remote(prompt)
         else:
             raw = ORACLES[self.config.endpoint](prompt, meta, self.config.oracle_params)
             attempts = 1
         return LlmResponse(raw=raw, latency=time.monotonic() - start, attempts=attempts)
 
-    def _complete_remote(self, prompt: str, meta: PromptMeta | None) -> tuple[str, int]:
+    def _complete_remote(self, prompt: str) -> tuple[str, int]:
         cfg = self.config
         payload = {
             "model": cfg.model_id,
@@ -153,18 +169,15 @@ class LlmClient:
         }
         api_key = os.environ.get(API_KEY_ENV)
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
-        item_id = meta.item_id if meta else None
-        body, attempts = post_json(cfg, payload, "completion endpoint", headers, item_id)
+        body, attempts = post_json(cfg, payload, "completion endpoint", headers)
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise TransportError(f"malformed completion response (item {item_id})",
-                                 item_id=item_id, attempts=attempts) from None
+            raise TransportError("malformed completion response", attempts=attempts) from None
         return str(content), attempts
 
 
-def post_json(config, payload: dict, what: str, headers: dict | None = None,
-              item_id: str | None = None) -> tuple[bytes, int]:
+def post_json(config, payload: dict, what: str, headers: dict | None = None) -> tuple[bytes, int]:
     """POST ``payload`` as JSON to ``config.endpoint`` until it answers 200;
     returns (response body, attempts).
 
@@ -174,7 +187,6 @@ def post_json(config, payload: dict, what: str, headers: dict | None = None,
     once. Every TransportError carries the attempts made. Proxies come from
     the environment (``NO_PROXY`` included) and certificates are verified.
     """
-    item = "" if item_id is None else f" (item {item_id})"
     request = urllib.request.Request(
         config.endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
         headers={"Content-Type": "application/json", **(headers or {})})
@@ -193,17 +205,15 @@ def post_json(config, payload: dict, what: str, headers: dict | None = None,
             return body, attempt
         if status is not None:
             if status < 500:
-                raise TransportError(f"{what} returned {status}{item}",
-                                     item_id=item_id, attempts=attempt)
+                raise TransportError(f"{what} returned {status}", attempts=attempt)
             last_failure = f"server error {status}"
         if attempt <= config.max_retries:
             delay = config.backoff * (2 ** (attempt - 1))
             log.warning("%s attempt %d/%d failed (%s); retrying in %.2fs",
                         what, attempt, config.max_retries + 1, last_failure, delay)
             time.sleep(delay)
-    raise TransportError(f"{what} failed after {config.max_retries + 1} attempts "
-                         f"({last_failure}){item}",
-                         item_id=item_id, attempts=config.max_retries + 1)
+    raise TransportError(f"{what} failed after {config.max_retries + 1} attempts ({last_failure})",
+                         attempts=config.max_retries + 1)
 
 
 def parse_label(raw: str, labels: LabelSpace) -> int | None:

@@ -375,8 +375,8 @@ def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
     try:
         resp = llm.complete(call.prompt, call.meta)
     except TransportError as exc:
-        log.warning("item %s: %s", record.item_id, exc)
-        record.error = str(exc)
+        record.error = f"{exc} (item {record.item_id})"
+        log.warning("%s", record.error)
         return
     record.llm_raw = resp.raw
     record.final_label = parse_label(resp.raw, labels)

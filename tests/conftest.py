@@ -71,7 +71,9 @@ def serve():
     def start(app) -> str:
         server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         server.app = app
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # a short poll interval keeps shutdown() from waiting up to half a second
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                         daemon=True).start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}/v1"
 

@@ -12,7 +12,7 @@ import pytest
 from cicle.cli import build_parser, build_run_config, main
 from cicle.corpus import file_sha256, write_jsonl
 from cicle.errors import TransportError
-from cicle.llm_client import LlmConfig
+from cicle.llm_client import ORACLES, LlmConfig
 from cicle import cli, pipeline
 from cicle.pipeline import record_filename
 
@@ -260,6 +260,8 @@ def test_unknown_oracle_is_usage_error(tmp_path, capsys):
     (["--sizes", "80,beta"], "--sizes"),
     (["--dataset", "nopath"], "NAME=VALUE"),
     (["--min-size", "ghost=100"], "unknown dataset"),
+    (["--min-size", "toy=x"], "--min-size expects an integer, got 'x'"),
+    (["--task", "nosuch=x"], "--task names unknown dataset 'nosuch'"),
 ])
 def test_malformed_flag_values(tmp_path, capsys, argv_extra, needle):
     data = write_toy(tmp_path)
@@ -268,6 +270,87 @@ def test_malformed_flag_values(tmp_path, capsys, argv_extra, needle):
     rc = main(argv)
     assert rc == 2
     assert needle in error_lines(capsys)[0]
+
+
+def test_task_flag_puts_its_phrase_into_every_prompt(tmp_path, monkeypatch):
+    prompts = []
+
+    def capture(prompt, meta, params):
+        prompts.append(prompt)
+        return meta.gold_label
+
+    monkeypatch.setitem(ORACLES, "capture", capture)
+    data = write_toy(tmp_path)
+    args = base_args(data, tmp_path / "out", "--strategies", "fewshot-random")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args, "--oracle", "capture", "--task", "toy=topic labelling"]) == 0
+    assert len(prompts) == 60
+    assert all("for this task: topic labelling." in prompt for prompt in prompts)
+
+
+def empty_dataset(tmp_path):
+    data = tmp_path / "toy.jsonl"
+    data.write_text("", encoding="utf-8")
+    return ["prepare", *base_args(data, tmp_path / "out")]
+
+
+def whole_dataset_as_test_split(tmp_path):
+    return ["prepare", *base_args(write_toy(tmp_path), tmp_path / "out", "--test-size", "240")]
+
+
+def frozen_label_outside_the_space(tmp_path):
+    args = base_args(write_toy(tmp_path), tmp_path / "out", "--strategies", "base")
+    assert main(["prepare", *args]) == 0
+    frozen = tmp_path / "out" / "data" / "toy"
+    first, rest = (frozen / "test.jsonl").read_text(encoding="utf-8").split("\n", 1)
+    (frozen / "test.jsonl").write_text(json.dumps({**json.loads(first), "label": "zulu"})
+                                       + "\n" + rest, encoding="utf-8")
+    manifest = json.loads((frozen / "manifest.json").read_text(encoding="utf-8"))
+    manifest["sha256"]["test.jsonl"] = file_sha256(frozen / "test.jsonl")
+    (frozen / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return ["run", *args]
+
+
+def datasets_not_a_list(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"datasets": {"name": "toy", "path": "toy.jsonl"}}),
+                      encoding="utf-8")
+    return ["run", "--config", str(config)]
+
+
+@pytest.mark.parametrize("setup,needle", [
+    (empty_dataset, "toy.jsonl: empty dataset"),
+    (whole_dataset_as_test_split, "no items left for the pool after the test split"),
+    (frozen_label_outside_the_space, "has label outside the label space"),
+    (datasets_not_a_list, ".datasets must be a list"),
+], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "datasets-not-a-list"])
+def test_a_data_error_exits_3_with_one_line(tmp_path, capsys, setup, needle):
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and needle in line
+
+
+@pytest.mark.parametrize("params", [
+    {"default_accuracy": "high"},
+    {"accuracy": [1]},
+    {"seed": "x"},
+    {"seed": True},
+    {"rate": 0.5},
+], ids=["default-accuracy-str", "accuracy-list", "seed-str", "seed-bool", "unknown-key"])
+def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
+    out = tmp_path / "out"
+    args = base_args(write_toy(tmp_path), out, "--strategies", "base,cicle")
+    assert main(["prepare", *args]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"llm": {"endpoint": "noisy", "oracle_params": params}}),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), *args]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and "oracle_params" in line
+    assert not (out / "records").exists()
 
 
 def test_config_not_json_is_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cicle.corpus import (LabeledText, LabelSpace, apportion, file_sha256, freeze_dataset,
-                          load_dataset, load_frozen, reduce_primary_label, stable_seed,
+                          load_dataset, load_frozen, stable_seed,
                           stratified_split, stratified_subsample, write_jsonl)
 from cicle.errors import DataError
 
@@ -102,11 +103,49 @@ def test_label_space_validation():
         space.position("w")
 
 
-def test_reduce_primary_label():
-    item = reduce_primary_label({"id": 3, "text": "t", "labels": ["b", "a"]})
-    assert item == LabeledText(id="3", text="t", label="b")
-    with pytest.raises(DataError, match="empty label"):
-        reduce_primary_label({"id": 3, "text": "t", "labels": []})
+def test_reduce_primary_label(tmp_path):
+    path = tmp_path / "multi.jsonl"
+    path.write_text('{"id": 3, "text": "t", "labels": ["b", "a"]}\n'
+                    '{"id": 4, "text": "u", "label": "a"}\n')
+    items, _ = load_dataset(path)
+    assert items[0] == LabeledText(id="3", text="t", label="b")
+    path.write_text('{"id": 3, "text": "t", "labels": []}\n')
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}:1: empty label list"
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([{"text": "hello there", "label": "pos"}, {"text": 'a "quoted", line', "label": "neg"},
+      {"text": " padded ", "label": "two words"}], None),
+    ([{"text": "fine", "label": "a"}, {"text": "  ", "label": "b"}], "empty text"),
+    ([{"text": "fine", "label": "a"}, {"text": "", "label": "b"}], "empty text"),
+    ([{"text": "fine", "label": "a"}, {"text": None, "label": "b"}], "empty text"),
+    ([{"text": "fine", "label": "a"}, {"text": "x", "label": " "}], "empty label"),
+    ([{"text": "fine", "label": "a"}, {"text": "x", "label": None}], "empty label"),
+    ([{"text": "fine", "label": "a"}, {"text": "\t", "label": None}], "empty text"),
+], ids=["valid", "blank-text", "empty-text", "null-text", "blank-label", "null-label",
+        "both-blank"])
+def test_csv_and_jsonl_rows_pass_one_check(tmp_path, rows, error):
+    # CSV has no null, so a null JSONL value is an empty CSV field; both must fail alike
+    ids = [f"row-{i:06d}" for i in range(1, len(rows) + 1)]
+    jsonl = tmp_path / "data.jsonl"
+    jsonl.write_text("".join(json.dumps({"id": i, **row}) + "\n" for i, row in zip(ids, rows)))
+    table = tmp_path / "data.csv"
+    with table.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "label"])
+        writer.writerows([row["text"], row["label"]] for row in rows)
+    if error is None:
+        assert load_dataset(jsonl) == load_dataset(table)
+        return
+    messages = []
+    for path in (jsonl, table):
+        with pytest.raises(DataError) as exc:
+            load_dataset(path)
+        messages.append(str(exc.value))
+    # the CSV header is line 1, so each CSV row sits one line below its JSONL twin
+    assert messages == [f"{jsonl}:{len(rows)}: {error}", f"{table}:{len(rows) + 1}: {error}"]
 
 
 def test_apportion_hand_case():
@@ -275,6 +314,22 @@ def test_load_frozen_rejects_a_changed_split(tmp_path, name):
     with (tmp_path / "d" / name).open("a", encoding="utf-8") as fh:
         fh.write('{"id": "extra", "text": "one more row", "label": "alpha"}\n')
     with pytest.raises(DataError, match=name.replace(".", r"\.") + " does not match the sha256"):
+        load_frozen(tmp_path / "d")
+
+
+@pytest.mark.parametrize("field", ["text", "label"])
+@pytest.mark.parametrize("value", [None, " "])
+def test_load_frozen_rejects_a_blank_row_whose_hash_was_rewritten(tmp_path, field, value):
+    items = make_items(120)
+    freeze_dataset(items, space_for(items), tmp_path / "d", "toy", 40, test_seed=1)
+    row = {"id": "edited", "text": "one more row", "label": "alpha", field: value}
+    with (tmp_path / "d" / "pool.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"]["pool.jsonl"] = file_sha256(tmp_path / "d" / "pool.jsonl")
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"pool\\.jsonl:81: empty {field}$"):
         load_frozen(tmp_path / "d")
 
 

@@ -164,8 +164,6 @@ def test_remote_exhausted_retries(serve, monkeypatch):
     with pytest.raises(TransportError) as exc:
         client.complete("p", META)
     assert exc.value.attempts == 4
-    assert exc.value.item_id == "it-1"
-    assert "it-1" in str(exc.value)
     assert len(calls) == 4
     assert sleeps == [0.5, 1.0, 2.0]
 

@@ -197,6 +197,37 @@ def test_transport_failure_yields_invalid_records(serve):
         assert rec.error is not None and "attempt" in rec.error
 
 
+def malformed_chat_app(handler):
+    from conftest import read_json, respond_json
+
+    read_json(handler)
+    respond_json(handler, 200, {"unexpected": "shape"})
+
+
+@pytest.mark.parametrize("reply,error", [
+    ((500, ""), "completion endpoint failed after 1 attempts (server error 500)"),
+    ((403, ""), "completion endpoint returned 403"),
+    (None, "malformed completion response"),
+], ids=["500", "403", "malformed"])
+def test_a_failed_call_records_its_error_naming_the_item(serve, reply, error):
+    from conftest import scripted_chat_app
+
+    url = serve(malformed_chat_app if reply is None else scripted_chat_app([reply]))
+    space, config, res, test = built_cell(["fewshot-random"])
+    llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
+    records = classify_cell(res, "fewshot-random", llm, config)
+    assert [r.error for r in records] == [f"{error} (item {item.id})" for item in test]
+
+
+def test_a_failed_call_logs_its_record_error_once(serve, caplog):
+    url = serve(malformed_chat_app)
+    space, config, res, test = built_cell(["fewshot-random"])
+    llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
+    with caplog.at_level("WARNING", logger="cicle.pipeline"):
+        records = classify_cell(res, "fewshot-random", llm, config)
+    assert [rec.message for rec in caplog.records] == [r.error for r in records]
+
+
 def test_build_cell_dense_requires_embedding_client():
     items = make_items(80, n_classes=4)
     with pytest.raises(DataError, match="embedding"):
