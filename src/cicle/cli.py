@@ -21,7 +21,7 @@ from .llm_client import ORACLES
 from .pipeline import (STRATEGIES, DatasetSpec, RunConfig, cell_files, config_key,
                        read_records, recorded_entries, run_experiment, stale_reason)
 from .prompting import template_from_file
-from .serialize import from_dict, read_json
+from .serialize import from_dict, read_json, typed
 
 
 class UsageError(ValueError):
@@ -29,8 +29,6 @@ class UsageError(ValueError):
 
 
 def _split_pair(value: str, flag: str) -> tuple[str, str]:
-    if "=" not in value:
-        raise UsageError(f"{flag} expects NAME=VALUE, got {value!r}")
     name, _, rest = value.partition("=")
     if not name or not rest:
         raise UsageError(f"{flag} expects NAME=VALUE, got {value!r}")
@@ -56,13 +54,8 @@ def _overlay(payload: dict, key: str, **flags) -> None:
 
 
 def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
-    entries = payload.get("datasets", [])
-    if not isinstance(entries, list):
-        raise DataError(f"{where}.datasets must be a list")
-    by_name = {}
-    for i, entry in enumerate(entries):
-        spec = from_dict(DatasetSpec, entry, f"{where}.datasets[{i}]")
-        by_name[spec.name] = spec
+    specs = typed(list[DatasetSpec], payload.get("datasets", []), f"{where}.datasets")
+    by_name = {spec.name: spec for spec in specs}
     for value in args.dataset or []:
         name, path = _split_pair(value, "--dataset")
         by_name[name] = (dataclasses.replace(by_name[name], path=path) if name in by_name
@@ -81,7 +74,7 @@ def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
         if name not in by_name:
             raise UsageError(f"--task names unknown dataset {name!r}")
         by_name[name] = dataclasses.replace(by_name[name], task=task)
-    if not by_name:
+    if not by_name and not args.config:  # RunConfig rejects a file that names none
         raise UsageError("no datasets given; use --dataset NAME=PATH or a config file")
     return list(by_name.values())
 
@@ -174,7 +167,10 @@ def cmd_report(args) -> int:
                                     f"the frozen test set has {len(test_ids)}")
                 if [r.item_id for r in records] != test_ids:
                     raise DataError(f"{path.name}: item ids are not in frozen test order")
-                per_cell[spec.name, size, strategy] = cell_metrics(records, len(space))
+                try:
+                    per_cell[spec.name, size, strategy] = cell_metrics(records, len(space))
+                except (ValueError, OverflowError) as exc:  # a label or count out of range
+                    raise DataError(f"{path.name}: {exc}") from None
     if missing:
         raise DataError(f"missing record files: {', '.join(missing)}")
     report = build_report(per_cell)

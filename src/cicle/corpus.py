@@ -18,12 +18,14 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .serialize import atomic_open, read_json, read_jsonl, write_json
+from .serialize import atomic_open, read_json, read_jsonl, typed, write_json
 
 log = logging.getLogger(__name__)
 
 MIN_CLASSES = 2
 MAX_CLASSES = 1000
+# each field of a dataset row and the type it is read as
+_ROW_FIELDS = (("id", str | int), ("text", str), ("label", str | int))
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,10 @@ class DatasetSplit:
 
 
 def _dataset_row(obj: Mapping, where: str) -> LabeledText:
-    """The one check of a dataset row, for JSONL objects, CSV rows and frozen splits.
-
-    A row has ``text``, a ``label`` or a non-empty ``labels`` list (multi-label
-    sources are reduced to the first entry) and an ``id``. Neither the text nor
-    the label may be null or blank.
-    """
+    """The one check of a dataset row, for JSONL objects, CSV rows and frozen splits:
+    an ``id``, a ``text`` and a ``label`` (or a non-empty ``labels`` list whose first
+    entry is taken), each neither null nor blank, then the text a string and the id
+    and the label a string or an integer, which becomes its decimal string."""
     if "text" not in obj:
         raise DataError(f"{where}: missing 'text' field")
     if "label" not in obj and "labels" not in obj:
@@ -92,14 +92,19 @@ def _dataset_row(obj: Mapping, where: str) -> LabeledText:
         raise DataError(f"{where}: missing 'id' field")
     if "label" in obj:
         label = obj["label"]
-    elif obj["labels"]:
-        label = obj["labels"][0]
     else:
-        raise DataError(f"{where}: empty label list")
-    for name, value in (("text", obj["text"]), ("label", label)):
-        if value is None or not str(value).strip():
+        labels = typed(list | None, obj["labels"], f"{where}: labels")
+        if not labels:
+            raise DataError(f"{where}: empty label list")
+        label = labels[0]
+    fields = [obj["id"], obj["text"], label]
+    for i, (name, tp) in enumerate(_ROW_FIELDS):
+        value = fields[i]
+        if value is None or (type(value) is str and not value.strip()):
             raise DataError(f"{where}: empty {name}")
-    return LabeledText(id=str(obj["id"]), text=str(obj["text"]), label=str(label))
+        if type(value) is not str:  # an exact string, nearly every field, skips the dispatch
+            fields[i] = str(typed(tp, value, f"{where}: {name}"))
+    return LabeledText(*fields)
 
 
 def _read_jsonl(path: Path) -> list[LabeledText]:
@@ -273,12 +278,10 @@ def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSp
     if not manifest_path.exists():
         raise DataError(f"no frozen dataset at {dir_path} (missing manifest.json); run prepare first")
     manifest = read_json(manifest_path, "frozen dataset manifest")
-    labels = manifest.get("labels")
-    if not (isinstance(manifest.get("sha256"), dict) and isinstance(labels, list)
-            and all(isinstance(label, str) for label in labels)):
-        raise DataError(f"{manifest_path} is not a frozen manifest with sha256 and labels")
+    labels = typed(list[str], manifest.get("labels"), f"{manifest_path} labels")
+    sha256 = typed(dict[str, str], manifest.get("sha256"), f"{manifest_path} sha256")
     for name in ("pool.jsonl", "test.jsonl"):
-        if file_sha256(dir_path / name) != manifest["sha256"].get(name):
+        if file_sha256(dir_path / name) != sha256.get(name):
             raise DataError(f"{dir_path / name} does not match the sha256 in its manifest.json; "
                             "run prepare again")
     pool = _read_jsonl(dir_path / "pool.jsonl")

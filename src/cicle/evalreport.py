@@ -223,20 +223,12 @@ def report_to_json(report: RunReport) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(["" if v is None else str(v) for v in row])
 
 
 def emit_report(report: RunReport, out_dir) -> list[Path]:

@@ -25,14 +25,11 @@ from typing import Callable
 
 from .corpus import LabelSpace
 from .errors import TransportError
+from .serialize import typed
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "CICLE_API_KEY"
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -54,14 +51,10 @@ class LlmConfig:
         unknown = sorted(set(params) - {"accuracy", "default_accuracy", "seed"})
         if unknown:
             raise ValueError(f"oracle_params has unknown keys: {', '.join(unknown)}")
-        accuracy = params.get("accuracy", {})
-        if not (isinstance(accuracy, dict) and all(map(_is_number, accuracy.values()))):
-            raise ValueError("oracle_params.accuracy must be an object of numbers")
-        if not _is_number(params.get("default_accuracy", 0.8)):
-            raise ValueError("oracle_params.default_accuracy must be a number")
-        seed = params.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError("oracle_params.seed must be an integer")
+        # checked, not converted: the params enter every configuration key as given
+        typed(dict[str, float], params.get("accuracy", {}), "oracle_params.accuracy")
+        typed(float, params.get("default_accuracy", 0.8), "oracle_params.default_accuracy")
+        typed(int, params.get("seed", 0), "oracle_params.seed")
 
     @property
     def is_remote(self) -> bool:

@@ -35,7 +35,7 @@ from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
 from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
-from .serialize import JSON_STYLE, atomic_open, read_json, read_jsonl, write_json
+from .serialize import JSON_STYLE, atomic_open, read_json, read_jsonl, typed, write_json
 # transform and stack are not called here; perfbench/spans.py wraps these names
 from .vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack, transform,
                         transform_many)
@@ -169,7 +169,7 @@ class PredictionRecord:
                 llm_raw=obj.get("llm_raw"),
                 error=obj.get("error"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{where}: malformed prediction record: {exc}") from None
 
 
@@ -195,10 +195,8 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
     if not path.exists():
         return {}, {}
     manifest = read_json(path, "run manifest")
-    tables = manifest.get("records"), manifest.get("keys", {})
-    if not all(isinstance(table, dict) for table in tables):
-        raise DataError(f"{path} is not a run manifest with records and keys tables")
-    return tables
+    return (typed(dict[str, str], manifest.get("records"), f"{path} records"),
+            typed(dict[str, str], manifest.get("keys", {}), f"{path} keys"))
 
 
 # The version of the program's record bytes. It is part of every configuration

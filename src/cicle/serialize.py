@@ -7,8 +7,8 @@ with ``JSON_STYLE``, which writes a dataclass as its field dict; the frozen
 splits are not, since ``corpus.write_jsonl`` keeps ``id, text, label`` order and
 their sha256s enter every configuration key. Every JSON file read back goes
 through ``read_json`` and every JSONL file through ``read_jsonl``, which raise
-one DataError naming the file; config dicts become dataclasses through
-``from_dict``, which rejects what it does not recognize.
+one DataError naming the file. ``typed`` is the one type check of a value read
+back; ``from_dict`` builds a config dataclass with it, rejecting unknown keys.
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ def from_dict(cls, raw, where: str):
     """
     if isinstance(raw, cls):
         return raw
-    if not isinstance(raw, dict):
-        raise DataError(f"{where} must be an object, got {type(raw).__name__}")
+    typed(dict, raw, where)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
@@ -109,26 +108,48 @@ def from_dict(cls, raw, where: str):
     if missing:
         raise DataError(f"{where} is missing fields: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{k: _coerce(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
+    return cls(**{k: typed(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
 
 
-def _coerce(tp, value, where: str):
-    # the annotation shapes config dataclasses use: X | None, a dataclass, list[X] or
-    # Sequence[X], and scalars; an int is taken for a float, a bool only for a bool
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):
-        options = [a for a in typing.get_args(tp) if a is not type(None)]
-        if value is None and len(options) < len(typing.get_args(tp)):
-            return None
-        tp = options[0]
+def typed(tp, value, where: str):
+    """``value`` checked against the annotation ``tp``, the one type rule for a value read
+    from a file: X | Y (the first option that fits wins), X | None, a dataclass, list[X],
+    Sequence[X], dict[str, X] and scalars. An int counts as a float, a bool only as a bool."""
     origin = typing.get_origin(tp) or tp
-    if dataclasses.is_dataclass(tp):
+    args = typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        options = [a for a in args if a is not type(None)]
+        if value is None and len(options) < len(args):
+            return None
+        if len(options) == 1:
+            return typed(options[0], value, where)
+        for option in options:
+            try:
+                return typed(option, value, where)
+            except DataError:
+                pass
+    elif dataclasses.is_dataclass(tp):
         return from_dict(tp, value, where)
-    if origin in (list, collections.abc.Sequence):
+    elif args and origin in (list, collections.abc.Sequence):
         if isinstance(value, list):
-            (item,) = typing.get_args(tp)
-            return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-        origin = list
+            return [typed(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif args and origin is dict:
+        if isinstance(value, dict):
+            return {k: typed(args[1], v, f"{where}.{k}") for k, v in value.items()}
     elif (isinstance(value, bool) == (tp is bool)
           and isinstance(value, (int, float) if tp is float else origin)):
-        return float(value) if tp is float else value
-    raise DataError(f"{where} must be {origin.__name__}, got {type(value).__name__} {value!r}")
+        try:
+            return float(value) if tp is float else value
+        except OverflowError:  # an int too large for a float
+            pass
+    raise DataError(f"{where} must be {_kind(tp)}, got {type(value).__name__} {value!r}")
+
+
+def _kind(tp) -> str:
+    # what an annotation accepts, as an error message names it: "a list", "str or int"
+    origin = typing.get_origin(tp) or tp
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_kind(a) for a in typing.get_args(tp) if a is not type(None))
+    if origin in (list, collections.abc.Sequence):
+        return "a list"
+    return "an object" if origin is dict else origin.__name__

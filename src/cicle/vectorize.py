@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import DataError
 from .llm_client import post_json
-from .serialize import atomic_open
+from .serialize import atomic_open, typed
 
 _TOKEN_RE = re.compile(r"\w{2,}")
 
@@ -225,12 +225,8 @@ class EmbeddingClient:
             reply = json.loads(body)
         except ValueError:
             raise DataError("embedding service returned a reply that is not JSON") from None
-        if not isinstance(reply, dict):
-            raise DataError(f"embedding service returned a JSON {type(reply).__name__}, "
-                            "not an object")
-        vectors = reply.get("vectors", [])
-        if not isinstance(vectors, list):
-            raise DataError("embedding service returned a reply whose vectors are not a list")
+        typed(dict, reply, "embedding service reply")
+        vectors = typed(list, reply.get("vectors", []), "embedding service reply vectors")
         if len(vectors) != len(batch):
             raise DataError(f"embedding service returned {len(vectors)} vectors for "
                             f"{len(batch)} texts")

@@ -262,6 +262,8 @@ def test_unknown_oracle_is_usage_error(tmp_path, capsys):
     (["--min-size", "ghost=100"], "unknown dataset"),
     (["--min-size", "toy=x"], "--min-size expects an integer, got 'x'"),
     (["--task", "nosuch=x"], "--task names unknown dataset 'nosuch'"),
+    (["--dataset", "=x.jsonl"], "--dataset expects NAME=VALUE, got '=x.jsonl'"),
+    (["--task", "toy="], "--task expects NAME=VALUE, got 'toy='"),
 ])
 def test_malformed_flag_values(tmp_path, capsys, argv_extra, needle):
     data = write_toy(tmp_path)
@@ -311,6 +313,30 @@ def frozen_label_outside_the_space(tmp_path):
     return ["run", *args]
 
 
+def config_without_datasets(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"datasets": []}), encoding="utf-8")
+    return ["run", "--config", str(config)]
+
+
+def dataset_with_format_xml(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"datasets": [{"name": "toy", "path": str(write_toy(tmp_path)),
+                                                "fmt": "xml"}]}), encoding="utf-8")
+    return ["prepare", "--config", str(config), "--output", str(tmp_path / "out")]
+
+
+def second_row(fields):
+    """A prepare over the toy dataset whose second row is ``{fields}``."""
+    def setup(tmp_path):
+        data = write_toy(tmp_path)
+        lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = "{%s}\n" % fields
+        data.write_text("".join(lines), encoding="utf-8")
+        return ["prepare", *base_args(data, tmp_path / "out")]
+    return setup
+
+
 def datasets_not_a_list(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"datasets": {"name": "toy", "path": "toy.jsonl"}}),
@@ -323,7 +349,22 @@ def datasets_not_a_list(tmp_path):
     (whole_dataset_as_test_split, "no items left for the pool after the test split"),
     (frozen_label_outside_the_space, "has label outside the label space"),
     (datasets_not_a_list, ".datasets must be a list"),
-], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "datasets-not-a-list"])
+    (config_without_datasets, "at least one dataset is required"),
+    (dataset_with_format_xml, "unknown dataset format 'xml'"),
+    (second_row('"id": "r", "text": "t", "labels": 5'), "toy.jsonl:2: labels must be a list"),
+    (second_row('"id": "r", "text": "t", "labels": "abc"'), "toy.jsonl:2: labels must be a list"),
+    (second_row('"id": null, "text": "t", "label": "alpha"'), "toy.jsonl:2: empty id"),
+    (second_row('"id": "", "text": "t", "label": "alpha"'), "toy.jsonl:2: empty id"),
+    (second_row('"id": true, "text": "t", "label": "alpha"'),
+     "toy.jsonl:2: id must be str or int"),
+    (second_row('"id": "r", "text": 5, "label": "alpha"'), "toy.jsonl:2: text must be str"),
+    (second_row('"id": "r", "text": "t", "label": {}'), "toy.jsonl:2: label must be str or int"),
+    (second_row('"id": "r", "text": "t", "label": [null]'),
+     "toy.jsonl:2: label must be str or int"),
+], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "datasets-not-a-list",
+        "config-without-datasets", "dataset-format-xml", "row-labels-int", "row-labels-str",
+        "row-id-null", "row-id-blank", "row-id-bool", "row-text-int", "row-label-object",
+        "row-label-list-of-null"])
 def test_a_data_error_exits_3_with_one_line(tmp_path, capsys, setup, needle):
     argv = setup(tmp_path)
     capsys.readouterr()
@@ -338,7 +379,9 @@ def test_a_data_error_exits_3_with_one_line(tmp_path, capsys, setup, needle):
     {"seed": "x"},
     {"seed": True},
     {"rate": 0.5},
-], ids=["default-accuracy-str", "accuracy-list", "seed-str", "seed-bool", "unknown-key"])
+    {"accuracy": {"alpha": "high"}},
+], ids=["default-accuracy-str", "accuracy-list", "seed-str", "seed-bool", "unknown-key",
+        "accuracy-entry-str"])
 def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
     out = tmp_path / "out"
     args = base_args(write_toy(tmp_path), out, "--strategies", "base,cicle")
@@ -446,7 +489,8 @@ def test_malformed_record_names_file_and_line(tmp_path, capsys):
     assert main(["run", *args]) == 0
     path = out / "records" / record_filename("toy", 80, 0, "base")
     for bad in ("[1, 2]", '{"item_id": "x", "strategy": "base", "gold_label": "g", '
-                          '"final_label": 0}'):
+                          '"final_label": 0}',
+                '{"item_id": "x", "strategy": "base", "gold_label": 1e400, "final_label": 0}'):
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[3] = bad
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

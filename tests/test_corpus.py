@@ -42,6 +42,11 @@ def test_load_jsonl_multilabel_keeps_first(tmp_path):
     ('{"id": "a", "text": "x", "labels": []}', "label"),
     ('not json', "invalid JSON"),
     ('[1, 2]', "not a JSON object"),
+    ('{"text": "x", "label": "b"}', ":2: missing 'id' field"),
+    ('{"id": "a", "text": "x", "labels": [" "]}', ":2: empty label"),
+    ('{"id": " ", "text": "x", "label": "b"}', ":2: empty id"),
+    ('{"id": 2.5, "text": "x", "label": "b"}', ":2: id must be str or int, got float 2.5"),
+    ('{"id": "a", "text": "x", "labels": [true]}', ":2: label must be str or int, got bool"),
 ])
 def test_load_jsonl_rejects_bad_rows(tmp_path, line, fragment):
     path = tmp_path / "bad.jsonl"
@@ -106,9 +111,11 @@ def test_label_space_validation():
 def test_reduce_primary_label(tmp_path):
     path = tmp_path / "multi.jsonl"
     path.write_text('{"id": 3, "text": "t", "labels": ["b", "a"]}\n'
-                    '{"id": 4, "text": "u", "label": "a"}\n')
+                    '{"id": 4, "text": "u", "label": "a"}\n'
+                    '{"id": "5", "text": "v", "label": 7}\n')
     items, _ = load_dataset(path)
     assert items[0] == LabeledText(id="3", text="t", label="b")
+    assert items[2] == LabeledText(id="5", text="v", label="7")
     path.write_text('{"id": 3, "text": "t", "labels": []}\n')
     with pytest.raises(DataError) as exc:
         load_dataset(path)

@@ -65,6 +65,7 @@ def test_majority_oracle_returns_first_class():
     assert client.complete("p", META).raw == "World"
     reordered = PromptMeta(classes=("Sports", "World"), gold_label="World")
     assert client.complete("p", reordered).raw == "Sports"
+    assert client.complete("p", PromptMeta()).raw == ""
 
 
 def test_copy_last_shot_oracle():
@@ -87,6 +88,7 @@ def test_noisy_oracle_accuracy_extremes():
     for i in range(20):
         assert always.complete(f"prompt {i}", META).raw == "Sports"
         assert never.complete(f"prompt {i}", META).raw != "Sports"
+    assert always.complete("p", PromptMeta()).raw == ""
 
 
 def test_noisy_oracle_hits_target_rate():

@@ -305,6 +305,10 @@ def test_record_json_nulls_for_base():
     {"item_id": "a", "strategy": "base", "gold_label": "x", "final_label": 0},
     {"item_id": "a", "strategy": "base", "gold_label": 0, "final_label": 0,
      "conformal_set": {"candidates": "nope"}},
+    {"item_id": "a", "strategy": "base", "gold_label": float("inf"), "final_label": 0},
+    {"item_id": "a", "strategy": "base", "gold_label": 0, "final_label": float("-inf")},
+    {"item_id": "a", "strategy": "cicle", "gold_label": 0, "final_label": 0,
+     "prompt_stats": {"token_count": float("inf"), "shot_count": 0, "candidate_count": 2}},
 ])
 def test_record_from_json_rejects_malformed(obj):
     with pytest.raises(DataError, match="^r.jsonl:7: malformed prediction record: "):

@@ -1,4 +1,5 @@
-"""Tests for the atomic artifact writer, the JSONL reader and the config-dict reader."""
+"""Tests for the atomic artifact writer, the JSONL reader, the type rule and the
+config-dict reader."""
 
 from dataclasses import dataclass, field
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cicle.errors import DataError
-from cicle.serialize import atomic_open, from_dict, read_json, read_jsonl, write_json
+from cicle.serialize import atomic_open, from_dict, read_json, read_jsonl, typed, write_json
 
 
 def test_write_json_bytes(tmp_path):
@@ -101,3 +102,42 @@ def test_from_dict_builds_nested_dataclasses():
 def test_from_dict_rejects_and_names_the_key(raw, needle):
     with pytest.raises(DataError, match=needle):
         from_dict(Outer, raw, "cfg")
+
+
+@pytest.mark.parametrize("tp,value,expected", [
+    (str | int, "7", "7"),
+    (str | int, 7, 7),
+    (int | str, "7", "7"),
+    (float, 2, 2.0),
+    (float | None, None, None),
+    (dict[str, float], {"a": 1, "b": 0.5}, {"a": 1.0, "b": 0.5}),
+    (list[str | int], ["a", 1], ["a", 1]),
+    (list, [True, None], [True, None]),
+    (dict, {"k": [None]}, {"k": [None]}),
+], ids=["str-or-int-str", "str-or-int-int", "int-or-str-str", "int-as-float", "none",
+        "dict-of-float", "list-of-union", "bare-list", "bare-dict"])
+def test_typed_returns_the_value_in_the_first_option_that_fits(tp, value, expected):
+    out = typed(tp, value, "v")
+    assert out == expected
+    assert type(out) is type(expected)
+
+
+@pytest.mark.parametrize("tp,value,message", [
+    (str | int, True, "v must be str or int, got bool True"),
+    (str | int, None, "v must be str or int, got NoneType None"),
+    (str | int, [], r"v must be str or int, got list \[\]"),
+    (int, 1.0, "v must be int, got float 1.0"),
+    (float, True, "v must be float, got bool True"),
+    (float, 10 ** 400, "v must be float, got int 1000"),
+    (list[str], "abc", "v must be a list, got str 'abc'"),
+    (list[str], ["a", 5], r"v\[1\] must be str, got int 5"),
+    (dict[str, float], [1], r"v must be an object, got list \[1\]"),
+    (dict[str, float], {"a": "high"}, "v.a must be float, got str 'high'"),
+    (dict, 5, "v must be an object, got int 5"),
+    (list | None, 5, "v must be a list, got int 5"),
+], ids=["bool-for-str-or-int", "null-for-str-or-int", "list-for-str-or-int", "float-for-int",
+        "bool-for-float", "int-too-large-for-float", "str-for-list", "list-entry",
+        "list-for-dict", "dict-entry", "int-for-bare-dict", "int-for-optional-list"])
+def test_typed_names_where_and_every_option(tp, value, message):
+    with pytest.raises(DataError, match="^" + message):
+        typed(tp, value, "v")

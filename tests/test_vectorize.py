@@ -282,19 +282,20 @@ def raw_reply_app(body: bytes):
 
 
 @pytest.mark.parametrize("body,needle", [
-    (b"[1, 2]", "a JSON list, not an object"),
-    (b"not json", "not JSON"),
+    (b"[1, 2]", "reply must be an object, got list [1, 2]"),
+    (b"not json", "returned a reply that is not JSON"),
 ], ids=["list", "not-json"])
 def test_embed_reply_that_is_not_a_json_object_is_data_error(serve, body, needle):
     client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(body))))
-    with pytest.raises(DataError, match="^embedding service returned ") as err:
+    with pytest.raises(DataError, match="^embedding service ") as err:
         client.embed(["a", "b"])
     assert needle in str(err.value)
 
 
 def test_embed_vectors_that_are_not_a_list_is_data_error(serve):
     client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(b'{"vectors": 5}'))))
-    with pytest.raises(DataError, match="^embedding service returned .*vectors are not a list"):
+    with pytest.raises(DataError,
+                       match="^embedding service reply vectors must be a list, got int 5"):
         client.embed(["a", "b"])
 
 
