@@ -44,10 +44,10 @@ class TrainConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be finite and positive, got {self.C}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

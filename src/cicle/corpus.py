@@ -271,7 +271,7 @@ def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_di
 def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSpace, dict]:
     """Load a frozen dataset directory back into (pool, test, labels, manifest).
 
-    Each split file must still hash to the sha256 its manifest recorded.
+    Each split must still hash to its manifest's sha256, and no id may repeat.
     """
     dir_path = Path(dir_path)
     manifest_path = dir_path / "manifest.json"
@@ -286,6 +286,11 @@ def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSp
                             "run prepare again")
     pool = _read_jsonl(dir_path / "pool.jsonl")
     test = _read_jsonl(dir_path / "test.jsonl")
+    seen: set[str] = set()
+    for item in pool + test:
+        if item.id in seen:
+            raise DataError(f"{dir_path}: duplicate id: {item.id!r} in pool.jsonl or test.jsonl")
+        seen.add(item.id)
     space = LabelSpace.from_labels(labels)
     for item in test:
         if item.label not in space:

@@ -30,6 +30,7 @@ from .serialize import typed
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "CICLE_API_KEY"
+MAX_WAIT_S = 86400.0  # a day; a socket timeout or a sleep overflows near 9.2e9 s
 
 
 @dataclass
@@ -47,6 +48,9 @@ class LlmConfig:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (0 < self.timeout <= MAX_WAIT_S and 0 <= self.backoff <= MAX_WAIT_S):
+            raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
+                             f"{MAX_WAIT_S:g}] seconds, got {self.timeout} and {self.backoff}")
         params = self.oracle_params
         unknown = sorted(set(params) - {"accuracy", "default_accuracy", "seed"})
         if unknown:
@@ -68,7 +72,6 @@ class PromptMeta:
     classes: tuple[str, ...] = ()
     gold_label: str | None = None
     last_shot_label: str | None = None
-    item_id: str | None = None
 
 
 @dataclass

@@ -358,13 +358,11 @@ def _select(res: CellResources, strategy: str, rows: list[int],
             classes: list[list[str]], config: RunConfig) -> list[ShotSet]:
     """Shots from ``strategy``'s source for each of ``rows``, in the order ``classes`` gives it."""
     source = res.shots[strategy]
-    ids = [res.test[i].id for i in rows]
     if strategy == "fewshot-random":
-        seeds = [stable_seed(config.seed, "item", i) for i in ids]
-        return select_random(source.pool, classes, config.k, seeds, ids)
+        seeds = [stable_seed(config.seed, "item", res.test[i].id) for i in rows]
+        return select_random(source.pool, classes, config.k, seeds)
     select = select_dense if strategy == "fewshot-dense" else select_sparse
-    return select(source.pool, source.pool_vectors, source.test_vectors[rows], classes,
-                  config.k, ids)
+    return select(source.pool, source.pool_vectors, source.test_vectors[rows], classes, config.k)
 
 
 def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
@@ -410,7 +408,7 @@ def cell_calls(res: CellResources, strategy: str,
         item, record = res.test[i], records[i]
         prompt, record.prompt_stats = build_prompt(config.template, shots, item, task=res.task)
         meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
-                          last_shot_label=shots.last_shot_label(), item_id=item.id)
+                          last_shot_label=shots.last_shot_label())
         calls.append(LlmCall(record=record, prompt=prompt, meta=meta))
     return records, calls
 

@@ -3,8 +3,8 @@
 Every strategy selects for a batch of queries at once and picks up to k shots
 per class for each query, preserving that query's class order exactly: the
 conformal pipeline passes classes in descending base-probability order, the
-plain few-shot baselines pass label order. A query's own item (matched by id)
-is never selected. Similarity ties go to the lower pool index.
+plain few-shot baselines pass label order. Similarity ties go to the lower pool
+index. No query is a pool item, as ``corpus.load_frozen`` rejects a repeated id.
 """
 
 from __future__ import annotations
@@ -48,33 +48,21 @@ class ShotSet:
 
 
 class ShotPool:
-    """A shot pool grouped once: label -> ascending pool indices, id -> pool index."""
+    """A shot pool grouped once: label -> ascending pool indices."""
 
     def __init__(self, items: Sequence[LabeledText]):
         self.items = list(items)
         grouped: dict[str, list[int]] = {}
-        self._by_id: dict[str, int] = {}
         for i, item in enumerate(self.items):
-            if item.id in self._by_id:
-                raise ValueError(f"shot pool contains duplicate id {item.id!r}")
-            self._by_id[item.id] = i
             grouped.setdefault(item.label, []).append(i)
         self._by_label = {label: np.array(idxs, dtype=np.intp) for label, idxs in grouped.items()}
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def position(self, item_id: str | None) -> int:
-        """Pool index of the item with this id, or -1."""
-        return self._by_id.get(item_id, -1)
-
-    def candidates(self, label: str, exclude_id: str | None = None) -> np.ndarray:
-        """Ascending pool indices of ``label``, without the item whose id is ``exclude_id``."""
-        idxs = self._by_label.get(label, _NO_INDICES)
-        excluded = self._by_id.get(exclude_id)
-        if excluded is not None and self.items[excluded].label == label:
-            idxs = idxs[idxs != excluded]
-        return idxs
+    def candidates(self, label: str) -> np.ndarray:
+        """Ascending pool indices of ``label``."""
+        return self._by_label.get(label, _NO_INDICES)
 
 
 def _check_k(k: int) -> None:
@@ -82,45 +70,34 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _warn_short(pool: ShotPool, shot_sets: list[ShotSet], k: int) -> None:
-    """Log once per class that some query got fewer than k shots of, naming the
-    class's pool size, and the fewest shots a query got when excluding its own
-    item cost it one."""
-    fewest: dict[str, int] = {}
-    for shots in shot_sets:
-        for cls, items in shots.per_class:
-            if len(items) < k:
-                fewest[cls] = min(fewest.get(cls, k), len(items))
-    for cls, n in fewest.items():
+def _warn_short(pool: ShotPool, classes: Sequence[Sequence[str]], k: int) -> None:
+    """Log once per requested class with fewer than k pool items, in first-request order."""
+    for cls in dict.fromkeys(c for order in classes for c in order):
         available = len(pool.candidates(cls))
         if available == 0:
             log.warning("class %r has no pool items; selecting zero shots", cls)
-        elif n == available:
-            log.warning("class %r has only %d pool items for k=%d; taking all", cls, n, k)
-        else:
-            log.warning("class %r has %d pool items for k=%d; a query that is one of them "
-                        "gets %d", cls, available, k, n)
+        elif available < k:
+            log.warning("class %r has only %d pool items for k=%d; taking all", cls, available, k)
 
 
 def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
-                  seeds: Sequence[int], exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+                  seeds: Sequence[int]) -> list[ShotSet]:
     """Per query, a uniform without-replacement sample of min(k, available) shots per class.
 
-    Query q draws from ``random.Random(seeds[q])``, class by class in its own
-    class order, excluding the pool item with id ``exclude_ids[q]``.
+    Query q draws from ``random.Random(seeds[q])``, class by class in its own order.
     """
     _check_k(k)
     shot_sets = []
-    for order, seed, exclude_id in zip(classes, seeds, exclude_ids, strict=True):
+    for order, seed in zip(classes, seeds, strict=True):
         rng = random.Random(seed)
         per_class: list[tuple[str, list[LabeledText]]] = []
         for cls in order:
-            idxs = pool.candidates(cls, exclude_id)
+            idxs = pool.candidates(cls)
             # sampling positions draws exactly what sampling the index list would
             chosen = rng.sample(range(len(idxs)), min(k, len(idxs)))
             per_class.append((cls, [pool.items[idxs[j]] for j in chosen]))
         shot_sets.append(ShotSet(per_class=per_class))
-    _warn_short(pool, shot_sets, k)
+    _warn_short(pool, classes, k)
     return shot_sets
 
 
@@ -171,18 +148,13 @@ def _dense_similarities(pool_embeddings,
         yield np.array([similarities(q) for q in chunk])
 
 
-def _top_k(sims: np.ndarray, idxs: np.ndarray, excluded: np.ndarray,
-           k: int) -> list[list[int]]:
+def _top_k(sims: np.ndarray, idxs: np.ndarray, k: int) -> list[list[int]]:
     """Per row, the k of the candidates ``idxs`` (ascending pool indices) most
     similar, ties to the lower index; ``sims[row, j]`` is the similarity of
-    ``idxs[j]``. Each row is exactly ``idxs[np.argsort(-sims[row], kind="stable")[:k]]``
-    over the candidates other than that row's ``excluded`` pool index."""
+    ``idxs[j]``. Each row is exactly ``idxs[np.argsort(-sims[row], kind="stable")[:k]]``."""
     neg = -sims
     if len(idxs) <= k:
-        ranked = idxs[np.argsort(neg, axis=1, kind="stable")]
-        return [row[row != ex].tolist() for row, ex in zip(ranked, excluded)]
-    # with more than k candidates, an excluded one ranks below k others
-    neg[idxs[None, :] == excluded[:, None]] = np.inf
+        return idxs[np.argsort(neg, axis=1, kind="stable")].tolist()
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     keep = neg <= kth
     crowded = np.flatnonzero(keep.sum(axis=1) > k)
@@ -199,14 +171,10 @@ def _top_k(sims: np.ndarray, idxs: np.ndarray, excluded: np.ndarray,
 
 
 def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarray],
-                          classes: Sequence[Sequence[str]], k: int,
-                          exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+                          classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
     _check_k(k)
     if n_rows != len(pool):
         raise ValueError(f"{n_rows} similarities for {len(pool)} pool items")
-    if len(classes) != len(exclude_ids):
-        raise ValueError(f"{len(classes)} class orders for {len(exclude_ids)} excluded ids")
-    excluded = np.array([pool.position(i) for i in exclude_ids], dtype=np.intp)
     shot_sets: list[ShotSet] = []
     for block in blocks:
         start = len(shot_sets)
@@ -217,7 +185,7 @@ def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarr
         for cls in dict.fromkeys(c for order in orders for c in order):
             rows = [r for r, order in enumerate(orders) if cls in order]
             idxs = pool.candidates(cls)
-            picks = _top_k(block[:, idxs][rows], idxs, excluded[start:][rows], k)
+            picks = _top_k(block[:, idxs][rows], idxs, k)
             ranked.update(((r, cls), p) for r, p in zip(rows, picks))
         for r, order in enumerate(orders):
             per_class: list[tuple[str, list[LabeledText]]] = []
@@ -226,28 +194,26 @@ def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarr
             shot_sets.append(ShotSet(per_class=per_class))
     if len(shot_sets) != len(classes):
         raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
-    _warn_short(pool, shot_sets, k)
+    _warn_short(pool, classes, k)
     return shot_sets
 
 
 def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,
-                  classes: Sequence[Sequence[str]], k: int,
-                  exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+                  classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
     """Per query row and class, the k pool items most cosine-similar in tf-idf space.
 
     ``pool_vectors`` has one row per pool item and ``queries`` one row per
-    query, both under the same fitted tf-idf model; ``classes[q]`` and
-    ``exclude_ids[q]`` belong to query row q.
+    query, both under the same fitted tf-idf model; ``classes[q]`` belongs to
+    query row q.
     """
     return _select_by_similarity(pool, pool_vectors.shape[0],
                                  sparse_similarities(pool_vectors, queries),
-                                 classes, k, exclude_ids)
+                                 classes, k)
 
 
 def select_dense(pool: ShotPool, pool_embeddings, query_embeddings,
-                 classes: Sequence[Sequence[str]], k: int,
-                 exclude_ids: Sequence[str | None]) -> list[ShotSet]:
+                 classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
     """As select_sparse, over dense embedding vectors (one query per entry)."""
     return _select_by_similarity(pool, len(pool_embeddings),
                                  _dense_similarities(pool_embeddings, query_embeddings),
-                                 classes, k, exclude_ids)
+                                 classes, k)

@@ -105,7 +105,7 @@ def cicle_run(tmp_path_factory):
     completions = []
 
     def counting(prompt, meta, params):
-        completions.append(meta.item_id)
+        completions.append(prompt)
         return ORACLES["perfect"](prompt, meta, params)
 
     with pytest.MonkeyPatch.context() as mp:

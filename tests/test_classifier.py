@@ -57,6 +57,10 @@ def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0, **train_kw):
     {"tol": 0.0},
     {"tol": -1e-4},
     {"max_iter": 0},
+    {"C": float("nan")},
+    {"C": float("inf")},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
 ])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

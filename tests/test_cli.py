@@ -300,16 +300,22 @@ def whole_dataset_as_test_split(tmp_path):
     return ["prepare", *base_args(write_toy(tmp_path), tmp_path / "out", "--test-size", "240")]
 
 
+def edit_frozen_row(out, name, row, **fields):
+    """Set ``fields`` in row ``row`` of the frozen split ``name`` and write the
+    split's new sha256 into its manifest."""
+    frozen = out / "data" / "toy"
+    lines = (frozen / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[row] = json.dumps({**json.loads(lines[row]), **fields}) + "\n"
+    (frozen / name).write_text("".join(lines), encoding="utf-8")
+    manifest = json.loads((frozen / "manifest.json").read_text(encoding="utf-8"))
+    manifest["sha256"][name] = file_sha256(frozen / name)
+    (frozen / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def frozen_label_outside_the_space(tmp_path):
     args = base_args(write_toy(tmp_path), tmp_path / "out", "--strategies", "base")
     assert main(["prepare", *args]) == 0
-    frozen = tmp_path / "out" / "data" / "toy"
-    first, rest = (frozen / "test.jsonl").read_text(encoding="utf-8").split("\n", 1)
-    (frozen / "test.jsonl").write_text(json.dumps({**json.loads(first), "label": "zulu"})
-                                       + "\n" + rest, encoding="utf-8")
-    manifest = json.loads((frozen / "manifest.json").read_text(encoding="utf-8"))
-    manifest["sha256"]["test.jsonl"] = file_sha256(frozen / "test.jsonl")
-    (frozen / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    edit_frozen_row(tmp_path / "out", "test.jsonl", 0, label="zulu")
     return ["run", *args]
 
 
@@ -396,6 +402,34 @@ def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
     assert not (out / "records").exists()
 
 
+@pytest.mark.parametrize("section,body,needle", [
+    ("train", '{"tol": NaN}', "tol must be finite and positive, got nan"),
+    ("train", '{"C": 1e400}', "C must be finite and positive, got inf"),
+    ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e400, "max_retries": 0}',
+     "got inf and 0.5"),
+    ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12, "max_retries": 0}',
+     "got 1000000000000.0 and 0.5"),
+    ("embedding", '{"endpoint": "http://127.0.0.1:9/embed", "timeout": 1e400}',
+     "got inf and 0.5"),
+    ("embedding", '{"endpoint": "http://127.0.0.1:9/embed", "timeout": 1e12}',
+     "got 1000000000000.0 and 0.5"),
+], ids=["train-tol-nan", "train-c-inf", "llm-timeout-inf", "llm-timeout-1e12",
+        "embedding-timeout-inf", "embedding-timeout-1e12"])
+def test_an_unusable_number_in_a_config_fails_before_any_cell(tmp_path, capsys, section, body,
+                                                               needle):
+    # JSON text as written: Python's reader takes NaN and reads 1e400 as infinity
+    out = tmp_path / "out"
+    args = base_args(write_toy(tmp_path), out, "--strategies", "base,cicle")
+    assert main(["prepare", *args]) == 0
+    config = tmp_path / "config.json"
+    config.write_text('{"%s": %s}' % (section, body), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), *args]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and needle in line
+    assert not (out / "records").exists()
+
+
 def test_config_not_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text("{nope", encoding="utf-8")
@@ -479,6 +513,24 @@ def test_changed_frozen_split_is_data_error(tmp_path, capsys):
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: data:")
         assert "test.jsonl" in lines[0] and "sha256" in lines[0]
+
+
+@pytest.mark.parametrize("name,row", [("test.jsonl", 0), ("pool.jsonl", 1)],
+                         ids=["test-id-in-pool", "pool-id-repeats"])
+def test_a_repeated_frozen_id_is_data_error(tmp_path, capsys, name, row):
+    # a row of a frozen split takes the id of the pool's first row
+    out = tmp_path / "out"
+    args = base_args(write_toy(tmp_path), out, "--strategies", "base,fewshot-random")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    pool = (out / "data" / "toy" / "pool.jsonl").read_text(encoding="utf-8")
+    twin = json.loads(pool.splitlines()[0])["id"]
+    edit_frozen_row(out, name, row, id=twin)
+    capsys.readouterr()
+    for command in ("run", "report"):
+        assert main([command, *args]) == 3
+        [line] = error_lines(capsys)
+        assert line.startswith("error: data:") and f"duplicate id: {twin!r}" in line
 
 
 def test_malformed_record_names_file_and_line(tmp_path, capsys):

@@ -324,20 +324,42 @@ def test_load_frozen_rejects_a_changed_split(tmp_path, name):
         load_frozen(tmp_path / "d")
 
 
+def append_rehashed(frozen, name, row):
+    """Append ``row`` to the frozen split ``name`` and write its new sha256 into the manifest."""
+    with (frozen / name).open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    manifest_path = frozen / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"][name] = file_sha256(frozen / name)
+    manifest_path.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("field", ["text", "label"])
 @pytest.mark.parametrize("value", [None, " "])
 def test_load_frozen_rejects_a_blank_row_whose_hash_was_rewritten(tmp_path, field, value):
     items = make_items(120)
     freeze_dataset(items, space_for(items), tmp_path / "d", "toy", 40, test_seed=1)
     row = {"id": "edited", "text": "one more row", "label": "alpha", field: value}
-    with (tmp_path / "d" / "pool.jsonl").open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row) + "\n")
-    manifest_path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["sha256"]["pool.jsonl"] = file_sha256(tmp_path / "d" / "pool.jsonl")
-    manifest_path.write_text(json.dumps(manifest))
+    append_rehashed(tmp_path / "d", "pool.jsonl", row)
     with pytest.raises(DataError, match=f"pool\\.jsonl:81: empty {field}$"):
         load_frozen(tmp_path / "d")
+
+
+@pytest.mark.parametrize("source,name", [
+    ("pool.jsonl", "test.jsonl"),
+    ("pool.jsonl", "pool.jsonl"),
+    ("test.jsonl", "test.jsonl"),
+], ids=["test-id-in-pool", "pool-id-repeats", "test-id-repeats"])
+def test_load_frozen_rejects_a_repeated_id(tmp_path, source, name):
+    # a row of ``name`` takes the id of the first row of ``source``
+    items = make_items(120)
+    freeze_dataset(items, space_for(items), tmp_path / "d", "toy", 40, test_seed=1)
+    first = json.loads((tmp_path / "d" / source).read_text().splitlines()[0])
+    append_rehashed(tmp_path / "d", name, {**first, "text": "another row"})
+    with pytest.raises(DataError) as exc:
+        load_frozen(tmp_path / "d")
+    assert str(exc.value) == (f"{tmp_path / 'd'}: duplicate id: {first['id']!r} "
+                              "in pool.jsonl or test.jsonl")
 
 
 def test_load_frozen_missing_manifest(tmp_path):

@@ -2,9 +2,10 @@
 
 Each reader of a JSON or JSONL file is driven through the command line with
 one JSON value of its file replaced by an arbitrary JSON value. The command
-must exit 0, or 3 with exactly one ``error:`` line; never 1. CSV rows are left
-out, since their fields are always strings, and so are embedding cache files,
-which are ``.npy``.
+must exit 0, or 3 with exactly one ``error:`` line; never 1. The replacement
+may also be the id of another frozen row, so that a frozen split repeats an id.
+CSV rows are left out, since their fields are always strings, and so are
+embedding cache files, which are ``.npy``.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,21 @@ JSON = st.recursive(
     | st.sampled_from([10 ** 40, -(10 ** 400), float("inf")]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=6)
+
+
+@dataclass(frozen=True)
+class AnotherRowId:
+    """Stands for the id of frozen row n (modulo their count): the pool's rows,
+    then the test split's rows after its first, which is the one edited."""
+
+    n: int
+
+
+def another_row_id(work: Path, n: int) -> str:
+    frozen = work / "out" / "data" / "toy"
+    rows = (frozen / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+    rows += (frozen / "test.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    return json.loads(rows[n % len(rows)])["id"]
 
 
 def write_config(work: Path) -> Path:
@@ -113,7 +130,10 @@ def rehash(work: Path, name: str, manifest: str, table: str) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(reader=st.sampled_from(sorted(READERS)), target=st.integers(min_value=0), value=JSON)
+@given(reader=st.sampled_from(sorted(READERS)), target=st.integers(min_value=0),
+       value=JSON | st.builds(AnotherRowId, st.integers(min_value=0)))
+@example(reader="frozen-row", target=("id",), value=AnotherRowId(0))
+@example(reader="frozen-row", target=("id",), value=AnotherRowId(-1))
 @example(reader="dataset-row", target=("labels",), value=5)
 @example(reader="dataset-row", target=("labels",), value="abc")
 @example(reader="record", target=("gold_label",), value=float("inf"))
@@ -127,6 +147,8 @@ def test_a_replaced_value_exits_0_or_3_with_one_error_line(baseline, reader, tar
         work = Path(tmp) / "work"
         shutil.copytree(original, work)
         config = write_config(work)
+        if isinstance(value, AnotherRowId):
+            value = another_row_id(work, value.n)
         path = work / name
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         doc = json.loads(lines[line] if line is not None else "".join(lines))

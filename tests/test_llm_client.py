@@ -23,7 +23,7 @@ from conftest import scripted_chat_app
 
 
 META = PromptMeta(classes=("World", "Sports", "Business"), gold_label="Sports",
-                  last_shot_label="Business", item_id="it-1")
+                  last_shot_label="Business")
 
 
 def oracle_client(name, **kw):
@@ -45,10 +45,19 @@ def test_unknown_oracle_rejected_with_listing():
 @pytest.mark.parametrize("kwargs", [
     {"max_new_tokens": 0},
     {"max_retries": -1},
+    *({name: value} for name in ("timeout", "backoff")
+      for value in (float("inf"), float("nan"), -1.0, 1e10)),
+    {"timeout": 0.0},
 ])
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    [field] = kwargs
+    with pytest.raises(ValueError, match=field):
         LlmConfig(endpoint="perfect", **kwargs)
+
+
+def test_config_accepts_a_day_of_timeout_and_no_backoff():
+    config = LlmConfig(endpoint="perfect", timeout=86400.0, backoff=0.0)
+    assert (config.timeout, config.backoff) == (86400.0, 0.0)
 
 
 def test_perfect_oracle_returns_gold_when_listed():

@@ -1,18 +1,21 @@
 """Tests for the experiment pipeline: cells, records, orchestration."""
 
 import json
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicle.classifier import TrainConfig
 from cicle.conformal import ConformalSet
 from cicle import pipeline, vectorize
 from cicle.corpus import (file_sha256, freeze_dataset, load_frozen, stable_seed,
-                          stratified_split)
+                          stratified_split, stratified_subsample)
 from cicle.errors import DataError, TransportError
 from cicle.evalreport import build_report, cell_metrics, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
@@ -83,7 +86,7 @@ def counting_perfect(monkeypatch):
     completions = []
 
     def oracle(prompt, meta, params):
-        completions.append(meta.item_id)
+        completions.append(prompt)
         return ORACLES["perfect"](prompt, meta, params)
 
     monkeypatch.setitem(ORACLES, "counting-perfect", oracle)
@@ -178,8 +181,36 @@ def test_llm_called_exactly_once_per_multiclass_set(monkeypatch):
     records = classify_cell(res, "cicle", llm, config)
     multi = sum(1 for r in records if len(r.conformal_set) >= 2)
     assert len(completions) == multi
-    assert sorted(completions) == sorted(r.item_id for r in records if not r.bypassed)
+    # each call fills in its own record's answer
+    assert all((r.llm_raw is None) == r.bypassed for r in records)
     assert multi == sum(1 for r in records if not r.bypassed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 5), overlap=st.sampled_from([0.0, 0.5, 0.75]),
+       size=st.sampled_from([40, 80, 160]), k=st.integers(1, 3))
+def test_no_prompted_call_shows_its_own_item(seed, overlap, size, k):
+    """On a toy corpus frozen and read back, no prompt that cell_calls builds
+    has its query among the shots, under any prompting strategy."""
+    shown = []  # (query id, ids of the prompt's shots) per prompt built
+    real = pipeline.build_prompt
+
+    def spying(template, shots, item, **kwargs):
+        shown.append((item.id, {shot.id for _, items in shots.per_class for shot in items}))
+        return real(template, shots, item, **kwargs)
+
+    strategies = ["cicle", "fewshot-random", "fewshot-sparse"]
+    config = make_config(strategies=strategies, k=k, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        prepare(tmp, overlap=overlap, seed=seed)
+        pool, test, space, _ = load_frozen(Path(tmp) / "data" / "toy")
+        cell_seed = stable_seed(seed, "toy", size)
+        res = build_cell(stratified_subsample(pool, size, cell_seed), test, space, config,
+                         cell_seed)
+        mp.setattr(pipeline, "build_prompt", spying)
+        n_calls = sum(len(pipeline.cell_calls(res, s, config)[1]) for s in strategies)
+    assert len(shown) == n_calls > 0
+    assert all(query not in shots for query, shots in shown)
 
 
 def test_transport_failure_yields_invalid_records(serve):
@@ -612,13 +643,13 @@ def test_rerun_reuses_every_file_without_decoding_it(tmp_path, monkeypatch, capl
 
 def test_an_interrupted_run_keeps_its_finished_files(tmp_path, monkeypatch, caplog):
     def interrupting(prompt, meta, params):
-        if meta.item_id == "interrupt":
+        if prompt == "interrupt":
             raise KeyboardInterrupt
         return ORACLES["noisy"](prompt, meta, params)
 
     def tag(n, strategy, call):
         if n == 1:
-            call.meta = replace(call.meta, item_id="interrupt")
+            call.prompt = "interrupt"
 
     out = tmp_path / "run"
     prepare(out, overlap=0.75)
@@ -740,7 +771,7 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
         cond = threading.Condition()
 
         def tracking(prompt, meta, params):
-            pair = int(meta.item_id.split(":")[0])
+            pair = int(prompt.split(":")[0])
             with cond:
                 active.append(pair)
                 state["peak"] = max(state["peak"], len(active))
@@ -752,7 +783,7 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
             return meta.gold_label
 
         def tag(n, strategy, call):
-            call.meta = replace(call.meta, item_id=f"{n}:{call.meta.item_id}")
+            call.prompt = f"{n}:{call.prompt}"
 
         out = tmp_path / f"run{jobs}"
         prepare(out, overlap=0.75)
@@ -772,14 +803,14 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
 
 def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
     def flaky(prompt, meta, params):
-        if meta.item_id == "raise":
+        if prompt == "raise":
             raise ValueError("oracle broke")
         return ORACLES["noisy"](prompt, meta, params)
 
     def tag(n, strategy, call):
         # the second pair, toy/80/fewshot-random, fails on one of its items
         if n == 1 and call.record.item_id == test_ids[7]:
-            call.meta = replace(call.meta, item_id="raise")
+            call.prompt = "raise"
 
     out = tmp_path / "run"
     prepare(out, overlap=0.75)

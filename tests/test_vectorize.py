@@ -212,6 +212,9 @@ def test_transform_many_takes_rows_of_one_encoding():
     {"batch_size": 0},
     {"batch_size": -1},
     {"max_retries": -1},
+    *({name: value} for name in ("timeout", "backoff")
+      for value in (float("inf"), float("nan"), -1.0, 1e10)),
+    {"timeout": 0.0},
 ])
 def test_config_validation(kwargs):
     [field] = kwargs
