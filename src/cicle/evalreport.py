@@ -236,7 +236,8 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
 
     cells.csv has one row per (dataset, size, strategy); curve_{dataset}.csv
     is wide (one size per row, one macro-F1 column per strategy) for direct
-    plotting.
+    plotting. Every table is written, header-only when empty, and a
+    curve_*.csv this report did not write is removed, so no file is stale.
     """
     out_dir = Path(out_dir)
     path = out_dir / "report.json"
@@ -267,16 +268,17 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
 
     tables["aggregates.csv"] = (["dataset", "strategy", "macro_f1"],
                                 [[d, s, v] for (d, s), v in sorted(report.aggregates.items())])
-    if report.regimes:
-        tables["regimes.csv"] = (["regime", "strategy", "macro_f1"],
-                                 [[r, s, v] for (r, s), v in sorted(report.regimes.items())])
-    if report.reductions:
-        tables["reductions.csv"] = (["dataset", "prompt_reduction_pct", "shot_reduction_pct"],
-                                    [[d, v["prompt_reduction_pct"], v["shot_reduction_pct"]]
-                                     for d, v in sorted(report.reductions.items())])
+    tables["regimes.csv"] = (["regime", "strategy", "macro_f1"],
+                             [[r, s, v] for (r, s), v in sorted(report.regimes.items())])
+    tables["reductions.csv"] = (["dataset", "prompt_reduction_pct", "shot_reduction_pct"],
+                                [[d, v["prompt_reduction_pct"], v["shot_reduction_pct"]]
+                                 for d, v in sorted(report.reductions.items())])
 
     for name, (header, rows) in tables.items():
         path = out_dir / name
         _write_csv(path, header, rows)
         written.append(path)
+    for path in out_dir.glob("curve_*.csv"):
+        if path.name not in tables:  # left by an earlier report over other datasets
+            path.unlink()
     return written

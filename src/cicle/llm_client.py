@@ -46,11 +46,7 @@ class LlmConfig:
     def __post_init__(self):
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not (0 < self.timeout <= MAX_WAIT_S and 0 <= self.backoff <= MAX_WAIT_S):
-            raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
-                             f"{MAX_WAIT_S:g}] seconds, got {self.timeout} and {self.backoff}")
+        check_retry_settings(self)
         params = self.oracle_params
         unknown = sorted(set(params) - {"accuracy", "default_accuracy", "seed"})
         if unknown:
@@ -71,7 +67,6 @@ class PromptMeta:
 
     classes: tuple[str, ...] = ()
     gold_label: str | None = None
-    last_shot_label: str | None = None
 
 
 @dataclass
@@ -118,18 +113,10 @@ def _oracle_noisy(prompt: str, meta: PromptMeta | None, params: dict) -> str:
     return rng.choice(wrong) if wrong else meta.classes[0]
 
 
-def _oracle_copy_last_shot(prompt: str, meta: PromptMeta | None, params: dict) -> str:
-    """The label of the final example shown in the prompt."""
-    if meta is None or meta.last_shot_label is None:
-        return ""
-    return meta.last_shot_label
-
-
 ORACLES: dict[str, OracleFn] = {
     "perfect": _oracle_perfect,
     "majority": _oracle_majority,
     "noisy": _oracle_noisy,
-    "copy-last-shot": _oracle_copy_last_shot,
 }
 
 
@@ -171,6 +158,15 @@ class LlmClient:
         except (ValueError, KeyError, IndexError, TypeError):
             raise TransportError("malformed completion response", attempts=attempts) from None
         return str(content), attempts
+
+
+def check_retry_settings(config) -> None:
+    """Reject the ``max_retries``, ``timeout`` and ``backoff`` that ``post_json`` could not use."""
+    if config.max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {config.max_retries}")
+    if not (0 < config.timeout <= MAX_WAIT_S and 0 <= config.backoff <= MAX_WAIT_S):
+        raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
+                         f"{MAX_WAIT_S:g}] seconds, got {config.timeout} and {config.backoff}")
 
 
 def post_json(config, payload: dict, what: str, headers: dict | None = None) -> tuple[bytes, int]:

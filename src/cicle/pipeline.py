@@ -407,8 +407,7 @@ def cell_calls(res: CellResources, strategy: str,
     for i, shots in zip(rows, _select(res, strategy, rows, classes, config)):
         item, record = res.test[i], records[i]
         prompt, record.prompt_stats = build_prompt(config.template, shots, item, task=res.task)
-        meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label,
-                          last_shot_label=shots.last_shot_label())
+        meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label)
         calls.append(LlmCall(record=record, prompt=prompt, meta=meta))
     return records, calls
 

@@ -40,12 +40,6 @@ class ShotSet:
     def shot_count(self) -> int:
         return sum(len(items) for _, items in self.per_class)
 
-    def last_shot_label(self) -> str | None:
-        for cls, items in reversed(self.per_class):
-            if items:
-                return cls
-        return None
-
 
 class ShotPool:
     """A shot pool grouped once: label -> ascending pool indices."""

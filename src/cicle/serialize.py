@@ -92,9 +92,9 @@ def read_jsonl(path):
 def from_dict(cls, raw, where: str):
     """Build dataclass ``cls`` from a config-file dict, recursing into dataclass fields.
 
-    Unknown keys, missing required fields and values of the wrong type raise
-    DataError naming them after ``where``; a ``raw`` that is already a ``cls``
-    is returned as is.
+    Unknown keys, missing required fields, values of the wrong type and values
+    that ``cls`` itself rejects raise DataError naming them after ``where``; a
+    ``raw`` that is already a ``cls`` is returned as is.
     """
     if isinstance(raw, cls):
         return raw
@@ -108,7 +108,11 @@ def from_dict(cls, raw, where: str):
     if missing:
         raise DataError(f"{where} is missing fields: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{k: typed(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
+    values = {k: typed(hints[k], v, f"{where}.{k}") for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def typed(tp, value, where: str):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .llm_client import MAX_WAIT_S, post_json
+from .llm_client import check_retry_settings, post_json
 from .serialize import atomic_open, typed
 
 _TOKEN_RE = re.compile(r"\w{2,}")
@@ -168,11 +168,7 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not (0 < self.timeout <= MAX_WAIT_S and 0 <= self.backoff <= MAX_WAIT_S):
-            raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
-                             f"{MAX_WAIT_S:g}] seconds, got {self.timeout} and {self.backoff}")
+        check_retry_settings(self)
 
 
 class EmbeddingClient:

@@ -253,7 +253,7 @@ def test_unknown_oracle_is_usage_error(tmp_path, capsys):
     assert rc == 2
     line = error_lines(capsys)[0]
     assert line.startswith("error: usage:")
-    assert "perfect" in line
+    assert line.endswith("known oracles: majority, noisy, perfect")
 
 
 @pytest.mark.parametrize("argv_extra,needle", [
@@ -426,7 +426,7 @@ def test_an_unusable_number_in_a_config_fails_before_any_cell(tmp_path, capsys, 
     capsys.readouterr()
     assert main(["run", "--config", str(config), *args]) == 3
     [line] = error_lines(capsys)
-    assert line.startswith("error: data:") and needle in line
+    assert line.startswith(f"error: data: config ({config}).{section}: ") and needle in line
     assert not (out / "records").exists()
 
 

@@ -337,6 +337,17 @@ def test_emit_report_files_and_determinism(tmp_path):
     assert curve[2].startswith("500,")
 
 
+def test_a_second_report_leaves_no_table_of_the_first(tmp_path):
+    emit_report(build_report(metrics_of(synthetic_cells())), tmp_path)
+    fewer = {key: records for key, records in synthetic_cells().items()
+             if key[0] == "alpha" and key[2] != "fewshot-random"}
+    written = emit_report(build_report(metrics_of(fewer)), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+    assert not (tmp_path / "curve_beta.csv").exists()
+    assert (tmp_path / "reductions.csv").read_text("utf-8").splitlines() == [
+        "dataset,prompt_reduction_pct,shot_reduction_pct"]
+
+
 def test_curve_csv_blank_for_missing_cell(tmp_path):
     report = build_report(metrics_of(synthetic_cells()))
     del report.per_cell[("alpha", 500, "fewshot-random")]

@@ -22,8 +22,7 @@ from cicle.llm_client import (
 from conftest import scripted_chat_app
 
 
-META = PromptMeta(classes=("World", "Sports", "Business"), gold_label="Sports",
-                  last_shot_label="Business")
+META = PromptMeta(classes=("World", "Sports", "Business"), gold_label="Sports")
 
 
 def oracle_client(name, **kw):
@@ -31,7 +30,7 @@ def oracle_client(name, **kw):
 
 
 def test_builtin_oracles_registered():
-    assert {"perfect", "majority", "noisy", "copy-last-shot"} <= set(ORACLES)
+    assert set(ORACLES) == {"perfect", "majority", "noisy"}
 
 
 def test_unknown_oracle_rejected_with_listing():
@@ -75,12 +74,6 @@ def test_majority_oracle_returns_first_class():
     reordered = PromptMeta(classes=("Sports", "World"), gold_label="World")
     assert client.complete("p", reordered).raw == "Sports"
     assert client.complete("p", PromptMeta()).raw == ""
-
-
-def test_copy_last_shot_oracle():
-    client = oracle_client("copy-last-shot")
-    assert client.complete("p", META).raw == "Business"
-    assert client.complete("p", PromptMeta(classes=("A",))).raw == ""
 
 
 def test_noisy_oracle_is_prompt_deterministic():

@@ -59,14 +59,6 @@ def test_shot_set_helpers():
     shots = ShotSet(per_class=[("fruit", items[:2]), ("veg", [items[3]])])
     assert shots.classes() == ["fruit", "veg"]
     assert shots.shot_count() == 3
-    assert shots.last_shot_label() == "veg"
-
-
-def test_last_shot_label_skips_empty_tail():
-    items = small_pool()
-    shots = ShotSet(per_class=[("fruit", [items[0]]), ("veg", [])])
-    assert shots.last_shot_label() == "fruit"
-    assert ShotSet(per_class=[("fruit", []), ("veg", [])]).last_shot_label() is None
 
 
 def test_random_counts_and_class_order():
