@@ -69,9 +69,10 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return P
 
 
-def _objective_terms(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
-                     C: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(loss, dW, db, P): the objective, its gradient, and the softmax P it used."""
+def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
+                 C: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Penalized negative log-likelihood, its analytic gradient and the softmax
+    it used: (loss, dW, db, P)."""
     n = X.shape[0]
     Z = X @ W.T + b
     Zmax = Z.max(axis=1, keepdims=True)
@@ -84,17 +85,6 @@ def _objective_terms(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarr
     dW = (X.T @ R).T + W / C
     db = R.sum(axis=0)
     return loss, np.asarray(dW), db, P
-
-
-def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
-                 C: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalized negative log-likelihood and its analytic gradient.
-
-    Returns (loss, dW, db). Kept public so the gradient can be checked
-    against finite differences of the loss alone.
-    """
-    loss, dW, db, _ = _objective_terms(W, b, X, y, C)
-    return loss, dW, db
 
 
 def train(X: sp.csr_matrix, y, label_space: LabelSpace,
@@ -121,8 +111,8 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace,
 
     def evaluate(params: np.ndarray) -> dict:
         if not np.array_equal(params, last["params"]):
-            loss, dW, db, P = _objective_terms(params[: K * V].reshape(K, V), params[K * V:],
-                                               X, y, config.C)
+            loss, dW, db, P = nll_and_grad(params[: K * V].reshape(K, V), params[K * V:],
+                                           X, y, config.C)
             last.update(params=params.copy(), loss=loss,
                         grad=np.concatenate([dW.ravel(), db]), P=P)
         return last

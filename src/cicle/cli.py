@@ -25,7 +25,8 @@ from .serialize import from_dict, read_json, typed
 
 
 class UsageError(ValueError):
-    """Bad invocation (unknown strategy, malformed NAME=VALUE); exits 2."""
+    """Bad invocation (malformed NAME=VALUE, a flag value the configuration
+    rejects); exits 2."""
 
 
 def _split_pair(value: str, flag: str) -> tuple[str, str]:
@@ -53,13 +54,21 @@ def _overlay(payload: dict, key: str, **flags) -> None:
         payload[key] = section
 
 
+def _flag_spec(spec: DatasetSpec | None, **values) -> DatasetSpec:
+    """``spec`` with ``values`` from a flag set (a new spec when None); a value
+    that DatasetSpec rejects is a usage error."""
+    try:
+        return DatasetSpec(**values) if spec is None else dataclasses.replace(spec, **values)
+    except ValueError as exc:
+        raise UsageError(f"command line: {exc}") from None
+
+
 def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
     specs = typed(list[DatasetSpec], payload.get("datasets", []), f"{where}.datasets")
     by_name = {spec.name: spec for spec in specs}
     for value in args.dataset or []:
         name, path = _split_pair(value, "--dataset")
-        by_name[name] = (dataclasses.replace(by_name[name], path=path) if name in by_name
-                         else DatasetSpec(name=name, path=path))
+        by_name[name] = _flag_spec(by_name.get(name), name=name, path=path)
     for value in args.min_size or []:
         name, n = _split_pair(value, "--min-size")
         if name not in by_name:
@@ -68,12 +77,12 @@ def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
             n = int(n)
         except ValueError:
             raise UsageError(f"--min-size expects an integer, got {n!r}") from None
-        by_name[name] = dataclasses.replace(by_name[name], min_size=n)
+        by_name[name] = _flag_spec(by_name[name], min_size=n)
     for value in args.task or []:
         name, task = _split_pair(value, "--task")
         if name not in by_name:
             raise UsageError(f"--task names unknown dataset {name!r}")
-        by_name[name] = dataclasses.replace(by_name[name], task=task)
+        by_name[name] = _flag_spec(by_name[name], task=task)
     if not by_name and not args.config:  # RunConfig rejects a file that names none
         raise UsageError("no datasets given; use --dataset NAME=PATH or a config file")
     return list(by_name.values())
@@ -82,39 +91,40 @@ def _build_datasets(payload: dict, args, where: str) -> list[DatasetSpec]:
 def build_run_config(args) -> RunConfig:
     """Merge the JSON config file (if any) with flag overrides; flags win.
 
-    Every section goes through ``from_dict``, so an unknown key, a missing
-    required field or a value of the wrong type is a DataError naming the file.
+    Every section goes through ``from_dict``. An unknown key, a missing
+    required field or a value of the wrong type or out of range is a DataError
+    naming the file when the file alone is rejected too; otherwise a flag
+    broke the config, and it is a UsageError.
     """
     payload = read_json(args.config, "config") if args.config else {}
     where = f"config ({args.config})" if args.config else "config"
-    flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
-             "calib_fraction": args.calib_fraction, "test_size": args.test_size,
-             "jobs": args.jobs}
-    payload.update({key: value for key, value in flags.items() if value is not None})
-    if args.sizes:
-        payload["sizes"] = _parse_int_list(args.sizes, "--sizes")
-    if args.strategies:
-        payload["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        unknown = [s for s in payload["strategies"] if s not in STRATEGIES]
-        if unknown:
-            raise UsageError(f"unknown strategy: {', '.join(unknown)}; "
-                             f"choose from {', '.join(STRATEGIES)}")
-    if args.template or isinstance(payload.get("template"), str):
-        payload["template"] = template_from_file(args.template or payload["template"])
-    payload["datasets"] = _build_datasets(payload, args, where)
-    if args.oracle and args.llm_endpoint:
-        raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
-    if args.oracle and args.oracle not in ORACLES:
-        raise UsageError(
-            f"unknown oracle {args.oracle!r}; known oracles: {', '.join(sorted(ORACLES))}")
-    _overlay(payload, "llm", endpoint=args.oracle or args.llm_endpoint, model_id=args.model_id,
-             max_new_tokens=args.max_new_tokens)
     if isinstance(payload.get("llm"), dict):
         # decoding is always deterministic; old files still name it
         payload["llm"].pop("deterministic", None)
-    _overlay(payload, "embedding", endpoint=args.embedding_endpoint,
+    payload["datasets"] = _build_datasets(payload, args, where)
+    flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
+             "calib_fraction": args.calib_fraction, "test_size": args.test_size,
+             "jobs": args.jobs}
+    merged = {**payload, **{key: value for key, value in flags.items() if value is not None}}
+    if args.sizes:
+        merged["sizes"] = _parse_int_list(args.sizes, "--sizes")
+    if args.strategies:
+        merged["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if args.template or isinstance(merged.get("template"), str):
+        merged["template"] = template_from_file(args.template or merged["template"])
+    if args.oracle and args.llm_endpoint:
+        raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
+    _overlay(merged, "llm", endpoint=args.oracle or args.llm_endpoint, model_id=args.model_id,
+             max_new_tokens=args.max_new_tokens)
+    _overlay(merged, "embedding", endpoint=args.embedding_endpoint,
              cache_dir=args.embedding_cache)
-    return from_dict(RunConfig, payload, where)
+    try:
+        return from_dict(RunConfig, merged, "command line")
+    except DataError as exc:
+        if isinstance(payload.get("template"), str):
+            payload["template"] = template_from_file(payload["template"])
+        from_dict(RunConfig, payload, where)  # a file the flags did not break names itself
+        raise UsageError(str(exc)) from None
 
 
 def cmd_prepare(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,13 +30,16 @@ CellKey = tuple[str, int, str]
 
 @dataclass(frozen=True)
 class CellMetrics:
+    """One cell's metrics. Each field is a report.json key and a cells.csv
+    column, the columns in field order."""
+
+    n_records: int
     macro_f1: float
     mean_token_count: float
     mean_shot_count: float
     bypass_rate: float
     invalid_rate: float
     empirical_coverage: float | None
-    n_records: int
 
 
 @dataclass
@@ -97,34 +100,29 @@ def cell_metrics(records: Sequence[PredictionRecord], n_classes: int) -> CellMet
     covered = [1.0 if r.conformal_set.contains(r.gold_label) else 0.0
                for r in records if r.conformal_set is not None]
     return CellMetrics(
+        n_records=n,
         macro_f1=f1,
         mean_token_count=tokens / n,
         mean_shot_count=shots / n,
         bypass_rate=sum(1 for r in records if r.bypassed) / n,
         invalid_rate=sum(1 for r in records if r.final_label is None) / n,
         empirical_coverage=sum(covered) / len(covered) if covered else None,
-        n_records=n,
     )
 
 
-def regime_aggregate(per_cell: Mapping[CellKey, CellMetrics],
-                     regimes: Mapping[str, Sequence[int]], datasets: Sequence[str],
-                     strategies: Sequence[str]) -> dict[tuple[str, str], float]:
-    """Mean macro-F1 per (regime, strategy) over datasets x regime sizes."""
-    out: dict[tuple[str, str], float] = {}
-    for regime, sizes in regimes.items():
-        if not sizes or not datasets:
-            raise ValueError(f"regime {regime!r} is empty")
-        for strategy in strategies:
-            values = []
-            for dataset in datasets:
-                for size in sizes:
-                    key = (dataset, size, strategy)
-                    if key not in per_cell:
-                        raise DataError(f"missing cell {dataset}/{size}/{strategy}")
-                    values.append(per_cell[key].macro_f1)
-            out[(regime, strategy)] = sum(values) / len(values)
-    return out
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values)
+
+
+def mean_macro_f1(per_cell: Mapping[CellKey, CellMetrics], datasets: Sequence[str],
+                  sizes: Sequence[int], strategy: str) -> float:
+    """Mean macro-F1 of ``strategy`` over the cells datasets x sizes, dataset-major."""
+    keys = [(dataset, size, strategy) for dataset in datasets for size in sizes]
+    for key in keys:
+        if key not in per_cell:
+            raise DataError("missing cell {}/{}/{}".format(*key))
+    return _mean(per_cell[key].macro_f1 for key in keys)
 
 
 def regimes_for(sizes: Sequence[int]) -> dict[str, list[int]]:
@@ -151,16 +149,12 @@ def reduction_stats(cicle_cells: Sequence[CellMetrics],
     if not baseline_cells or any(not cells for cells in baseline_cells.values()):
         raise ValueError("every baseline needs at least one cell")
 
-    def mean(values):
-        values = list(values)
-        return sum(values) / len(values)
-
     out = {}
     for field, name in (("mean_token_count", "prompt_reduction_pct"),
                         ("mean_shot_count", "shot_reduction_pct")):
-        cicle_mean = mean(getattr(c, field) for c in cicle_cells)
-        baseline_mean = mean(mean(getattr(c, field) for c in cells)
-                             for cells in baseline_cells.values())
+        cicle_mean = _mean(getattr(c, field) for c in cicle_cells)
+        baseline_mean = _mean(_mean(getattr(c, field) for c in cells)
+                              for cells in baseline_cells.values())
         if baseline_mean == 0:
             raise ValueError(f"baseline {field} mean is zero; reduction undefined")
         out[name] = 100.0 * (1.0 - cicle_mean / baseline_mean)
@@ -182,21 +176,18 @@ def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
     strategies = sorted({s for _, _, s in per_cell}, key=STRATEGIES.index)
     sizes_by_dataset = {d: sorted({s for dd, s, _ in per_cell if dd == d}) for d in datasets}
 
-    # a dataset's all-size mean is a regime of its own sizes over that one dataset
-    aggregates: dict[tuple[str, str], float] = {}
-    for dataset in datasets:
-        aggregates.update(regime_aggregate(per_cell, {dataset: sizes_by_dataset[dataset]},
-                                           [dataset], strategies))
+    aggregates = {(d, s): mean_macro_f1(per_cell, [d], sizes_by_dataset[d], s)
+                  for d in datasets for s in strategies}
 
     regime_means: dict[tuple[str, str], float] = {}
     for regime, sizes in regimes_for(sorted({s for _, s, _ in per_cell})).items():
         covered = [d for d in datasets if set(sizes) <= set(sizes_by_dataset[d])]
         if not covered:
             log.warning("regime %r has no dataset with all of sizes %s; dropping it",
-                        regime, list(sizes))
+                        regime, sizes)
             continue
-        regime_means.update(regime_aggregate(per_cell, {regime: list(sizes)}, covered,
-                                             strategies))
+        regime_means.update({(regime, s): mean_macro_f1(per_cell, covered, sizes, s)
+                             for s in strategies})
 
     reductions: dict[str, dict[str, float]] = {}
     baselines_present = [s for s in strategies if s in FEWSHOT]
@@ -213,13 +204,13 @@ def build_report(per_cell: Mapping[CellKey, CellMetrics]) -> RunReport:
 
 
 def report_to_json(report: RunReport) -> dict:
+    # write_json sorts the keys and writes each CellMetrics as its fields
     return {
         "schema": REPORT_SCHEMA,
-        "per_cell": {f"{d}/{s}/{strat}": vars(m)
-                     for (d, s, strat), m in sorted(report.per_cell.items())},
-        "aggregates": {f"{d}/{strat}": v for (d, strat), v in sorted(report.aggregates.items())},
-        "regimes": {f"{r}/{strat}": v for (r, strat), v in sorted(report.regimes.items())},
-        "reductions": {d: dict(sorted(v.items())) for d, v in sorted(report.reductions.items())},
+        "per_cell": {f"{d}/{s}/{strat}": m for (d, s, strat), m in report.per_cell.items()},
+        "aggregates": {f"{d}/{strat}": v for (d, strat), v in report.aggregates.items()},
+        "regimes": {f"{r}/{strat}": v for (r, strat), v in report.regimes.items()},
+        "reductions": report.reductions,
     }
 
 
@@ -246,12 +237,10 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
 
     keys = sorted(report.per_cell)
     tables = {}  # file name -> (header, rows), in write order
-    tables["cells.csv"] = (
-        ["dataset", "size", "strategy", "n_records", "macro_f1", "mean_token_count",
-         "mean_shot_count", "bypass_rate", "invalid_rate", "empirical_coverage"],
-        [[d, s, strat, m.n_records, m.macro_f1, m.mean_token_count, m.mean_shot_count,
-          m.bypass_rate, m.invalid_rate, m.empirical_coverage]
-         for (d, s, strat), m in ((k, report.per_cell[k]) for k in keys)])
+    columns = [f.name for f in fields(CellMetrics)]
+    tables["cells.csv"] = (["dataset", "size", "strategy", *columns],
+                           [[*key, *(getattr(report.per_cell[key], c) for c in columns)]
+                            for key in keys])
 
     datasets = sorted({d for d, _, _ in keys})
     strategies = sorted({s for _, _, s in keys}, key=STRATEGIES.index)

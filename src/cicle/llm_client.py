@@ -44,6 +44,9 @@ class LlmConfig:
     oracle_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.is_remote and self.endpoint not in ORACLES:
+            raise ValueError(
+                f"unknown oracle {self.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         check_retry_settings(self)
@@ -129,9 +132,6 @@ class LlmClient:
 
     def __init__(self, config: LlmConfig):
         self.config = config
-        if not config.is_remote and config.endpoint not in ORACLES:
-            raise ValueError(
-                f"unknown oracle {config.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
 
     def complete(self, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
         start = time.monotonic()

@@ -99,7 +99,7 @@ class RunConfig:
         unknown = [s for s in strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(
-                f"unknown strategies: {', '.join(unknown)}; expected a subset of {STRATEGIES}")
+                f"unknown strategies: {', '.join(unknown)}; choose from {', '.join(STRATEGIES)}")
         self.strategies = strategies
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")

@@ -67,8 +67,10 @@ def count_tokens(prompt: str) -> int:
 @functools.lru_cache(maxsize=1 << 14)
 def _example(example_format: str, text: str, label: str) -> tuple[str, int]:
     """One shot's example string and its token count; a pool item's shot is
-    formatted once however many prompts it appears in."""
-    part = example_format.replace("{text}", text).replace("{label}", label)
+    formatted once however many prompts it appears in. The label fills the
+    template's own ``{label}``, never one that the text holds."""
+    head, tail = (segment.replace("{label}", label) for segment in example_format.split("{text}"))
+    part = head + text + tail
     return part, count_tokens(part)
 
 

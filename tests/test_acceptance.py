@@ -99,9 +99,6 @@ def cicle_run(tmp_path_factory):
     space = space_for(items)
     freeze_dataset(items, space, out / "data" / "toy", "toy",
                    test_size=80, test_seed=stable_seed(0, "test", "toy"))
-    config = RunConfig(datasets=[DatasetSpec(name="toy", path="unused")], output=str(out),
-                       sizes=[120, 240], strategies=["cicle"], alpha=0.1, k=2, seed=0,
-                       llm=LlmConfig(endpoint="counting-perfect"))
     completions = []
 
     def counting(prompt, meta, params):
@@ -109,7 +106,10 @@ def cicle_run(tmp_path_factory):
         return ORACLES["perfect"](prompt, meta, params)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(ORACLES, "counting-perfect", counting)
+        mp.setitem(ORACLES, "counting-perfect", counting)  # LlmConfig checks the name
+        config = RunConfig(datasets=[DatasetSpec(name="toy", path="unused")], output=str(out),
+                           sizes=[120, 240], strategies=["cicle"], alpha=0.1, k=2, seed=0,
+                           llm=LlmConfig(endpoint="counting-perfect"))
         run_experiment(config)
     return [cell_records(config, size, "cicle") for size in config.sizes], len(completions)
 
@@ -154,7 +154,7 @@ def test_05_gradient_matches_finite_differences():
         W = 0.5 * rng.normal(size=(K, V))
         b = 0.5 * rng.normal(size=K)
         C = float(rng.choice([0.5, 1.0, 2.0]))
-        _, dW, db = nll_and_grad(W, b, X, y, C)
+        _, dW, db, _ = nll_and_grad(W, b, X, y, C)
         analytic = np.concatenate([dW.ravel(), db])
         params = np.concatenate([W.ravel(), b])
         numeric = np.zeros_like(params)
@@ -162,8 +162,8 @@ def test_05_gradient_matches_finite_differences():
             up, down = params.copy(), params.copy()
             up[i] += h
             down[i] -= h
-            lu, _, _ = nll_and_grad(up[:K * V].reshape(K, V), up[K * V:], X, y, C)
-            ld, _, _ = nll_and_grad(down[:K * V].reshape(K, V), down[K * V:], X, y, C)
+            lu, _, _, _ = nll_and_grad(up[:K * V].reshape(K, V), up[K * V:], X, y, C)
+            ld, _, _, _ = nll_and_grad(down[:K * V].reshape(K, V), down[K * V:], X, y, C)
             numeric[i] = (lu - ld) / (2 * h)
         rel = np.abs(analytic - numeric).max() / max(1.0, np.abs(analytic).max())
         worst = max(worst, rel)

@@ -149,9 +149,9 @@ def test_training_is_deterministic():
 def test_trained_loss_beats_zero_init():
     _, _, _, X, y, model = fitted_toy(n=60)
     y = np.asarray(y)
-    zero_loss, _, _ = nll_and_grad(np.zeros_like(model.W), np.zeros_like(model.b),
+    zero_loss, _, _, _ = nll_and_grad(np.zeros_like(model.W), np.zeros_like(model.b),
                                    X.tocsr(), y, 1.0)
-    fit_loss, _, _ = nll_and_grad(model.W, model.b, X.tocsr(), y, 1.0)
+    fit_loss, _, _, _ = nll_and_grad(model.W, model.b, X.tocsr(), y, 1.0)
     assert fit_loss < zero_loss
 
 
@@ -196,7 +196,7 @@ def test_non_convergence_logs_stop_reason(caplog):
     [warning] = [rec.message for rec in caplog.records if "did not converge" in rec.message]
     assert "Newton-CG stopped with:" in warning and "Maximum number of iterations" in warning
     # the flag taken from the optimizer's final gradient matches a fresh gradient
-    _, dW, db = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+    _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
     assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
 
 
@@ -209,7 +209,7 @@ def test_converged_reads_the_gradient_at_the_returned_weights():
     for max_iter in range(1, 16):
         config = TrainConfig(max_iter=max_iter)
         model = train(X, y, space, config)
-        _, dW, db = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+        _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
         assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
         flags.append(model.converged)
     assert not flags[0] and flags[-1]
@@ -225,8 +225,8 @@ def fd_gradient(W, b, X, y, C, h=1e-5):
         down = params.copy()
         up[i] += h
         down[i] -= h
-        lu, _, _ = nll_and_grad(up[: K * V].reshape(K, V), up[K * V:], X, y, C)
-        ld, _, _ = nll_and_grad(down[: K * V].reshape(K, V), down[K * V:], X, y, C)
+        lu, _, _, _ = nll_and_grad(up[: K * V].reshape(K, V), up[K * V:], X, y, C)
+        ld, _, _, _ = nll_and_grad(down[: K * V].reshape(K, V), down[K * V:], X, y, C)
         grad[i] = (lu - ld) / (2 * h)
     return grad[: K * V].reshape(K, V), grad[K * V:]
 
@@ -250,7 +250,7 @@ def test_gradient_matches_finite_differences(seed):
     b = 0.5 * rng.normal(size=K)
     C = float(rng.choice([0.5, 1.0, 2.0]))
 
-    _, dW, db = nll_and_grad(W, b, X, y, C)
+    _, dW, db, _ = nll_and_grad(W, b, X, y, C)
     fdW, fdb = fd_gradient(W, b, X, y, C)
     analytic = np.concatenate([dW.ravel(), db])
     numeric = np.concatenate([fdW.ravel(), fdb])
@@ -299,7 +299,7 @@ def test_hessp_matches_finite_differences_of_the_gradient(seed, monkeypatch):
     product = hessp(at, v)
 
     def grad(params):
-        _, dW, db = nll_and_grad(params[: K * V].reshape(K, V), params[K * V:], X, y, C)
+        _, dW, db, _ = nll_and_grad(params[: K * V].reshape(K, V), params[K * V:], X, y, C)
         return np.concatenate([dW.ravel(), db])
 
     h = 1e-5
@@ -331,7 +331,7 @@ def test_training_reaches_the_gradient_tolerance(problem):
     X, y, K, C = problem
     config = TrainConfig(C=C)
     model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), config)
-    _, dW, db = nll_and_grad(model.W, model.b, X, y, C)
+    _, dW, db, _ = nll_and_grad(model.W, model.b, X, y, C)
     assert max(np.abs(dW).max(), np.abs(db).max()) <= config.tol
     assert model.converged
 

@@ -264,6 +264,16 @@ def test_unknown_oracle_is_usage_error(tmp_path, capsys):
     (["--task", "nosuch=x"], "--task names unknown dataset 'nosuch'"),
     (["--dataset", "=x.jsonl"], "--dataset expects NAME=VALUE, got '=x.jsonl'"),
     (["--task", "toy="], "--task expects NAME=VALUE, got 'toy='"),
+    # values of the right type that the configuration rejects
+    (["--alpha", "2"], "command line: alpha must be in (0, 1), got 2.0"),
+    (["--k", "0"], "command line: k must be >= 1"),
+    (["--jobs", "0"], "command line: jobs must be >= 1"),
+    (["--max-new-tokens", "0"], "command line.llm: max_new_tokens must be >= 1"),
+    (["--sizes", "0"], "command line: sizes must be positive"),
+    (["--embedding-cache", "cache"], "command line.embedding is missing fields: endpoint"),
+    (["--dataset", "d!=d.jsonl"], "command line: dataset name must match"),
+    (["--min-size", "toy=-1"], "command line: min_size must be >= 0, got -1"),
+    (["--strategies", "base,bogus"], "command line: unknown strategies: bogus"),
 ])
 def test_malformed_flag_values(tmp_path, capsys, argv_extra, needle):
     data = write_toy(tmp_path)
@@ -271,7 +281,42 @@ def test_malformed_flag_values(tmp_path, capsys, argv_extra, needle):
             *argv_extra]
     rc = main(argv)
     assert rc == 2
-    assert needle in error_lines(capsys)[0]
+    [line] = error_lines(capsys)
+    assert line.startswith("error: usage:") and needle in line
+
+
+@pytest.mark.parametrize("file_alpha,flag_alpha,rc,prefix", [
+    (0.1, "2", 2, "error: usage: command line: alpha"),  # the flag broke the config
+    (2, "2", 3, "error: data: config ({config}): alpha"),  # the file is at fault too
+    (2, "0.1", 0, None),  # a valid flag wins over the file's bad value
+])
+def test_a_rejected_value_names_the_flag_or_the_file(tmp_path, capsys, file_alpha,
+                                                     flag_alpha, rc, prefix):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": file_alpha}), encoding="utf-8")
+    args = base_args(write_toy(tmp_path), tmp_path / "out", "--config", str(config),
+                     "--strategies", "base", "--alpha", flag_alpha)
+    assert main(["prepare", *args]) == rc
+    lines = error_lines(capsys)
+    if prefix is None:
+        assert lines == []
+    else:
+        [line] = lines
+        assert line.startswith(prefix.format(config=config))
+
+
+def test_a_config_naming_an_unknown_oracle_fails_every_command(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = base_args(write_toy(tmp_path), out, "--strategies", "base")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"llm": {"endpoint": "psychic"}}), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("prepare", "run", "report"):
+        assert main([command, *args, "--config", str(config)]) == 3
+        [line] = error_lines(capsys)
+        assert line.startswith(f"error: data: config ({config}).llm: unknown oracle 'psychic'")
 
 
 def test_task_flag_puts_its_phrase_into_every_prompt(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for prompt assembly and token accounting."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,15 @@ def test_default_prompt_layout():
     assert blocks[4] == "Text: lunch tomorrow\nLabel: ham"
     assert blocks[5] == "Text: claim your reward\nLabel:"
     assert blocks[6] == "Answer with only the label."
+
+
+def test_placeholders_in_a_shot_text_stay_verbatim():
+    shots = ShotSet(per_class=[("html", [item(0, "use the {label} tag, not {text}", "html")])])
+    query = LabeledText(id="q", text="what is {label}?", label="html")
+    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, query)
+    blocks = prompt.split("\n\n")
+    assert blocks[1] == "Text: use the {label} tag, not {text}\nLabel: html"
+    assert blocks[2] == "Text: what is {label}?\nLabel:"
 
 
 def test_prompt_stats():
@@ -135,13 +145,15 @@ def test_count_tokens_default_is_whitespace():
 
 
 def reference_prompt(template, shots, query, task):
-    """The prompt as one chained-replace string per part, joined by blank lines."""
+    """The prompt as one replace string per part, joined by blank lines; a
+    shot's two placeholders are filled in one pass, so neither value is
+    searched for the other's placeholder."""
     parts = [template.task_intro.replace("{task}", task)]
     for _, items in shots.per_class:
         for shot in items:
-            parts.append(template.example_format
-                         .replace("{text}", shot.text)
-                         .replace("{label}", shot.label))
+            values = {"{text}": shot.text, "{label}": shot.label}
+            parts.append(re.sub(r"\{text\}|\{label\}", lambda m: values[m.group()],
+                                template.example_format))
     parts.append(template.query_format.replace("{text}", query.text))
     parts.append(template.instruction)
     return "\n\n".join(parts)
