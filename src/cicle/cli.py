@@ -116,8 +116,6 @@ def build_run_config(args) -> RunConfig:
         raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
     _overlay(merged, "llm", endpoint=args.oracle or args.llm_endpoint, model_id=args.model_id,
              max_new_tokens=args.max_new_tokens)
-    _overlay(merged, "embedding", endpoint=args.embedding_endpoint,
-             cache_dir=args.embedding_cache)
     try:
         return from_dict(RunConfig, merged, "command line")
     except DataError as exc:
@@ -217,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chat-completions endpoint URL (API key via CICLE_API_KEY)")
     g.add_argument("--model-id", metavar="ID", help="model identifier sent to the endpoint")
     g.add_argument("--max-new-tokens", type=int, help="completion token cap (default 5)")
-    g.add_argument("--embedding-endpoint", metavar="URL",
-                   help="embedding service URL for the dense few-shot baseline")
-    g.add_argument("--embedding-cache", metavar="DIR", help="embedding cache directory")
     g.add_argument("--jobs", type=int,
                    help="LLM calls in flight at once across the whole run (default 1, serial)")
     g.add_argument("--force", action="store_true", help="recompute existing cell files")

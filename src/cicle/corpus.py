@@ -133,7 +133,7 @@ def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], Label
     if fmt == "jsonl":
         items = _read_jsonl(path)
     else:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                 raise DataError(f"{path}:1: CSV header must contain 'text' and 'label'")

@@ -49,7 +49,12 @@ class LlmConfig:
                 f"unknown oracle {self.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        check_retry_settings(self)
+        # the retry settings post_json can use
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (0 < self.timeout <= MAX_WAIT_S and 0 <= self.backoff <= MAX_WAIT_S):
+            raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
+                             f"{MAX_WAIT_S:g}] seconds, got {self.timeout} and {self.backoff}")
         params = self.oracle_params
         unknown = sorted(set(params) - {"accuracy", "default_accuracy", "seed"})
         if unknown:
@@ -156,17 +161,11 @@ class LlmClient:
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise TransportError("malformed completion response", attempts=attempts) from None
-        return str(content), attempts
-
-
-def check_retry_settings(config) -> None:
-    """Reject the ``max_retries``, ``timeout`` and ``backoff`` that ``post_json`` could not use."""
-    if config.max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {config.max_retries}")
-    if not (0 < config.timeout <= MAX_WAIT_S and 0 <= config.backoff <= MAX_WAIT_S):
-        raise ValueError(f"timeout must be in (0, {MAX_WAIT_S:g}] and backoff in [0, "
-                         f"{MAX_WAIT_S:g}] seconds, got {config.timeout} and {config.backoff}")
+            content = None
+        # a null, number or list content is as malformed as a missing one
+        if not isinstance(content, str):
+            raise TransportError("malformed completion response", attempts=attempts)
+        return content, attempts
 
 
 def post_json(config, payload: dict, what: str, headers: dict | None = None) -> tuple[bytes, int]:

@@ -20,7 +20,7 @@ import logging
 import re
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -34,15 +34,14 @@ from .corpus import (LabeledText, LabelSpace, file_sha256, load_frozen, stable_s
 from .errors import CicleError, DataError, TransportError
 from .llm_client import LlmClient, LlmConfig, PromptMeta, parse_label
 from .prompting import DEFAULT_TEMPLATE, PromptStats, PromptTemplate, build_prompt
-from .selection import ShotPool, ShotSet, select_dense, select_random, select_sparse
+from .selection import ShotPool, ShotSet, select_random, select_sparse
 from .serialize import JSON_STYLE, atomic_open, read_json, read_jsonl, typed, write_json
 # transform and stack are not called here; perfbench/spans.py wraps these names
-from .vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack, transform,
-                        transform_many)
+from .vectorize import encode, fit_tfidf, stack, transform, transform_many
 
 log = logging.getLogger(__name__)
 
-FEWSHOT = ("fewshot-random", "fewshot-sparse", "fewshot-dense")
+FEWSHOT = ("fewshot-random", "fewshot-sparse")
 STRATEGIES = ("base", *FEWSHOT, "cicle")
 DEFAULT_SIZES = (100, 200, 300, 400, 500, 1000, 2000, 3000, 4000, 5000)
 DEFAULT_STRATEGIES = ("base", "fewshot-random", "fewshot-sparse", "cicle")
@@ -77,7 +76,6 @@ class RunConfig:
     calib_fraction: float = 0.2
     template: PromptTemplate = DEFAULT_TEMPLATE
     llm: LlmConfig = field(default_factory=LlmConfig)
-    embedding: EmbeddingConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     test_size: int = 1000
     jobs: int = 1
@@ -176,9 +174,10 @@ class PredictionRecord:
 def write_records(records: Sequence[PredictionRecord], path) -> None:
     """Write one cell's records as JSONL, atomically: a write that fails or is
     interrupted leaves no partial cell file for a later run to reuse."""
+    encoder = json.JSONEncoder(**JSON_STYLE)
     with atomic_open(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec, **JSON_STYLE) + "\n")
+            fh.write(encoder.encode(rec) + "\n")
 
 
 def read_records(path) -> list[PredictionRecord]:
@@ -213,21 +212,18 @@ def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
     record files: the records version, the run configuration, the dataset's
     task and its frozen splits."""
     shaping = {k: v for k, v in vars(config).items() if k not in _UNKEYED}
-    if config.embedding is not None:
-        # the cache directory only picks where vectors are kept
-        shaping["embedding"] = replace(config.embedding, cache_dir=None)
     blob = json.dumps([RECORDS_VERSION, shaping, spec.task, data_sha256], **JSON_STYLE)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
 class ShotSource:
-    """One prompting strategy's shot pool, the pool's vectors and the test set's
-    vectors in the same space; both vectors are None for fewshot-random."""
+    """One prompting strategy's shot pool, the pool's tf-idf rows and the test
+    set's rows under the same model; both are None for fewshot-random."""
 
     pool: ShotPool
-    pool_vectors: sp.csr_matrix | np.ndarray | None = None
-    test_vectors: sp.csr_matrix | np.ndarray | None = None
+    pool_vectors: sp.csr_matrix | None = None
+    test_vectors: sp.csr_matrix | None = None
 
 
 @dataclass
@@ -250,13 +246,9 @@ class CellResources:
 def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
                label_space: LabelSpace, config: RunConfig, cell_seed: int,
                task: str = "text classification",
-               embed_client: EmbeddingClient | None = None,
-               strategies: Sequence[str] | None = None,
-               test_embeddings: np.ndarray | None = None) -> CellResources:
+               strategies: Sequence[str] | None = None) -> CellResources:
     """Fit the per-cell models and the shot source of each prompting strategy
-    among ``strategies``, and compute the test set's class probabilities.
-    fewshot-dense embeds the subsample with ``embed_client`` and takes the test
-    set's ``test_embeddings`` from the caller, which embeds them once per dataset."""
+    among ``strategies``, and compute the test set's class probabilities."""
     strategies = list(config.strategies if strategies is None else strategies)
     subsample = list(subsample)
     res = CellResources(label_space=label_space, test=list(test), task=task)
@@ -293,11 +285,6 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
             tfidf = fit_tfidf(pool_texts)
             res.shots["fewshot-sparse"] = ShotSource(pool, transform_many(tfidf, pool_texts),
                                                      transform_many(tfidf, test_texts))
-        if "fewshot-dense" in fewshot:
-            if embed_client is None or test_embeddings is None:
-                raise DataError("fewshot-dense requires an embedding endpoint")
-            res.shots["fewshot-dense"] = ShotSource(
-                pool, np.array(embed_client.embed([t.text for t in subsample])), test_embeddings)
     return res
 
 
@@ -361,8 +348,8 @@ def _select(res: CellResources, strategy: str, rows: list[int],
     if strategy == "fewshot-random":
         seeds = [stable_seed(config.seed, "item", res.test[i].id) for i in rows]
         return select_random(source.pool, classes, config.k, seeds)
-    select = select_dense if strategy == "fewshot-dense" else select_sparse
-    return select(source.pool, source.pool_vectors, source.test_vectors[rows], classes, config.k)
+    return select_sparse(source.pool, source.pool_vectors, source.test_vectors[rows], classes,
+                         config.k)
 
 
 def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
@@ -461,7 +448,7 @@ def stale_reason(name: str, sha256: str, key: str, hashes: dict[str, str],
 
 
 def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
-                   embed_client: EmbeddingClient | None = None, force: bool = False) -> int:
+                   force: bool = False) -> int:
     """Run every (dataset, size, strategy) cell; returns the number of records
     in the run's record files.
 
@@ -482,10 +469,6 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
     needs_llm = any(s != "base" for s in config.strategies)
     if needs_llm and llm_client is None:
         llm_client = LlmClient(config.llm)
-    if "fewshot-dense" in config.strategies and embed_client is None:
-        if config.embedding is None:
-            raise DataError("fewshot-dense strategy requires an embedding endpoint")
-        embed_client = EmbeddingClient(config.embedding)
 
     n_records = 0
     failures: list[tuple[str, Exception]] = []
@@ -528,7 +511,6 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
             pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
             datasets_meta[spec.name] = data_manifest["sha256"]
             key = config_key(config, spec, data_manifest["sha256"])
-            test_embeddings = None  # embedded by the first fewshot-dense cell built
             for size, paths in cell_files(config, spec, len(pool_items)).items():
                 pending = []
                 for strategy, path in paths.items():
@@ -546,11 +528,8 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
                 cell_seed = stable_seed(config.seed, spec.name, size)
                 try:
                     subsample = stratified_subsample(pool_items, size, cell_seed)
-                    if "fewshot-dense" in pending and test_embeddings is None:
-                        test_embeddings = np.array(embed_client.embed([t.text for t in test]))
                     res = build_cell(subsample, test, space, config, cell_seed, task=spec.task,
-                                     embed_client=embed_client, strategies=pending,
-                                     test_embeddings=test_embeddings)
+                                     strategies=pending)
                 except (CicleError, ValueError, OSError) as exc:
                     failed(f"{spec.name}/{size}", exc)
                     continue

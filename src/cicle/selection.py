@@ -1,4 +1,4 @@
-"""Few-shot example selection: random, sparse-similarity, dense-similarity.
+"""Few-shot example selection: random and sparse-similarity.
 
 Every strategy selects for a batch of queries at once and picks up to k shots
 per class for each query, preserving that query's class order exactly: the
@@ -122,26 +122,6 @@ def sparse_similarities(pool_vectors: sp.csr_matrix,
         yield sims
 
 
-def _dense_similarities(pool_embeddings,
-                        query_embeddings) -> Iterator[np.ndarray]:
-    m = np.asarray(pool_embeddings, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"dimension mismatch: pool embeddings have shape {m.shape}")
-    row_norms = np.linalg.norm(m, axis=1)
-
-    def similarities(query) -> np.ndarray:
-        q = np.asarray(query, dtype=float)
-        if q.shape != (m.shape[1],):
-            raise ValueError(f"dimension mismatch: pool {m.shape} vs query {q.shape}")
-        qn = np.linalg.norm(q)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where((row_norms > 0) & (qn > 0), (m @ q) / (row_norms * qn), 0.0)
-
-    for start in range(0, len(query_embeddings), SIM_CHUNK_ROWS):
-        chunk = query_embeddings[start:start + SIM_CHUNK_ROWS]
-        yield np.array([similarities(q) for q in chunk])
-
-
 def _top_k(sims: np.ndarray, idxs: np.ndarray, k: int) -> list[list[int]]:
     """Per row, the k of the candidates ``idxs`` (ascending pool indices) most
     similar, ties to the lower index; ``sims[row, j]`` is the similarity of
@@ -164,13 +144,19 @@ def _top_k(sims: np.ndarray, idxs: np.ndarray, k: int) -> list[list[int]]:
     return idxs[np.take_along_axis(cols, order, axis=1)].tolist()
 
 
-def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarray],
-                          classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
+def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,
+                  classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
+    """Per query row and class, the k pool items most cosine-similar in tf-idf space.
+
+    ``pool_vectors`` has one row per pool item and ``queries`` one row per
+    query, both under the same fitted tf-idf model; ``classes[q]`` belongs to
+    query row q.
+    """
     _check_k(k)
-    if n_rows != len(pool):
-        raise ValueError(f"{n_rows} similarities for {len(pool)} pool items")
+    if pool_vectors.shape[0] != len(pool):
+        raise ValueError(f"{pool_vectors.shape[0]} similarities for {len(pool)} pool items")
     shot_sets: list[ShotSet] = []
-    for block in blocks:
+    for block in sparse_similarities(pool_vectors, queries):
         start = len(shot_sets)
         orders = classes[start:start + len(block)]
         if len(orders) != len(block):
@@ -190,24 +176,3 @@ def _select_by_similarity(pool: ShotPool, n_rows: int, blocks: Iterator[np.ndarr
         raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
     _warn_short(pool, classes, k)
     return shot_sets
-
-
-def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,
-                  classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
-    """Per query row and class, the k pool items most cosine-similar in tf-idf space.
-
-    ``pool_vectors`` has one row per pool item and ``queries`` one row per
-    query, both under the same fitted tf-idf model; ``classes[q]`` belongs to
-    query row q.
-    """
-    return _select_by_similarity(pool, pool_vectors.shape[0],
-                                 sparse_similarities(pool_vectors, queries),
-                                 classes, k)
-
-
-def select_dense(pool: ShotPool, pool_embeddings, query_embeddings,
-                 classes: Sequence[Sequence[str]], k: int) -> list[ShotSet]:
-    """As select_sparse, over dense embedding vectors (one query per entry)."""
-    return _select_by_similarity(pool, len(pool_embeddings),
-                                 _dense_similarities(pool_embeddings, query_embeddings),
-                                 classes, k)

@@ -6,9 +6,10 @@ leaves the previous file intact and no partial one. JSON artifacts are encoded
 with ``JSON_STYLE``, which writes a dataclass as its field dict; the frozen
 splits are not, since ``corpus.write_jsonl`` keeps ``id, text, label`` order and
 their sha256s enter every configuration key. Every JSON file read back goes
-through ``read_json`` and every JSONL file through ``read_jsonl``, which raise
-one DataError naming the file. ``typed`` is the one type check of a value read
-back; ``from_dict`` builds a config dataclass with it, rejecting unknown keys.
+through ``read_json`` and every JSONL file through ``read_jsonl``, which skip a
+leading UTF-8 byte-order mark and raise one DataError naming the file.
+``typed`` is the one type check of a value read back; ``from_dict`` builds a
+config dataclass with it, rejecting unknown keys.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .errors import DataError
 
 
 @contextmanager
-def atomic_open(path, binary: bool = False):
+def atomic_open(path):
     """Yield a file to write ``path``'s new content into; it replaces ``path`` on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline="\n") as fh:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -59,7 +60,7 @@ def read_json(path, what: str) -> dict:
     """The JSON object in the file at ``path``; a file that cannot be read, is not
     JSON or holds no object raises one DataError naming ``what`` and the path."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
@@ -75,7 +76,7 @@ def read_jsonl(path):
     A line that is not valid JSON, or not a JSON object, raises DataError
     naming its path and line number.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -1,28 +1,20 @@
-"""Sparse TF-IDF rows, assembled as CSR matrices, and the dense-embedding client.
+"""Sparse TF-IDF rows, assembled as CSR matrices.
 
 The TF-IDF recipe is pinned for reproducibility: lowercase text, tokens are
 maximal runs of two or more word characters, idf(t) = ln((1+N)/(1+df(t))) + 1,
-term values are raw count times idf, rows l2-normalized. Dense vectors are
-always fetched from an external embedding service, never computed locally.
+term values are raw count times idf, rows l2-normalized.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, count
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-from .errors import DataError
-from .llm_client import check_retry_settings, post_json
-from .serialize import atomic_open, typed
 
 _TOKEN_RE = re.compile(r"\w{2,}")
 
@@ -152,104 +144,3 @@ def stack(rows: list[tuple[np.ndarray, np.ndarray]], dim: int) -> sp.csr_matrix:
     indices = np.concatenate([cols for cols, _ in rows] + [np.empty(0, dtype=np.int32)])
     data = np.concatenate([values for _, values in rows] + [np.empty(0)])
     return sp.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
-
-
-@dataclass
-class EmbeddingConfig:
-    """Connection settings for the external dense-embedding service."""
-
-    endpoint: str
-    cache_dir: str | None = None
-    batch_size: int = 64
-    timeout: float = 30.0
-    max_retries: int = 2
-    backoff: float = 0.5
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_retry_settings(self)
-
-
-class EmbeddingClient:
-    """HTTP client for a dense sentence-embedding service with a disk cache.
-
-    Wire format: POST {"texts": [...]} -> {"vectors": [[...], ...], "dim": d}.
-    Results are cached per (endpoint, text hash); cache writes go through an
-    atomic rename so concurrent writers of the same key cannot interleave.
-    """
-
-    def __init__(self, config: EmbeddingConfig):
-        self.config = config
-        self._dim: int | None = None
-
-    def _cache_path(self, text: str) -> Path | None:
-        if not self.config.cache_dir:
-            return None
-        key = hashlib.sha256(f"{self.config.endpoint}\n{text}".encode("utf-8")).hexdigest()
-        return Path(self.config.cache_dir) / f"{key}.npy"
-
-    def _checked(self, vector, source: str) -> np.ndarray:
-        """``vector`` as a finite 1-d float array of the client's one dimension,
-        for a cached and a fresh vector alike; ``source`` names it in errors."""
-        v = np.asarray(vector, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise DataError(f"{source} holds a non-finite or non-1d vector")
-        if self._dim is None:
-            self._dim = len(v)
-        elif len(v) != self._dim:
-            raise DataError(f"embedding dimension drift: {source} holds {len(v)} dimensions, "
-                            f"expected {self._dim}")
-        return v
-
-    def _cache_get(self, text: str) -> np.ndarray | None:
-        path = self._cache_path(text)
-        if path is None or not path.exists():
-            return None
-        try:
-            vector = np.load(path)
-        except (OSError, ValueError, EOFError) as exc:
-            raise DataError(f"cannot read embedding cache file {path}: {exc}") from None
-        return self._checked(vector, f"embedding cache file {path}")
-
-    def _cache_put(self, text: str, vector: np.ndarray) -> None:
-        path = self._cache_path(text)
-        if path is not None:
-            with atomic_open(path, binary=True) as fh:
-                np.save(fh, vector)
-
-    def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
-        body, _ = post_json(self.config, {"texts": batch}, "embedding service")
-        try:
-            reply = json.loads(body)
-        except ValueError:
-            raise DataError("embedding service returned a reply that is not JSON") from None
-        typed(dict, reply, "embedding service reply")
-        vectors = typed(list, reply.get("vectors", []), "embedding service reply vectors")
-        if len(vectors) != len(batch):
-            raise DataError(f"embedding service returned {len(vectors)} vectors for "
-                            f"{len(batch)} texts")
-        return [self._checked(v, "embedding service reply") for v in vectors]
-
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
-        """Embed texts in order; duplicates and cached entries cost no remote calls."""
-        if not texts:
-            return []
-        resolved: dict[str, np.ndarray] = {}
-        missing: list[str] = []
-        seen: set[str] = set()
-        for text in texts:
-            if text in seen:
-                continue
-            seen.add(text)
-            cached = self._cache_get(text)
-            if cached is not None:
-                resolved[text] = cached
-            else:
-                missing.append(text)
-        for start in range(0, len(missing), self.config.batch_size):
-            batch = missing[start:start + self.config.batch_size]
-            for text, vector in zip(batch, self._post_batch(batch)):
-                self._cache_put(text, vector)
-                resolved[text] = vector
-        return [resolved[t] for t in texts]

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 from cicle.corpus import LabeledText, LabelSpace
@@ -81,37 +79,6 @@ def serve():
     for server in servers:
         server.shutdown()
         server.server_close()
-
-
-def hash_embedding(text: str, dim: int = 8) -> list[float]:
-    """Deterministic pseudo-embedding: mean of per-token hash vectors."""
-    toks = text.split() or [text]
-    total = np.zeros(dim)
-    for tok in toks:
-        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=dim).digest()
-        total += np.frombuffer(digest, dtype=np.uint8).astype(float) / 255.0
-    return list(total / len(toks))
-
-
-def embedding_app(dim: int = 8, calls: list | None = None, fail_first: int = 0):
-    """Embedding service stub; optionally 500s for the first ``fail_first`` calls."""
-    state = {"n": 0}
-    lock = threading.Lock()
-
-    def app(handler):
-        body = read_json(handler)
-        with lock:
-            state["n"] += 1
-            attempt = state["n"]
-        if calls is not None:
-            calls.append(list(body["texts"]))
-        if attempt <= fail_first:
-            respond_json(handler, 500, {"error": "scripted failure"})
-            return
-        respond_json(handler, 200,
-                     {"vectors": [hash_embedding(t, dim) for t in body["texts"]], "dim": dim})
-
-    return app
 
 
 def scripted_chat_app(script, calls: list | None = None):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cicle.cli import build_parser, build_run_config, main
-from cicle.corpus import file_sha256, write_jsonl
+from cicle.corpus import file_sha256, load_frozen, write_jsonl
 from cicle.errors import TransportError
 from cicle.llm_client import ORACLES, LlmConfig
 from cicle import cli, pipeline
@@ -40,8 +40,16 @@ def test_help_lists_shared_flags(capsys):
     assert main(["run", "--help"]) == 0
     out = capsys.readouterr().out
     for flag in ("--config", "--dataset", "--sizes", "--alpha", "--k", "--strategies",
-                 "--oracle", "--llm-endpoint", "--embedding-endpoint", "--jobs", "--force"):
+                 "--oracle", "--llm-endpoint", "--jobs", "--force"):
         assert flag in out
+    assert "--embedding" not in out and "fewshot-dense" not in out
+
+
+@pytest.mark.parametrize("flag", ["--embedding-endpoint", "--embedding-cache"])
+def test_a_removed_embedding_flag_is_usage_error(tmp_path, capsys, flag):
+    data = write_toy(tmp_path)
+    assert main(["run", *base_args(data, tmp_path / "out"), flag, "http://127.0.0.1:9/embed"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -180,27 +188,6 @@ def test_config_file_with_flag_override(tmp_path):
     assert (out / "records" / record_filename("toy", 80, 5, "base")).exists()
 
 
-def test_unreachable_embedding_endpoint_is_transport_error(tmp_path, capsys):
-    data = write_toy(tmp_path)
-    out = tmp_path / "out"
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "datasets": [{"name": "toy", "path": str(data)}],
-        "output": str(out),
-        "sizes": [80],
-        "test_size": 60,
-        "strategies": ["fewshot-dense"],
-        "embedding": {"endpoint": "http://127.0.0.1:9/embed", "max_retries": 0,
-                      "backoff": 0.0, "timeout": 1.0},
-    }), encoding="utf-8")
-
-    assert main(["prepare", "--config", str(config_path)]) == 0
-    capsys.readouterr()
-    rc = main(["run", "--config", str(config_path)])
-    assert rc == 4
-    assert error_lines(capsys)[0].startswith("error: transport:")
-
-
 def test_min_size_flag_skips_small_sizes(tmp_path):
     data = write_toy(tmp_path)
     out = tmp_path / "out"
@@ -270,7 +257,7 @@ def test_unknown_oracle_is_usage_error(tmp_path, capsys):
     (["--jobs", "0"], "command line: jobs must be >= 1"),
     (["--max-new-tokens", "0"], "command line.llm: max_new_tokens must be >= 1"),
     (["--sizes", "0"], "command line: sizes must be positive"),
-    (["--embedding-cache", "cache"], "command line.embedding is missing fields: endpoint"),
+    (["--strategies", "fewshot-dense"], "command line: unknown strategies: fewshot-dense"),
     (["--dataset", "d!=d.jsonl"], "command line: dataset name must match"),
     (["--min-size", "toy=-1"], "command line: min_size must be >= 0, got -1"),
     (["--strategies", "base,bogus"], "command line: unknown strategies: bogus"),
@@ -454,12 +441,7 @@ def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
      "got inf and 0.5"),
     ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12, "max_retries": 0}',
      "got 1000000000000.0 and 0.5"),
-    ("embedding", '{"endpoint": "http://127.0.0.1:9/embed", "timeout": 1e400}',
-     "got inf and 0.5"),
-    ("embedding", '{"endpoint": "http://127.0.0.1:9/embed", "timeout": 1e12}',
-     "got 1000000000000.0 and 0.5"),
-], ids=["train-tol-nan", "train-c-inf", "llm-timeout-inf", "llm-timeout-1e12",
-        "embedding-timeout-inf", "embedding-timeout-1e12"])
+], ids=["train-tol-nan", "train-c-inf", "llm-timeout-inf", "llm-timeout-1e12"])
 def test_an_unusable_number_in_a_config_fails_before_any_cell(tmp_path, capsys, section, body,
                                                                needle):
     # JSON text as written: Python's reader takes NaN and reads 1e400 as infinity
@@ -485,8 +467,6 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("section,key", [
     ("llm", "concurrency_limit"),
-    ("embedding", "batchsize"),
-    ("embedding", "deterministic"),  # only an llm section may keep the old key
     ("top", "alpah"),
     ("train", "c"),
     ("template", "intro"),
@@ -506,8 +486,7 @@ def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
         body[section] = {"task_intro": "{task}", "example_format": "{text} {label}",
                          "query_format": "{text}", "instruction": "", key: value}
     else:
-        endpoint = {"endpoint": "http://127.0.0.1:9/v1"} if section == "embedding" else {}
-        body[section] = {**endpoint, key: value}
+        body[section] = {key: value}
     config_path.write_text(json.dumps(body), encoding="utf-8")
     rc = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
     assert rc == 3
@@ -516,8 +495,8 @@ def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
 
 
 @pytest.mark.parametrize("sections", [
-    {"llm": None, "embedding": None},
-    {"llm": {}, "embedding": {}},
+    {"llm": None},
+    {"llm": {}},
     {},
 ], ids=["null", "empty", "absent"])
 def test_null_or_empty_sections_take_the_defaults(tmp_path, sections):
@@ -526,7 +505,22 @@ def test_null_or_empty_sections_take_the_defaults(tmp_path, sections):
                                        **sections}), encoding="utf-8")
     config = build_run_config(build_parser().parse_args(["run", "--config", str(config_path)]))
     assert config.llm == LlmConfig() and config.llm.endpoint == "perfect"
-    assert config.embedding is None
+
+
+@pytest.mark.parametrize("removed,needle", [
+    ({"embedding": {"endpoint": "http://127.0.0.1:9/embed"}}, "unknown keys: embedding"),
+    ({"strategies": ["base", "fewshot-dense"]}, "unknown strategies: fewshot-dense"),
+], ids=["embedding-section", "fewshot-dense"])
+def test_a_config_naming_the_removed_dense_baseline_is_data_error(tmp_path, capsys, removed,
+                                                                   needle):
+    config_path = tmp_path / "config.json"
+    dataset = {"name": "toy", "path": str(write_toy(tmp_path))}
+    config_path.write_text(json.dumps({"datasets": [dataset], "output": str(tmp_path / "out"),
+                                       **removed}), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith(f"error: data: config ({config_path})") and needle in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_old_config_files_may_keep_llm_deterministic(tmp_path):
@@ -930,3 +924,32 @@ def test_csv_dataset_roundtrip(tmp_path, capsys):
     assert main(["prepare", "--dataset", f"toy={path}", "--output", str(out),
                  "--sizes", "80", "--test-size", "60"]) == 0
     assert "prepared toy: pool=180 test=60 classes=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_dataset_saved_with_a_byte_order_mark_prepares_the_same_splits(tmp_path, fmt):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    items = make_items(240, n_classes=4, seed=0, overlap=0.75)
+    if fmt == "csv":
+        text = "text,label\n" + "".join(f"{item.text},{item.label}\n" for item in items)
+    else:
+        text = write_toy(tmp_path).read_text(encoding="utf-8")
+    frozen = []
+    for bom in ("", "\ufeff"):
+        path = tmp_path / f"bom{len(bom)}.{fmt}"
+        path.write_text(bom + text, encoding="utf-8")
+        out = tmp_path / f"out{len(bom)}"
+        assert main(["prepare", "--dataset", f"toy={path}", "--output", str(out),
+                     "--test-size", "60"]) == 0
+        frozen.append([(out / "data" / "toy" / name).read_bytes()
+                       for name in ("pool.jsonl", "test.jsonl", "manifest.json")])
+    assert frozen[0] == frozen[1]
+
+
+def test_a_config_saved_with_a_byte_order_mark_is_read(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("\ufeff" + json.dumps({
+        "datasets": [{"name": "toy", "path": str(write_toy(tmp_path))}],
+        "output": str(tmp_path / "out"), "test_size": 60}), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert load_frozen(tmp_path / "out" / "data" / "toy")[3]["test_size"] == 60

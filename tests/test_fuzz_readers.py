@@ -4,8 +4,7 @@ Each reader of a JSON or JSONL file is driven through the command line with
 one JSON value of its file replaced by an arbitrary JSON value. The command
 must exit 0, or 3 with exactly one ``error:`` line; never 1. The replacement
 may also be the id of another frozen row, so that a frozen split repeats an id.
-CSV rows are left out, since their fields are always strings, and so are
-embedding cache files, which are ``.npy``.
+CSV rows are left out, since their fields are always strings.
 """
 
 import contextlib

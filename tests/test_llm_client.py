@@ -183,6 +183,18 @@ def test_remote_malformed_body_is_terminal(serve):
         client.complete("p", META)
 
 
+@pytest.mark.parametrize("content", [None, 5, ["a"]], ids=["null", "int", "list"])
+def test_remote_non_string_content_is_malformed(serve, content):
+    # as str(), such a content could match a label: null as "None", 1 as "1"
+    calls = []
+    url = serve(scripted_chat_app([(200, content)], calls=calls))
+    client = LlmClient(LlmConfig(endpoint=url, max_retries=3, backoff=0.01))
+    with pytest.raises(TransportError, match="^malformed completion response$") as exc:
+        client.complete("p", META)
+    assert exc.value.attempts == 1
+    assert len(calls) == 1
+
+
 def test_remote_connection_refused_retries_then_fails():
     client = LlmClient(LlmConfig(endpoint="http://127.0.0.1:9/v1", max_retries=1,
                                  backoff=0.0, timeout=1.0))

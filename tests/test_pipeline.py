@@ -1,6 +1,7 @@
 """Tests for the experiment pipeline: cells, records, orchestration."""
 
 import json
+import re
 import tempfile
 import threading
 from dataclasses import replace
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from cicle.classifier import TrainConfig
 from cicle.conformal import ConformalSet
-from cicle import pipeline, vectorize
+from cicle import pipeline
 from cicle.corpus import (file_sha256, freeze_dataset, load_frozen, stable_seed,
                           stratified_split, stratified_subsample)
-from cicle.errors import DataError, TransportError
+from cicle.errors import DataError
 from cicle.evalreport import build_report, cell_metrics, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
 from cicle.pipeline import (
@@ -33,9 +34,8 @@ from cicle.pipeline import (
 )
 from cicle.prompting import DEFAULT_TEMPLATE, PromptStats
 from cicle.serialize import JSON_STYLE
-from cicle.vectorize import EmbeddingClient, EmbeddingConfig
 
-from conftest import embedding_app, make_items, space_for
+from conftest import make_items, space_for
 
 
 def spec(name="toy", **kw):
@@ -259,24 +259,14 @@ def test_a_failed_call_logs_its_record_error_once(serve, caplog):
     assert [rec.message for rec in caplog.records] == [r.error for r in records]
 
 
-def test_build_cell_dense_requires_embedding_client():
-    items = make_items(80, n_classes=4)
-    with pytest.raises(DataError, match="embedding"):
-        build_cell(items, items[:5], space_for(items),
-                   make_config(strategies=["fewshot-dense"]), cell_seed=1)
-
-
-def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(
-        monkeypatch, serve):
+def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(monkeypatch):
     # calibration items tuned cicle's threshold, so they are never its shots;
     # the few-shot baselines need no calibration and draw from the whole subsample
     items = make_items(200, n_classes=4, overlap=0.75)
     test = make_items(40, n_classes=4, seed=100, overlap=0.75, prefix="te")
-    strategies = ["cicle", "fewshot-random", "fewshot-sparse", "fewshot-dense"]
+    strategies = ["cicle", "fewshot-random", "fewshot-sparse"]
     config = make_config(sizes=[200], strategies=strategies)
-    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(embedding_app(dim=8))))
-    res = build_cell(items, test, space_for(items), config, cell_seed=3, embed_client=client,
-                     test_embeddings=np.array(client.embed([t.text for t in test])))
+    res = build_cell(items, test, space_for(items), config, cell_seed=3)
     split = stratified_split(items, config.calib_fraction, 3)
     train_ids = {t.id for t in split.train}
     cal_ids = {t.id for t in split.calibration}
@@ -290,7 +280,7 @@ def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(
             return shot_sets
         return spy
 
-    for name in ("select_random", "select_sparse", "select_dense"):
+    for name in ("select_random", "select_sparse"):
         monkeypatch.setattr(pipeline, name, spying(getattr(pipeline, name)))
     for strategy in strategies:
         drawn.clear()
@@ -605,23 +595,6 @@ def test_a_file_keyed_under_an_older_records_version_is_recomputed(tmp_path, mon
         f"cell file {name} was written under another configuration; recomputing it"]
 
 
-def test_the_embedding_cache_directory_is_not_keyed(tmp_path, monkeypatch, serve, caplog):
-    url = serve(embedding_app(dim=8))
-    out = tmp_path / "run"
-    prepare(out)
-
-    def config(cache):
-        return make_config(output=out, strategies=["fewshot-dense"],
-                           embedding=EmbeddingConfig(endpoint=url, cache_dir=tmp_path / cache))
-
-    run_experiment(config("cache-a"))
-    written = spy_writes(monkeypatch)
-    with caplog.at_level("WARNING", logger="cicle.pipeline"):
-        assert run_experiment(config("cache-b")) == 60
-    assert written == []
-    assert not caplog.records
-
-
 def test_rerun_reuses_every_file_without_decoding_it(tmp_path, monkeypatch, caplog):
     out = tmp_path / "run"
     prepare(out, overlap=0.75)
@@ -827,51 +800,9 @@ def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
     assert manifest["records"] == digests
 
 
-def test_run_experiment_fewshot_dense(tmp_path, serve):
-    url = serve(embedding_app(dim=8))
-    out = tmp_path / "run"
-    prepare(out)
-    config = make_config(output=out, sizes=[80], strategies=["fewshot-dense"],
-                         embedding=EmbeddingConfig(endpoint=url,
-                                                   cache_dir=tmp_path / "cache"))
-    assert run_experiment(config) == 60
-    for rec in run_records(config):
-        assert rec.strategy == "fewshot-dense"
-        assert rec.final_label == rec.gold_label
-        assert rec.prompt_stats.shot_count == 8
-
-
-def test_a_reused_dense_rerun_embeds_nothing(tmp_path, monkeypatch, serve):
-    calls = []
-    url = serve(embedding_app(dim=8, calls=calls))
-    out = tmp_path / "run"
-    prepare(out)
-    config = make_config(output=out, strategies=["fewshot-dense"],
-                         embedding=EmbeddingConfig(endpoint=url))
-    assert run_experiment(config) == 60
-    # the test set once, then the subsample in batches of 64
-    assert [len(texts) for texts in calls] == [60, 64, 16]
-    written = spy_writes(monkeypatch)
-
-    def down(*args, **kwargs):
-        raise TransportError("embedding service is down")
-
-    monkeypatch.setattr(vectorize, "post_json", down)
-    assert run_experiment(config) == 60
-    assert written == []
-
-
 def test_run_experiment_requires_prepared_data(tmp_path):
     config = make_config(output=tmp_path / "fresh", sizes=[80], strategies=["base"])
     with pytest.raises(DataError, match="prepare"):
-        run_experiment(config)
-
-
-def test_dense_strategy_requires_embedding_config(tmp_path):
-    out = tmp_path / "run"
-    prepare(out)
-    config = make_config(output=out, sizes=[80], strategies=["fewshot-dense"])
-    with pytest.raises(DataError, match="embedding"):
         run_experiment(config)
 
 
@@ -888,7 +819,8 @@ def test_config_defaults_and_json_view(tmp_path):
     assert obj["llm"] == {"endpoint": "perfect", "model_id": "default", "max_new_tokens": 5,
                           "timeout": 60.0, "max_retries": 2, "backoff": 0.5,
                           "oracle_params": {}}
-    assert obj["embedding"] is None
+    assert set(obj) == {"datasets", "output", "sizes", "seed", "alpha", "k", "strategies",
+                        "calib_fraction", "template", "llm", "train", "test_size", "jobs"}
     assert obj["train"] == {"C": 1.0, "tol": 1e-4, "max_iter": 1000}
     assert set(obj["template"]) == {"task_intro", "example_format", "query_format",
                                     "instruction"}
@@ -925,3 +857,9 @@ def test_run_config_validation(kw):
 def test_dataset_spec_validation(kw):
     with pytest.raises(ValueError):
         DatasetSpec(name=kw.get("name", "ok"), path="p", min_size=kw.get("min_size", 0))
+
+
+def test_the_readme_strategy_table_names_every_strategy_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Strategies\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` ", section, flags=re.M) == list(pipeline.STRATEGIES)

@@ -13,7 +13,6 @@ from cicle.selection import (
     SIM_CHUNK_ROWS,
     ShotPool,
     ShotSet,
-    select_dense,
     select_random,
     select_sparse,
     sparse_similarities,
@@ -51,7 +50,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="k"):
         select_random(pool, [["fruit"]], 0, [0])
     with pytest.raises(ValueError, match="k"):
-        select_dense(pool, np.ones((5, 2)), np.ones((1, 2)), [["fruit"]], 0)
+        select_sparse(pool, sp.csr_matrix(np.ones((5, 2))), sp.csr_matrix(np.ones((1, 2))),
+                      [["fruit"]], 0)
 
 
 def test_shot_set_helpers():
@@ -202,35 +202,6 @@ def test_three_way_tie_at_kth_place():
     assert [ids(shots) for shots in batch] == [[["x0", "x1"]], [["x0", "x1"], ["o0"]]]
     [wider] = select_sparse(ShotPool(pool), vectors, queries[:1], [["c", "other"]], 3)
     assert ids(wider) == [["x0", "x1", "x2"], ["o0"]]
-
-
-def test_dense_picks_most_similar():
-    pool = small_pool()
-    embeddings = np.array([
-        [1.0, 0.0],
-        [0.9, 0.1],
-        [0.0, 1.0],
-        [-1.0, 0.0],
-        [0.5, 0.5],
-    ])
-    query = np.array([1.0, 0.05])
-    shots = select_dense(ShotPool(pool), embeddings, [query], [["fruit", "veg"]], 2)[0]
-    by_class = dict((c, [it.id for it in items]) for c, items in shots.per_class)
-    assert by_class["fruit"] == ["a0", "a1"]
-    assert by_class["veg"] == ["b1", "b0"]
-
-
-def test_dense_zero_norm_rows_score_zero():
-    pool = small_pool()[:2]
-    embeddings = np.array([[0.0, 0.0], [1.0, 0.0]])
-    shots = select_dense(ShotPool(pool), embeddings, [np.array([1.0, 0.0])], [["fruit"]], 1)[0]
-    assert ids(shots) == [["a1"]]
-
-
-def test_dense_dimension_mismatch_rejected():
-    pool = ShotPool(small_pool()[:2])
-    with pytest.raises(ValueError, match="dimension"):
-        select_dense(pool, np.ones((2, 3)), [np.ones(4)], [["fruit"]], 1)
 
 
 # -- properties of the batched sparse path ---------------------------------

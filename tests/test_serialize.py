@@ -3,11 +3,10 @@ config-dict reader."""
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import pytest
 
 from cicle.errors import DataError
-from cicle.serialize import atomic_open, from_dict, read_json, read_jsonl, typed, write_json
+from cicle.serialize import from_dict, read_json, read_jsonl, typed, write_json
 
 
 def test_write_json_bytes(tmp_path):
@@ -26,18 +25,6 @@ def test_failed_write_keeps_previous_bytes_and_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         write_json({"a": 2, "b": [object()]}, path)
     assert path.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [path]
-
-
-def test_binary_write_is_atomic_too(tmp_path):
-    path = tmp_path / "v.npy"
-    with atomic_open(path, binary=True) as fh:
-        np.save(fh, np.arange(3.0))
-    with pytest.raises(RuntimeError):
-        with atomic_open(path, binary=True) as fh:
-            np.save(fh, np.zeros(5))
-            raise RuntimeError("interrupted")
-    assert np.array_equal(np.load(path), np.arange(3.0))
     assert list(tmp_path.iterdir()) == [path]
 
 

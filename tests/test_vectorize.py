@@ -7,13 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cicle import vectorize
-from cicle.errors import DataError, TransportError
 from cicle.selection import sparse_similarities
-from cicle.vectorize import (EmbeddingClient, EmbeddingConfig, encode, fit_tfidf, stack,
-                             tokenize, transform, transform_many)
+from cicle.vectorize import encode, fit_tfidf, stack, tokenize, transform, transform_many
 
-from conftest import embedding_app, hash_embedding, make_items
+from conftest import make_items
 
 
 def dense(model, text):
@@ -207,159 +204,3 @@ def test_transform_many_takes_rows_of_one_encoding():
     assert (matrix != expected).nnz == 0
     assert matrix[60].nnz == 0 and matrix[61].nnz == 0
 
-
-@pytest.mark.parametrize("kwargs", [
-    {"batch_size": 0},
-    {"batch_size": -1},
-    {"max_retries": -1},
-    *({name: value} for name in ("timeout", "backoff")
-      for value in (float("inf"), float("nan"), -1.0, 1e10)),
-    {"timeout": 0.0},
-])
-def test_config_validation(kwargs):
-    [field] = kwargs
-    with pytest.raises(ValueError, match=field):
-        EmbeddingConfig(endpoint="http://localhost:1/embed", **kwargs)
-
-
-def test_embed_order_dedupe_and_values(serve, tmp_path):
-    calls = []
-    url = serve(embedding_app(dim=8, calls=calls))
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, cache_dir=str(tmp_path / "cache")))
-    texts = ["aa bb", "cc", "aa bb"]
-    vectors = client.embed(texts)
-    assert len(vectors) == 3
-    assert np.allclose(vectors[0], vectors[2])
-    assert np.allclose(vectors[0], hash_embedding("aa bb", 8))
-    assert np.allclose(vectors[1], hash_embedding("cc", 8))
-    assert sum(len(batch) for batch in calls) == 2
-    assert [len(v) for v in vectors] == [8, 8, 8]
-
-
-def test_embed_cache_survives_new_client(serve, tmp_path):
-    calls = []
-    url = serve(embedding_app(calls=calls))
-    cfg = EmbeddingConfig(endpoint=url, cache_dir=str(tmp_path / "cache"))
-    first = EmbeddingClient(cfg).embed(["one", "two"])
-    before = sum(len(b) for b in calls)
-    second = EmbeddingClient(cfg).embed(["one", "two"])
-    assert sum(len(b) for b in calls) == before
-    assert np.allclose(first, second)
-
-
-def test_embed_empty_list_makes_no_calls():
-    client = EmbeddingClient(EmbeddingConfig(endpoint="http://127.0.0.1:9/unreachable"))
-    assert client.embed([]) == []
-
-
-def test_embed_batching(serve, tmp_path):
-    calls = []
-    url = serve(embedding_app(calls=calls))
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, batch_size=2))
-    client.embed([f"text {i}" for i in range(5)])
-    assert [len(b) for b in calls] == [2, 2, 1]
-
-
-def test_embed_wrong_count_is_data_error(serve):
-    def app(handler):
-        from conftest import read_json, respond_json
-        read_json(handler)
-        respond_json(handler, 200, {"vectors": [[0.0, 1.0]], "dim": 2})
-
-    url = serve(app)
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url))
-    with pytest.raises(DataError, match="vectors for"):
-        client.embed(["a", "b"])
-
-
-def raw_reply_app(body: bytes):
-    def app(handler):
-        from conftest import read_json
-        read_json(handler)
-        handler.send_response(200)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-    return app
-
-
-@pytest.mark.parametrize("body,needle", [
-    (b"[1, 2]", "reply must be an object, got list [1, 2]"),
-    (b"not json", "returned a reply that is not JSON"),
-], ids=["list", "not-json"])
-def test_embed_reply_that_is_not_a_json_object_is_data_error(serve, body, needle):
-    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(body))))
-    with pytest.raises(DataError, match="^embedding service ") as err:
-        client.embed(["a", "b"])
-    assert needle in str(err.value)
-
-
-def test_embed_vectors_that_are_not_a_list_is_data_error(serve):
-    client = EmbeddingClient(EmbeddingConfig(endpoint=serve(raw_reply_app(b'{"vectors": 5}'))))
-    with pytest.raises(DataError,
-                       match="^embedding service reply vectors must be a list, got int 5"):
-        client.embed(["a", "b"])
-
-
-def test_embed_dimension_drift_is_data_error(serve):
-    state = {"n": 0}
-
-    def app(handler):
-        from conftest import read_json, respond_json
-        body = read_json(handler)
-        state["n"] += 1
-        dim = 4 if state["n"] == 1 else 6
-        respond_json(handler, 200,
-                     {"vectors": [[0.5] * dim for _ in body["texts"]], "dim": dim})
-
-    url = serve(app)
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, batch_size=1))
-    with pytest.raises(DataError, match="drift"):
-        client.embed(["a", "b"])
-
-
-def no_service(*args, **kwargs):
-    raise AssertionError("the embedding service was called")
-
-
-@pytest.mark.parametrize("write,needle", [
-    (lambda path: path.write_bytes(b""), "cannot read embedding cache file"),
-    (lambda path: np.save(path, np.ones((2, 4))), "non-finite or non-1d"),
-    (lambda path: np.save(path, np.array([0.5, np.nan, 0.5, 0.5])), "non-finite or non-1d"),
-], ids=["empty", "2-d", "non-finite"])
-def test_a_bad_cache_file_is_a_data_error_naming_it(tmp_path, monkeypatch, write, needle):
-    monkeypatch.setattr(vectorize, "post_json", no_service)
-    client = EmbeddingClient(EmbeddingConfig(endpoint="http://127.0.0.1:9/embed",
-                                             cache_dir=str(tmp_path)))
-    path = client._cache_path("hello")
-    write(path)
-    with pytest.raises(DataError, match=needle) as err:
-        client.embed(["hello"])
-    assert str(path) in str(err.value)
-
-
-def test_cached_and_fresh_vectors_share_one_dimension(serve, tmp_path):
-    url = serve(embedding_app(dim=8))
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, cache_dir=str(tmp_path)))
-    np.save(client._cache_path("cached"), np.ones(4))
-    with pytest.raises(DataError, match="drift: embedding service reply holds 8 dimensions, "
-                                        "expected 4"):
-        client.embed(["cached", "fresh"])
-
-
-def test_embed_retries_5xx_then_succeeds(serve):
-    calls = []
-    url = serve(embedding_app(calls=calls, fail_first=1))
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, max_retries=1, backoff=0.01))
-    vectors = client.embed(["hello"])
-    assert len(vectors) == 1
-    assert len(calls) == 2
-
-
-def test_embed_exhausted_retries_is_transport_error(serve):
-    url = serve(embedding_app(fail_first=99))
-    client = EmbeddingClient(EmbeddingConfig(endpoint=url, max_retries=1, backoff=0.01))
-    with pytest.raises(TransportError) as err:
-        client.embed(["hello"])
-    assert err.value.attempts == 2
