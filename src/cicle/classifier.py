@@ -87,15 +87,13 @@ def nll_and_grad(W: np.ndarray, b: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
     return loss, np.asarray(dW), db, P
 
 
-def train(X: sp.csr_matrix, y, label_space: LabelSpace,
-          config: TrainConfig | None = None) -> LogisticModel:
+def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> LogisticModel:
     """Fit the model on the CSR rows of X and their class indices y.
 
     Training data must contain at least two distinct classes. A model whose
     final gradient is above the tolerance is still returned, flagged with
     ``converged=False`` and a logged warning.
     """
-    config = config or TrainConfig()
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != len(y) or len(y) == 0:
         raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")

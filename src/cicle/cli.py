@@ -43,17 +43,6 @@ def _parse_int_list(value: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}") from None
 
 
-def _overlay(payload: dict, key: str, **flags) -> None:
-    """Set the non-None ``flags`` over the config file's ``key`` section. An
-    empty section is left out, so the dataclass default applies; a section that
-    is not an object is left for ``from_dict`` to reject."""
-    section = payload.pop(key, None) or {}
-    if isinstance(section, dict):
-        section = {**section, **{k: v for k, v in flags.items() if v is not None}}
-    if section:
-        payload[key] = section
-
-
 def _flag_spec(spec: DatasetSpec | None, **values) -> DatasetSpec:
     """``spec`` with ``values`` from a flag set (a new spec when None); a value
     that DatasetSpec rejects is a usage error."""
@@ -114,8 +103,15 @@ def build_run_config(args) -> RunConfig:
         merged["template"] = template_from_file(args.template or merged["template"])
     if args.oracle and args.llm_endpoint:
         raise UsageError("--oracle and --llm-endpoint are mutually exclusive")
-    _overlay(merged, "llm", endpoint=args.oracle or args.llm_endpoint, model_id=args.model_id,
-             max_new_tokens=args.max_new_tokens)
+    llm_flags = {"endpoint": args.oracle or args.llm_endpoint, "model_id": args.model_id,
+                 "max_new_tokens": args.max_new_tokens}
+    # an empty llm section is left out, so LlmConfig's defaults apply; one that
+    # is not an object is left for from_dict to reject
+    llm = merged.pop("llm", None) or {}
+    if isinstance(llm, dict):
+        llm = {**llm, **{key: value for key, value in llm_flags.items() if value is not None}}
+    if llm:
+        merged["llm"] = llm
     try:
         return from_dict(RunConfig, merged, "command line")
     except DataError as exc:
@@ -150,7 +146,7 @@ def cmd_report(args) -> int:
     """Aggregate the record files ``run`` would reuse into report.json and
     plot-ready CSVs, holding one file's records at a time."""
     config = build_run_config(args)
-    hashes, keys = recorded_entries(config.manifest_path)
+    hashes, keys, _ = recorded_entries(config.manifest_path)
     per_cell = {}
     missing: list[str] = []
     for spec in config.datasets:

@@ -63,8 +63,6 @@ def quantile_rank(n: int, alpha: float) -> int:
 
 def calibration_from_scores(scores, alpha: float) -> ConformalCalibration:
     """Build a calibration from raw nonconformity scores in [0, 1]."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     scores = np.sort(np.asarray(scores, dtype=float))
     n = len(scores)
     if n == 0:

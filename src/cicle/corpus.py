@@ -208,8 +208,6 @@ def stratified_split(data: Sequence[LabeledText], calib_fraction: float, seed: i
     of the data (half-up rounding); the train part is the rest, in input
     order. Frozen test sets are supplied separately.
     """
-    if not (0.0 < calib_fraction < 1.0):
-        raise ValueError(f"calib_fraction must be in (0, 1), got {calib_fraction}")
     classes, by_label = _group_by_label(data)
     thin = [c for c in classes if len(by_label[c]) < 2]
     if thin:
@@ -271,7 +269,8 @@ def freeze_dataset(items: Sequence[LabeledText], label_space: LabelSpace, out_di
 def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSpace, dict]:
     """Load a frozen dataset directory back into (pool, test, labels, manifest).
 
-    Each split must still hash to its manifest's sha256, and no id may repeat.
+    Each split must still hash to its manifest's sha256, no id may repeat, and
+    every label of either split must be in the manifest's label list.
     """
     dir_path = Path(dir_path)
     manifest_path = dir_path / "manifest.json"
@@ -292,7 +291,9 @@ def load_frozen(dir_path) -> tuple[list[LabeledText], list[LabeledText], LabelSp
             raise DataError(f"{dir_path}: duplicate id: {item.id!r} in pool.jsonl or test.jsonl")
         seen.add(item.id)
     space = LabelSpace.from_labels(labels)
-    for item in test:
-        if item.label not in space:
-            raise DataError(f"frozen test item {item.id!r} has label outside the label space")
+    for split, items in (("pool", pool), ("test", test)):
+        for item in items:
+            if item.label not in space:
+                raise DataError(
+                    f"frozen {split} item {item.id!r} has label outside the label space")
     return pool, test, space, manifest

@@ -73,8 +73,8 @@ class LlmConfig:
 class PromptMeta:
     """Per-item metadata consumed by mock oracles; never sent over the wire."""
 
-    classes: tuple[str, ...] = ()
-    gold_label: str | None = None
+    classes: tuple[str, ...]
+    gold_label: str
 
 
 @dataclass
@@ -84,41 +84,36 @@ class LlmResponse:
     attempts: int
 
 
-OracleFn = Callable[[str, PromptMeta | None, dict], str]
+# Every prompt the pipeline sends offers at least two classes: a prompted cicle
+# set is never a singleton, and a few-shot prompt offers the whole label space.
+OracleFn = Callable[[str, PromptMeta, dict], str]
 
 
-def _oracle_perfect(prompt: str, meta: PromptMeta | None, params: dict) -> str:
+def _oracle_perfect(prompt: str, meta: PromptMeta, params: dict) -> str:
     """Gold label whenever it is among the prompt's candidate classes, else the first class."""
-    if meta is None or not meta.classes:
-        return ""
-    if meta.gold_label is not None and meta.gold_label in meta.classes:
+    if meta.gold_label in meta.classes:
         return meta.gold_label
     return meta.classes[0]
 
 
-def _oracle_majority(prompt: str, meta: PromptMeta | None, params: dict) -> str:
+def _oracle_majority(prompt: str, meta: PromptMeta, params: dict) -> str:
     """Always the first listed class."""
-    if meta is None or not meta.classes:
-        return ""
     return meta.classes[0]
 
 
-def _oracle_noisy(prompt: str, meta: PromptMeta | None, params: dict) -> str:
+def _oracle_noisy(prompt: str, meta: PromptMeta, params: dict) -> str:
     """Gold with a per-class accuracy, otherwise a deterministic wrong candidate.
 
     params: {"accuracy": {class name: rate}, "default_accuracy": rate, "seed": int}.
     The coin is seeded from the prompt text, so repeated calls agree.
     """
-    if meta is None or not meta.classes:
-        return ""
     gold = meta.gold_label
     acc = params.get("accuracy", {}).get(gold, params.get("default_accuracy", 0.8))
     digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=8).digest()
     rng = random.Random(int.from_bytes(digest, "big") ^ params.get("seed", 0))
-    if gold is not None and gold in meta.classes and rng.random() < acc:
+    if gold in meta.classes and rng.random() < acc:
         return gold
-    wrong = [c for c in meta.classes if c != gold]
-    return rng.choice(wrong) if wrong else meta.classes[0]
+    return rng.choice([c for c in meta.classes if c != gold])
 
 
 ORACLES: dict[str, OracleFn] = {
@@ -138,7 +133,7 @@ class LlmClient:
     def __init__(self, config: LlmConfig):
         self.config = config
 
-    def complete(self, prompt: str, meta: PromptMeta | None = None) -> LlmResponse:
+    def complete(self, prompt: str, meta: PromptMeta) -> LlmResponse:
         start = time.monotonic()
         if self.config.is_remote:
             raw, attempts = self._complete_remote(prompt)

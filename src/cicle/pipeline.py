@@ -44,7 +44,6 @@ log = logging.getLogger(__name__)
 FEWSHOT = ("fewshot-random", "fewshot-sparse")
 STRATEGIES = ("base", *FEWSHOT, "cicle")
 DEFAULT_SIZES = (100, 200, 300, 400, 500, 1000, 2000, 3000, 4000, 5000)
-DEFAULT_STRATEGIES = ("base", "fewshot-random", "fewshot-sparse", "cicle")
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
@@ -72,7 +71,7 @@ class RunConfig:
     seed: int = 0
     alpha: float = 0.05
     k: int = 2
-    strategies: Sequence[str] = DEFAULT_STRATEGIES
+    strategies: Sequence[str] = STRATEGIES
     calib_fraction: float = 0.2
     template: PromptTemplate = DEFAULT_TEMPLATE
     llm: LlmConfig = field(default_factory=LlmConfig)
@@ -187,15 +186,18 @@ def read_records(path) -> list[PredictionRecord]:
     return [PredictionRecord.from_json(obj, where) for where, obj in read_jsonl(path)]
 
 
-def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str]]:
-    """Record file name -> sha256 and name -> configuration key, from a run
-    manifest; both are empty when there is no manifest yet."""
+def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str],
+                                             dict[str, dict[str, str]]]:
+    """Record file name -> sha256, name -> configuration key and dataset name
+    -> its frozen splits' sha256, from a run manifest; all are empty when
+    there is no manifest yet."""
     path = Path(manifest_path)
     if not path.exists():
-        return {}, {}
+        return {}, {}, {}
     manifest = read_json(path, "run manifest")
     return (typed(dict[str, str], manifest.get("records"), f"{path} records"),
-            typed(dict[str, str], manifest.get("keys", {}), f"{path} keys"))
+            typed(dict[str, str], manifest.get("keys", {}), f"{path} keys"),
+            typed(dict[str, dict[str, str]], manifest.get("datasets", {}), f"{path} datasets"))
 
 
 # The version of the program's record bytes. It is part of every configuration
@@ -237,19 +239,17 @@ class CellResources:
 
     label_space: LabelSpace
     test: list[LabeledText]
-    task: str = "text classification"
+    task: str
     calibration: ConformalCalibration | None = None
     test_probs: np.ndarray | None = None
     shots: dict[str, ShotSource] = field(default_factory=dict)
 
 
 def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
-               label_space: LabelSpace, config: RunConfig, cell_seed: int,
-               task: str = "text classification",
-               strategies: Sequence[str] | None = None) -> CellResources:
+               label_space: LabelSpace, config: RunConfig, cell_seed: int, task: str,
+               strategies: Sequence[str]) -> CellResources:
     """Fit the per-cell models and the shot source of each prompting strategy
     among ``strategies``, and compute the test set's class probabilities."""
-    strategies = list(config.strategies if strategies is None else strategies)
     subsample = list(subsample)
     res = CellResources(label_space=label_space, test=list(test), task=task)
     if {"base", "cicle", "fewshot-sparse"} & set(strategies):
@@ -310,8 +310,6 @@ def classify_base(res: CellResources, item: LabeledText, probs: np.ndarray) -> P
 
 def classify_fewshot(res: CellResources, item: LabeledText, strategy: str) -> PredictionRecord:
     """One item's few-shot record; cell_calls prompts it over every class in label order."""
-    if strategy not in FEWSHOT:
-        raise ValueError(f"not a few-shot strategy: {strategy!r}")
     return PredictionRecord(
         item_id=item.id,
         strategy=strategy,
@@ -399,7 +397,7 @@ def cell_calls(res: CellResources, strategy: str,
     return records, calls
 
 
-def classify_cell(res: CellResources, strategy: str, llm: LlmClient | None,
+def classify_cell(res: CellResources, strategy: str, llm: LlmClient,
                   config: RunConfig) -> list[PredictionRecord]:
     """Classify the cell's test set under one strategy, one LLM call at a time;
     records come in test order."""
@@ -447,8 +445,7 @@ def stale_reason(name: str, sha256: str, key: str, hashes: dict[str, str],
     return None
 
 
-def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
-                   force: bool = False) -> int:
+def run_experiment(config: RunConfig, force: bool = False) -> int:
     """Run every (dataset, size, strategy) cell; returns the number of records
     in the run's record files.
 
@@ -466,16 +463,13 @@ def run_experiment(config: RunConfig, llm_client: LlmClient | None = None,
     complete, this thread runs the next one's CPU stage, then waits for the
     previous calls and writes their file.
     """
-    needs_llm = any(s != "base" for s in config.strategies)
-    if needs_llm and llm_client is None:
-        llm_client = LlmClient(config.llm)
-
+    llm_client = LlmClient(config.llm)
     n_records = 0
     failures: list[tuple[str, Exception]] = []
-    # entries for cells this run leaves alone carry over, so runs over different
-    # strategies or sizes add up to one manifest that report can check them all by
-    hashes, keys = recorded_entries(config.manifest_path)
-    datasets_meta: dict[str, dict] = {}
+    # entries for cells and datasets this run leaves alone carry over, so runs over
+    # different datasets, strategies or sizes add up to one manifest that report
+    # can check them all by
+    hashes, keys, datasets_meta = recorded_entries(config.manifest_path)
 
     def write_manifest() -> None:
         write_json({"config": config, "datasets": datasets_meta, "keys": keys,

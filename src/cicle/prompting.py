@@ -75,7 +75,7 @@ def _example(example_format: str, text: str, label: str) -> tuple[str, int]:
 
 
 def build_prompt(template: PromptTemplate, shots: ShotSet, query: LabeledText,
-                 task: str = "text classification") -> tuple[str, PromptStats]:
+                 task: str) -> tuple[str, PromptStats]:
     """Assemble the classification prompt and its size statistics.
 
     A candidate class whose pool holds no shot still counts as a candidate;

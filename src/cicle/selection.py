@@ -59,11 +59,6 @@ class ShotPool:
         return self._by_label.get(label, _NO_INDICES)
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def _warn_short(pool: ShotPool, classes: Sequence[Sequence[str]], k: int) -> None:
     """Log once per requested class with fewer than k pool items, in first-request order."""
     for cls in dict.fromkeys(c for order in classes for c in order):
@@ -80,7 +75,6 @@ def select_random(pool: ShotPool, classes: Sequence[Sequence[str]], k: int,
 
     Query q draws from ``random.Random(seeds[q])``, class by class in its own order.
     """
-    _check_k(k)
     shot_sets = []
     for order, seed in zip(classes, seeds, strict=True):
         rng = random.Random(seed)
@@ -152,7 +146,6 @@ def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_m
     query, both under the same fitted tf-idf model; ``classes[q]`` belongs to
     query row q.
     """
-    _check_k(k)
     if pool_vectors.shape[0] != len(pool):
         raise ValueError(f"{pool_vectors.shape[0]} similarities for {len(pool)} pool items")
     shot_sets: list[ShotSet] = []

@@ -76,20 +76,15 @@ def encode(texts: Sequence[str]) -> TokenIds:
     return TokenIds(list(index), docs)
 
 
-def _token_ids(texts: Sequence[str] | TokenIds) -> TokenIds:
-    return texts if isinstance(texts, TokenIds) else encode(texts)
-
-
-def fit_tfidf(corpus: Sequence[str] | TokenIds) -> TfidfModel:
+def fit_tfidf(docs: TokenIds) -> TfidfModel:
     """Fit vocabulary and smoothed idf weights on a training corpus.
 
     idf(t) = ln((1+N)/(1+df(t))) + 1 with N the corpus size and df the
     document frequency, so idf >= 1 for every token. Vocabulary indices are
     assigned in sorted token order.
     """
-    if not len(corpus):
+    if not len(docs):
         raise ValueError("cannot fit TF-IDF on an empty corpus")
-    docs = _token_ids(corpus)
     n_tokens = len(docs.tokens)
     # a token's document frequency is the number of count rows it has an entry in
     df = np.bincount(docs.counts(np.arange(n_tokens), n_tokens).indices, minlength=n_tokens)
@@ -124,9 +119,8 @@ def transform(model: TfidfModel, text: str) -> tuple[np.ndarray, np.ndarray]:
     return indices, values
 
 
-def transform_many(model: TfidfModel, texts: Sequence[str] | TokenIds) -> sp.csr_matrix:
+def transform_many(model: TfidfModel, docs: TokenIds) -> sp.csr_matrix:
     """One CSR row per text, each exactly ``transform(model, text)``."""
-    docs = _token_ids(texts)
     columns = np.array([model.vocabulary.get(tok, -1) for tok in docs.tokens], dtype=np.intp)
     matrix = docs.counts(columns, model.dim)
     matrix.data *= model.idf[matrix.indices]

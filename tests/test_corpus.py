@@ -269,12 +269,6 @@ def test_split_warns_when_a_class_gets_no_calibration_item(caplog):
     assert "zero allocation: bravo" in caplog.text
 
 
-@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
-def test_split_fraction_validation(fraction):
-    with pytest.raises(ValueError):
-        stratified_split(make_items(20), fraction, seed=0)
-
-
 def test_stable_seed_is_stable():
     assert stable_seed("unit", 7) == 6670773245163959267
     assert stable_seed(1, "a") == stable_seed(1, "a")

@@ -54,7 +54,8 @@ def built_cell(strategies, n=160, overlap=0.0, seed=0, **cfg_kw):
     space = space_for(items)
     config = make_config(sizes=[n], strategies=list(strategies), **cfg_kw)
     test = make_items(40, n_classes=4, seed=seed + 100, overlap=overlap, prefix="te")
-    res = build_cell(items, test, space, config, cell_seed=stable_seed(0, "toy", n))
+    res = build_cell(items, test, space, config, cell_seed=stable_seed(0, "toy", n),
+                     task="text classification", strategies=config.strategies)
     return space, config, res, test
 
 
@@ -131,12 +132,6 @@ def test_fewshot_majority_oracle_picks_first_label():
         assert rec.llm_raw == space.labels[0]
 
 
-def test_classify_fewshot_rejects_other_strategies():
-    space, config, res, test = built_cell(["fewshot-random"])
-    with pytest.raises(ValueError, match="few-shot"):
-        classify_cell(res, "fewshot-nearest", perfect(), config)
-
-
 def test_cicle_bypass_on_separable_data():
     space, config, res, test = built_cell(["base", "cicle"], alpha=0.2)
     llm = perfect()
@@ -191,12 +186,15 @@ def test_llm_called_exactly_once_per_multiclass_set(monkeypatch):
        size=st.sampled_from([40, 80, 160]), k=st.integers(1, 3))
 def test_no_prompted_call_shows_its_own_item(seed, overlap, size, k):
     """On a toy corpus frozen and read back, no prompt that cell_calls builds
-    has its query among the shots, under any prompting strategy."""
-    shown = []  # (query id, ids of the prompt's shots) per prompt built
+    has its query among the shots, under any prompting strategy; and each call's
+    meta, which the oracles answer from, offers the prompt's classes, at least
+    two, with the query's gold label."""
+    shown = []  # (query id, the prompt's classes, ids of its shots) per prompt built
     real = pipeline.build_prompt
 
     def spying(template, shots, item, **kwargs):
-        shown.append((item.id, {shot.id for _, items in shots.per_class for shot in items}))
+        shown.append((item.id, shots.classes(),
+                      {shot.id for _, items in shots.per_class for shot in items}))
         return real(template, shots, item, **kwargs)
 
     strategies = ["cicle", "fewshot-random", "fewshot-sparse"]
@@ -206,11 +204,15 @@ def test_no_prompted_call_shows_its_own_item(seed, overlap, size, k):
         pool, test, space, _ = load_frozen(Path(tmp) / "data" / "toy")
         cell_seed = stable_seed(seed, "toy", size)
         res = build_cell(stratified_subsample(pool, size, cell_seed), test, space, config,
-                         cell_seed)
+                         cell_seed, task="text classification", strategies=strategies)
         mp.setattr(pipeline, "build_prompt", spying)
-        n_calls = sum(len(pipeline.cell_calls(res, s, config)[1]) for s in strategies)
-    assert len(shown) == n_calls > 0
-    assert all(query not in shots for query, shots in shown)
+        calls = [call for s in strategies for call in pipeline.cell_calls(res, s, config)[1]]
+    gold = {item.id: item.label for item in test}
+    assert len(shown) == len(calls) > 0
+    for (query, classes, shots), call in zip(shown, calls):
+        assert call.record.item_id == query and query not in shots
+        assert call.meta.classes == tuple(classes) and len(classes) >= 2
+        assert call.meta.gold_label == gold[query]
 
 
 def test_transport_failure_yields_invalid_records(serve):
@@ -266,7 +268,8 @@ def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(mon
     test = make_items(40, n_classes=4, seed=100, overlap=0.75, prefix="te")
     strategies = ["cicle", "fewshot-random", "fewshot-sparse"]
     config = make_config(sizes=[200], strategies=strategies)
-    res = build_cell(items, test, space_for(items), config, cell_seed=3)
+    res = build_cell(items, test, space_for(items), config, cell_seed=3,
+                     task="text classification", strategies=strategies)
     split = stratified_split(items, config.calib_fraction, 3)
     train_ids = {t.id for t in split.train}
     cal_ids = {t.id for t in split.calibration}

@@ -49,14 +49,15 @@ def test_default_prompt_layout():
 def test_placeholders_in_a_shot_text_stay_verbatim():
     shots = ShotSet(per_class=[("html", [item(0, "use the {label} tag, not {text}", "html")])])
     query = LabeledText(id="q", text="what is {label}?", label="html")
-    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, query)
+    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, query, task="text classification")
     blocks = prompt.split("\n\n")
     assert blocks[1] == "Text: use the {label} tag, not {text}\nLabel: html"
     assert blocks[2] == "Text: what is {label}?\nLabel:"
 
 
 def test_prompt_stats():
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY)
+    prompt, stats = build_prompt(DEFAULT_TEMPLATE, two_class_shots(), QUERY,
+                                 task="text classification")
     assert stats.shot_count == 4
     assert stats.candidate_count == 2
     assert stats.token_count == len(prompt.split())
@@ -67,13 +68,13 @@ def test_shots_emitted_class_major_in_given_order():
         ("ham", [item(0, "hello there", "ham")]),
         ("spam", [item(1, "buy pills", "spam")]),
     ])
-    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, QUERY)
+    prompt, _ = build_prompt(DEFAULT_TEMPLATE, shots, QUERY, task="text classification")
     assert prompt.index("hello there") < prompt.index("buy pills")
 
 
 def test_a_candidate_class_may_have_no_shots():
     empty = ShotSet(per_class=[("spam", [])])
-    prompt, stats = build_prompt(DEFAULT_TEMPLATE, empty, QUERY)
+    prompt, stats = build_prompt(DEFAULT_TEMPLATE, empty, QUERY, task="text classification")
     assert stats.shot_count == 0
     assert stats.candidate_count == 1
     assert "claim your reward" in prompt
@@ -85,7 +86,7 @@ def test_cicle_candidate_count_tracks_set_size():
         ("ham", [item(1, "c d", "ham")]),
         ("news", [item(2, "e f", "news")]),
     ])
-    _, stats = build_prompt(DEFAULT_TEMPLATE, shots, QUERY)
+    _, stats = build_prompt(DEFAULT_TEMPLATE, shots, QUERY, task="text classification")
     assert stats.candidate_count == 3
     assert stats.shot_count == 3
 

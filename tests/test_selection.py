@@ -17,7 +17,7 @@ from cicle.selection import (
     select_sparse,
     sparse_similarities,
 )
-from cicle.vectorize import fit_tfidf, stack, transform_many
+from cicle.vectorize import encode, fit_tfidf, stack, transform_many
 
 from conftest import make_items
 
@@ -43,15 +43,6 @@ def one_random(pool, classes, k, seed) -> ShotSet:
 def one_sparse(pool, pool_vectors, query, classes, k) -> ShotSet:
     """Select for one query, a one-row CSR matrix."""
     return select_sparse(ShotPool(pool), pool_vectors, query, [classes], k)[0]
-
-
-def test_config_validation():
-    pool = ShotPool(small_pool())
-    with pytest.raises(ValueError, match="k"):
-        select_random(pool, [["fruit"]], 0, [0])
-    with pytest.raises(ValueError, match="k"):
-        select_sparse(pool, sp.csr_matrix(np.ones((5, 2))), sp.csr_matrix(np.ones((1, 2))),
-                      [["fruit"]], 0)
 
 
 def test_shot_set_helpers():
@@ -105,9 +96,10 @@ def test_short_class_takes_all_and_warns(caplog):
 def one_item_veg_selectors(n):
     """select_random and select_sparse over n queries and a pool with one "veg" item."""
     pool = ShotPool(small_pool()[:4])
-    tfidf = fit_tfidf([it.text for it in pool.items])
-    pool_vectors = transform_many(tfidf, [it.text for it in pool.items])
-    queries = transform_many(tfidf, ["carrot apple"] * n)
+    pool_texts = encode([it.text for it in pool.items])
+    tfidf = fit_tfidf(pool_texts)
+    pool_vectors = transform_many(tfidf, pool_texts)
+    queries = transform_many(tfidf, encode(["carrot apple"] * n))
     classes = [["fruit", "veg"]] * n
     return {
         "random": lambda: select_random(pool, classes, 2, range(n)),
@@ -129,14 +121,15 @@ def test_a_short_class_warns_once_per_call(caplog, selector, expected):
 
 def sparse_fixture():
     pool = small_pool()
-    tfidf = fit_tfidf([it.text for it in pool])
-    vectors = transform_many(tfidf, [it.text for it in pool])
+    pool_texts = encode([it.text for it in pool])
+    tfidf = fit_tfidf(pool_texts)
+    vectors = transform_many(tfidf, pool_texts)
     return pool, tfidf, vectors
 
 
 def test_sparse_picks_most_similar():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform_many(tfidf, ["apple orange pear"])
+    query = transform_many(tfidf, encode(["apple orange pear"]))
     shots = one_sparse(pool, vectors, query, ["fruit"], 2)
     assert ids(shots)[0][0] == "a0"
 
@@ -145,7 +138,7 @@ def test_sparse_batch_matches_single_queries():
     pool, tfidf, vectors = sparse_fixture()
     texts = ["carrot banana", "apple", "kiwi leek", "nothing known", "pear onion"]
     n = 2 * SIM_CHUNK_ROWS + 3
-    queries = transform_many(tfidf, [texts[i % len(texts)] for i in range(n)])
+    queries = transform_many(tfidf, encode([texts[i % len(texts)] for i in range(n)]))
     classes = [["veg", "fruit"] if i % 2 else ["fruit", "veg"] for i in range(n)]
     batch = select_sparse(ShotPool(pool), vectors, queries, classes, 2)
     assert len(batch) == n
@@ -159,15 +152,16 @@ def test_sparse_tie_falls_back_to_pool_order():
         LabeledText(id="x1", text="zzz yyy", label="c"),
         LabeledText(id="x2", text="zzz yyy", label="c"),
     ]
-    tfidf = fit_tfidf([it.text for it in pool])
-    vectors = transform_many(tfidf, [it.text for it in pool])
-    shots = one_sparse(pool, vectors, transform_many(tfidf, ["zzz yyy"]), ["c"], 2)
+    pool_texts = encode([it.text for it in pool])
+    tfidf = fit_tfidf(pool_texts)
+    vectors = transform_many(tfidf, pool_texts)
+    shots = one_sparse(pool, vectors, transform_many(tfidf, encode(["zzz yyy"])), ["c"], 2)
     assert ids(shots) == [["x0", "x1"]]
 
 
 def test_sparse_zero_query_vector_is_safe():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform_many(tfidf, ["nonsensetoken anothermiss"])
+    query = transform_many(tfidf, encode(["nonsensetoken anothermiss"]))
     assert query.nnz == 0
     shots = one_sparse(pool, vectors, query, ["fruit"], 2)
     # zero query means all similarities are zero; pool order wins
@@ -176,15 +170,15 @@ def test_sparse_zero_query_vector_is_safe():
 
 def test_sparse_dimension_mismatch_rejected():
     pool, tfidf, vectors = sparse_fixture()
-    other = fit_tfidf(["completely different words here"])
-    query = transform_many(other, ["different words"])
+    other = fit_tfidf(encode(["completely different words here"]))
+    query = transform_many(other, encode(["different words"]))
     with pytest.raises(ValueError, match="dimension"):
         one_sparse(pool, vectors, query, ["fruit"], 1)
 
 
 def test_sparse_similarity_count_mismatch_rejected():
     pool, tfidf, vectors = sparse_fixture()
-    query = transform_many(tfidf, ["apple"])
+    query = transform_many(tfidf, encode(["apple"]))
     with pytest.raises(ValueError, match="pool items"):
         one_sparse(pool, vectors[:3], query, ["fruit"], 1)
 

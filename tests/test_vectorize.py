@@ -26,7 +26,7 @@ def test_tokenize_lowercases_and_drops_single_chars():
 
 
 def test_fit_tfidf_hand_idf():
-    model = fit_tfidf(["aa bb", "aa cc"])
+    model = fit_tfidf(encode(["aa bb", "aa cc"]))
     assert model.vocabulary == {"aa": 0, "bb": 1, "cc": 2}
     assert model.idf[0] == pytest.approx(1.0, abs=1e-12)
     assert model.idf[1] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
@@ -34,24 +34,24 @@ def test_fit_tfidf_hand_idf():
 
 
 def test_fit_tfidf_single_document():
-    model = fit_tfidf(["aa"])
+    model = fit_tfidf(encode(["aa"]))
     assert model.idf[model.vocabulary["aa"]] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_tfidf_idf_at_least_one():
-    model = fit_tfidf([it.text for it in make_items(50)])
+    model = fit_tfidf(encode([it.text for it in make_items(50)]))
     assert np.all(model.idf >= 1.0)
 
 
 def test_fit_tfidf_rejects_tokenless_corpus():
     with pytest.raises(ValueError):
-        fit_tfidf([])
+        fit_tfidf(encode([]))
     with pytest.raises(ValueError):
-        fit_tfidf(["! ?", "."])
+        fit_tfidf(encode(["! ?", "."]))
 
 
 def test_transform_hand_vector():
-    model = fit_tfidf(["aa bb", "aa cc"])
+    model = fit_tfidf(encode(["aa bb", "aa cc"]))
     vec = dense(model, "aa bb")
     w0, w1 = 1.0, math.log(3 / 2) + 1
     norm = math.hypot(w0, w1)
@@ -62,7 +62,7 @@ def test_transform_hand_vector():
 
 
 def test_transform_scales_with_counts():
-    model = fit_tfidf(["aa bb", "aa cc"])
+    model = fit_tfidf(encode(["aa bb", "aa cc"]))
     vec = dense(model, "aa bb aa")
     w0, w1 = 2.0, math.log(3 / 2) + 1
     norm = math.hypot(w0, w1)
@@ -71,7 +71,7 @@ def test_transform_scales_with_counts():
 
 
 def test_transform_unknown_tokens_dropped():
-    model = fit_tfidf(["aa bb", "aa cc"])
+    model = fit_tfidf(encode(["aa bb", "aa cc"]))
     indices, values = transform(model, "zz qq")
     assert len(indices) == 0 and len(values) == 0
     assert indices.dtype == np.int32
@@ -82,7 +82,7 @@ def test_transform_unknown_tokens_dropped():
 
 def test_transform_unit_norm_property():
     texts = [it.text for it in make_items(80, overlap=0.4, seed=3)]
-    model = fit_tfidf(texts)
+    model = fit_tfidf(encode(texts))
     for text in texts:
         indices, values = transform(model, text)
         if len(values):
@@ -92,8 +92,8 @@ def test_transform_unit_norm_property():
 
 def test_transform_independent_of_corpus_order():
     texts = [it.text for it in make_items(40, seed=9)]
-    a = fit_tfidf(texts)
-    b = fit_tfidf(list(reversed(texts)))
+    a = fit_tfidf(encode(texts))
+    b = fit_tfidf(encode(list(reversed(texts))))
     assert a.vocabulary == b.vocabulary
     assert np.allclose(a.idf, b.idf)
     assert np.allclose(dense(a, texts[0]), dense(b, texts[0]))
@@ -101,8 +101,9 @@ def test_transform_independent_of_corpus_order():
 
 def test_stack_matches_dense_rows():
     texts = [it.text for it in make_items(30)]
-    model = fit_tfidf(texts)
-    matrix = transform_many(model, texts)
+    docs = encode(texts)
+    model = fit_tfidf(docs)
+    matrix = transform_many(model, docs)
     assert matrix.shape == (30, len(model.vocabulary))
     for i, text in enumerate(texts):
         assert np.allclose(matrix[i].toarray().ravel(), dense(model, text))
@@ -117,7 +118,7 @@ def cosine(a, b, dim_a, dim_b=None):
 
 
 def test_cosine_hand_cases():
-    model = fit_tfidf(["aa bb", "cc dd"])
+    model = fit_tfidf(encode(["aa bb", "cc dd"]))
     a, dim = transform(model, "aa bb"), model.dim
     assert cosine(a, a, dim) == pytest.approx(1.0, abs=1e-12)
     assert cosine(a, transform(model, "cc dd"), dim) == 0.0
@@ -125,7 +126,7 @@ def test_cosine_hand_cases():
 
 
 def test_cosine_zero_norm_is_zero():
-    model = fit_tfidf(["aa bb"])
+    model = fit_tfidf(encode(["aa bb"]))
     zero, dim = transform(model, "zz"), model.dim
     assert cosine(zero, transform(model, "aa"), dim) == 0.0
     assert cosine(transform(model, "aa"), zero, dim) == 0.0
@@ -139,7 +140,7 @@ def test_cosine_errors():
 
 def test_cosine_symmetry():
     texts = [it.text for it in make_items(20, overlap=0.5, seed=7)]
-    model = fit_tfidf(texts)
+    model = fit_tfidf(encode(texts))
     vectors = [transform(model, t) for t in texts]
     rng = random.Random(1)
     for _ in range(50):
@@ -158,8 +159,8 @@ texts = st.lists(st.lists(words, max_size=8).map(" ".join), min_size=1, max_size
 @given(texts, texts)
 def test_transform_many_rows_equal_transform(fit_texts, texts):
     assume(any(tokenize(t) for t in fit_texts))
-    model = fit_tfidf(fit_texts)
-    matrix = transform_many(model, texts)
+    model = fit_tfidf(encode(fit_texts))
+    matrix = transform_many(model, encode(texts))
     assert matrix.shape == (len(texts), model.dim)
     for i, text in enumerate(texts):
         indices, values = transform(model, text)
@@ -187,7 +188,7 @@ def reference_fit(corpus):
 def test_fit_tfidf_equals_counter_reference(corpus):
     assume(any(tokenize(t) for t in corpus))
     vocabulary, idf = reference_fit(corpus)
-    model = fit_tfidf(corpus)
+    model = fit_tfidf(encode(corpus))
     assert model.vocabulary == vocabulary
     assert list(model.vocabulary) == list(vocabulary)
     assert model.idf.tobytes() == idf.tobytes()
@@ -198,9 +199,10 @@ def test_transform_many_takes_rows_of_one_encoding():
     cell = encode(texts + ["unseen words only", "! ?"])
     fit_rows = cell.take(range(0, 60, 2))
     model = fit_tfidf(fit_rows)
-    assert model.vocabulary == fit_tfidf(texts[0::2]).vocabulary
+    assert model.vocabulary == fit_tfidf(encode(texts[0::2])).vocabulary
     matrix = transform_many(model, cell)
-    expected = transform_many(model, texts + ["unseen words only", "! ?"])
+    expected = stack([transform(model, t) for t in texts + ["unseen words only", "! ?"]],
+                     model.dim)
     assert (matrix != expected).nnz == 0
     assert matrix[60].nnz == 0 and matrix[61].nnz == 0
 
