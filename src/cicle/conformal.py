@@ -55,8 +55,6 @@ def quantile_rank(n: int, alpha: float) -> int:
     IEEE representation noise (e.g. 10 * 0.9 -> 9.000000000000002) cannot
     bump an exactly-integer rank up by one.
     """
-    if n < 1:
-        raise ValueError("calibration size must be >= 1")
     v = (n + 1) * (1.0 - alpha)
     return math.ceil(v - v * 1e-12)
 
@@ -65,8 +63,6 @@ def calibration_from_scores(scores, alpha: float) -> ConformalCalibration:
     """Build a calibration from raw nonconformity scores in [0, 1]."""
     scores = np.sort(np.asarray(scores, dtype=float))
     n = len(scores)
-    if n == 0:
-        raise ValueError("empty calibration: need at least one score")
     # scores are 1 - probability; clip float spill just outside [0, 1]
     scores = np.clip(scores, 0.0, 1.0)
     r = quantile_rank(n, alpha)
@@ -81,12 +77,6 @@ def calibrate(probs, y, alpha: float) -> ConformalCalibration:
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise ValueError("empty calibration set")
-    if len(probs) != len(y):
-        raise ValueError(f"probs has {len(probs)} rows but y has {len(y)} entries")
-    if y.min() < 0 or y.max() >= probs.shape[1]:
-        raise ValueError("calibration labels contain class indices outside the label space")
     return calibration_from_scores(1.0 - probs[np.arange(len(y)), y], alpha)
 
 

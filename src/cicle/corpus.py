@@ -161,10 +161,6 @@ def apportion(counts: Sequence[int], n: int) -> list[int]:
     real-valued quota.
     """
     total = sum(counts)
-    if total <= 0:
-        raise ValueError("apportion requires a non-empty population")
-    if not (0 <= n <= total):
-        raise ValueError(f"cannot apportion n={n} over a population of {total}")
     base = [(n * c) // total for c in counts]
     remainders = [n * c - b * total for c, b in zip(counts, base)]
     short = n - sum(base)

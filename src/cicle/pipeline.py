@@ -137,36 +137,48 @@ class PredictionRecord:
 
     @classmethod
     def from_json(cls, obj: dict, where: str) -> "PredictionRecord":
-        """Decode one record; ``where`` (a file's ``path:lineno``) prefixes any error."""
+        """Decode one record; ``where`` (a file's ``path:lineno``) prefixes any error.
+
+        Each value is checked by ``typed``, so a ``"false"`` in a bool field or a
+        2.9 in an int field makes the record malformed.
+        """
         try:
-            cset = None
-            if obj.get("conformal_set") is not None:
-                raw = obj["conformal_set"]
+            cset = obj.get("conformal_set")
+            if cset is not None:
                 cset = ConformalSet(
-                    candidates=[(int(c), float(p)) for c, p in raw["candidates"]],
-                    forced_fallback=bool(raw["forced_fallback"]),
+                    candidates=[(typed(int, c, "conformal_set class"),
+                                 typed(float, p, "conformal_set probability"))
+                                for c, p in typed(list, cset["candidates"],
+                                                  "conformal_set.candidates")],
+                    forced_fallback=typed(bool, cset["forced_fallback"],
+                                          "conformal_set.forced_fallback"),
                 )
-            stats = None
-            if obj.get("prompt_stats") is not None:
-                raw = obj["prompt_stats"]
-                stats = PromptStats(token_count=int(raw["token_count"]),
-                                    shot_count=int(raw["shot_count"]),
-                                    candidate_count=int(raw["candidate_count"]))
+            stats = obj.get("prompt_stats")
+            if stats is not None:
+                stats = PromptStats(
+                    token_count=typed(int, stats["token_count"], "prompt_stats.token_count"),
+                    shot_count=typed(int, stats["shot_count"], "prompt_stats.shot_count"),
+                    candidate_count=typed(int, stats["candidate_count"],
+                                          "prompt_stats.candidate_count"))
             final = obj["final_label"]
             probs = obj.get("base_probs")
+            raw = obj.get("llm_raw")
+            error = obj.get("error")
             return cls(
-                item_id=str(obj["item_id"]),
-                strategy=str(obj["strategy"]),
-                gold_label=int(obj["gold_label"]),
-                final_label=None if final is None else int(final),
-                base_probs=None if probs is None else [float(p) for p in probs],
+                item_id=typed(str, obj["item_id"], "item_id"),
+                strategy=typed(str, obj["strategy"], "strategy"),
+                gold_label=typed(int, obj["gold_label"], "gold_label"),
+                final_label=None if final is None else typed(int, final, "final_label"),
+                base_probs=(None if probs is None
+                            else [typed(float, p, "base_probs entry")
+                                  for p in typed(list, probs, "base_probs")]),
                 conformal_set=cset,
-                bypassed=bool(obj.get("bypassed", False)),
+                bypassed=typed(bool, obj.get("bypassed", False), "bypassed"),
                 prompt_stats=stats,
-                llm_raw=obj.get("llm_raw"),
-                error=obj.get("error"),
+                llm_raw=None if raw is None else typed(str, raw, "llm_raw"),
+                error=None if error is None else typed(str, error, "error"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{where}: malformed prediction record: {exc}") from None
 
 
@@ -180,9 +192,6 @@ def write_records(records: Sequence[PredictionRecord], path) -> None:
 
 
 def read_records(path) -> list[PredictionRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"record file not found: {path}")
     return [PredictionRecord.from_json(obj, where) for where, obj in read_jsonl(path)]
 
 

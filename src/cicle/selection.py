@@ -100,8 +100,6 @@ def sparse_similarities(pool_vectors: sp.csr_matrix,
     a row's similarities do not depend on the rows batched with it. A
     zero-norm row or query scores 0.0.
     """
-    if queries.shape[1] != pool_vectors.shape[1]:
-        raise ValueError(f"dimension mismatch: {pool_vectors.shape[1]} != {queries.shape[1]}")
     pool_norms = np.sqrt(np.asarray(pool_vectors.multiply(pool_vectors).sum(axis=1)).ravel())
     pool_t = pool_vectors.T.tocsr()
     for start in range(0, queries.shape[0], SIM_CHUNK_ROWS):
@@ -146,14 +144,10 @@ def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_m
     query, both under the same fitted tf-idf model; ``classes[q]`` belongs to
     query row q.
     """
-    if pool_vectors.shape[0] != len(pool):
-        raise ValueError(f"{pool_vectors.shape[0]} similarities for {len(pool)} pool items")
     shot_sets: list[ShotSet] = []
     for block in sparse_similarities(pool_vectors, queries):
         start = len(shot_sets)
         orders = classes[start:start + len(block)]
-        if len(orders) != len(block):
-            raise ValueError(f"more query rows than the {len(classes)} class orders")
         ranked: dict[tuple[int, str], list[int]] = {}
         for cls in dict.fromkeys(c for order in orders for c in order):
             rows = [r for r, order in enumerate(orders) if cls in order]
@@ -165,7 +159,5 @@ def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_m
             for cls in order:
                 per_class.append((cls, [pool.items[i] for i in ranked[r, cls]]))
             shot_sets.append(ShotSet(per_class=per_class))
-    if len(shot_sets) != len(classes):
-        raise ValueError(f"{len(shot_sets)} query rows for {len(classes)} class orders")
     _warn_short(pool, classes, k)
     return shot_sets

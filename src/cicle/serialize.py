@@ -120,6 +120,9 @@ def typed(tp, value, where: str):
     """``value`` checked against the annotation ``tp``, the one type rule for a value read
     from a file: X | Y (the first option that fits wins), X | None, a dataclass, list[X],
     Sequence[X], dict[str, X] and scalars. An int counts as a float, a bool only as a bool."""
+    if type(value) is tp:
+        # a value of exactly the class tp passes every check below unchanged
+        return value
     origin = typing.get_origin(tp) or tp
     args = typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):

@@ -83,8 +83,6 @@ def fit_tfidf(docs: TokenIds) -> TfidfModel:
     document frequency, so idf >= 1 for every token. Vocabulary indices are
     assigned in sorted token order.
     """
-    if not len(docs):
-        raise ValueError("cannot fit TF-IDF on an empty corpus")
     n_tokens = len(docs.tokens)
     # a token's document frequency is the number of count rows it has an entry in
     df = np.bincount(docs.counts(np.arange(n_tokens), n_tokens).indices, minlength=n_tokens)

@@ -169,16 +169,6 @@ def test_single_class_training_rejected():
         train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space(), TrainConfig())
 
 
-def test_out_of_range_labels_rejected():
-    with pytest.raises(ValueError):
-        train(vec(3, {0: 1.0}, {1: 1.0}), [0, 2], binary_space(), TrainConfig())
-
-
-def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        train(vec(3, {0: 1.0}), [0, 1], binary_space(), TrainConfig())
-
-
 def test_non_convergence_is_flagged_and_logged(caplog):
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])

@@ -360,6 +360,13 @@ def frozen_pool_label_outside_the_space(tmp_path):
     return ["run", *args]
 
 
+def calibration_part_empty(tmp_path):
+    # a 2-item subsample leaves int(0.2 * 2 + 0.5) = 0 items for calibration
+    args = base_args(write_toy(tmp_path), tmp_path / "out")
+    assert main(["prepare", *args]) == 0
+    return ["run", *args, "--sizes", "2", "--strategies", "cicle"]
+
+
 def config_without_datasets(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"datasets": []}), encoding="utf-8")
@@ -397,6 +404,8 @@ def datasets_not_a_list(tmp_path):
     (frozen_label_outside_the_space, "has label outside the label space"),
     (frozen_pool_label_outside_the_space,
      "frozen pool item 'odd-one' has label outside the label space"),
+    (calibration_part_empty,
+     "1 failed cell(s): toy/2: cell split produced an empty train or calibration part"),
     (datasets_not_a_list, ".datasets must be a list"),
     (config_without_datasets, "at least one dataset is required"),
     (dataset_with_format_xml, "unknown dataset format 'xml'"),
@@ -411,7 +420,7 @@ def datasets_not_a_list(tmp_path):
     (second_row('"id": "r", "text": "t", "label": [null]'),
      "toy.jsonl:2: label must be str or int"),
 ], ids=["empty-dataset", "no-pool-left", "frozen-label-outside", "frozen-pool-label-outside",
-        "datasets-not-a-list",
+        "calibration-part-empty", "datasets-not-a-list",
         "config-without-datasets", "dataset-format-xml", "row-labels-int", "row-labels-str",
         "row-id-null", "row-id-blank", "row-id-bool", "row-text-int", "row-label-object",
         "row-label-list-of-null"])

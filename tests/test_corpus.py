@@ -174,13 +174,6 @@ def test_apportion_properties(counts, data):
         assert abs(a - Fraction(n * c, sum(counts))) < 1
 
 
-def test_apportion_errors():
-    with pytest.raises(ValueError):
-        apportion([2, 3], 6)
-    with pytest.raises(ValueError):
-        apportion([0, 0], 0)
-
-
 def test_subsample_is_stratified():
     items = make_items(400)
     out = stratified_subsample(items, 100, seed=3)

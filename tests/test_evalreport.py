@@ -71,7 +71,7 @@ def brute_force_macro_f1(preds, golds, n):
     return sum(scores) / len(scores)
 
 
-@pytest.mark.parametrize("trial", range(50))
+@pytest.mark.parametrize("trial", range(5))
 def test_macro_f1_matches_brute_force(trial):
     rng = random.Random(trial)
     n = rng.randint(2, 6)

@@ -324,6 +324,25 @@ def test_record_json_nulls_for_base():
     assert PredictionRecord.from_json(obj, "r.jsonl:1") == rec
 
 
+# a prompted cicle record as write_records writes it
+PROMPTED = {"item_id": "a", "strategy": "cicle", "gold_label": 1, "final_label": 1,
+            "base_probs": [0.5, 0.3, 0.2], "bypassed": False,
+            "conformal_set": {"candidates": [[0, 0.5], [1, 0.3]], "forced_fallback": False},
+            "prompt_stats": {"token_count": 3, "shot_count": 2, "candidate_count": 2},
+            "llm_raw": "bravo", "error": None}
+
+
+def edited(**fields):
+    """A copy of PROMPTED with ``fields`` set; a dict value updates that nested object."""
+    obj = json.loads(json.dumps(PROMPTED))
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            obj[name].update(value)
+        else:
+            obj[name] = value
+    return obj
+
+
 @pytest.mark.parametrize("obj", [
     {},
     {"item_id": "a", "strategy": "base", "gold_label": "x", "final_label": 0},
@@ -333,8 +352,19 @@ def test_record_json_nulls_for_base():
     {"item_id": "a", "strategy": "base", "gold_label": 0, "final_label": float("-inf")},
     {"item_id": "a", "strategy": "cicle", "gold_label": 0, "final_label": 0,
      "prompt_stats": {"token_count": float("inf"), "shot_count": 0, "candidate_count": 2}},
+    # a value of another JSON type is rejected, never converted
+    edited(bypassed="false"),
+    edited(gold_label=2.9),
+    edited(gold_label=True),
+    edited(final_label="1"),
+    edited(item_id=7),
+    edited(base_probs=[0.5, "0.5", 0.2]),
+    edited(conformal_set={"forced_fallback": "no"}),
+    edited(prompt_stats={"token_count": 3.0}),
+    edited(llm_raw=5),
 ])
 def test_record_from_json_rejects_malformed(obj):
+    assert PredictionRecord.from_json(PROMPTED, "r.jsonl:7").bypassed is False
     with pytest.raises(DataError, match="^r.jsonl:7: malformed prediction record: "):
         PredictionRecord.from_json(obj, "r.jsonl:7")
 
@@ -376,11 +406,6 @@ def test_read_records_reports_bad_line(tmp_path):
     path.write_text(good + '\n\n{"item_id": "b"}\n', encoding="utf-8")
     with pytest.raises(DataError, match=r"cell.jsonl:3: malformed prediction record"):
         read_records(path)
-
-
-def test_read_records_missing_file(tmp_path):
-    with pytest.raises(DataError, match="not found"):
-        read_records(tmp_path / "absent.jsonl")
 
 
 def test_record_filename():

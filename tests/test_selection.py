@@ -176,13 +176,6 @@ def test_sparse_dimension_mismatch_rejected():
         one_sparse(pool, vectors, query, ["fruit"], 1)
 
 
-def test_sparse_similarity_count_mismatch_rejected():
-    pool, tfidf, vectors = sparse_fixture()
-    query = transform_many(tfidf, encode(["apple"]))
-    with pytest.raises(ValueError, match="pool items"):
-        one_sparse(pool, vectors[:3], query, ["fruit"], 1)
-
-
 def test_three_way_tie_at_kth_place():
     # x1, x2, x3 share one vector, so they tie for second place behind x0
     pool = [LabeledText(id=f"x{i}", text="", label="c") for i in range(5)]
