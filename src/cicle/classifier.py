@@ -11,10 +11,10 @@ large-scale logistic regression", JMLR 9, 2008). Each iteration solves the
 Newton system by conjugate gradients, using exact Hessian-vector products at
 the current softmax, then line-searches along that direction. The solver
 stops when an iteration moves the parameters by at most ``XTOL`` on average,
-when its line search can make no further progress, or after ``max_iter``
+when its line search can make no further progress, or after ``MAX_ITER``
 iterations. Whatever the stop, the fit counts as converged only when the
 gradient infinity-norm at the returned weights, computed after the solve, is
-at most ``tol``.
+at most ``TOL``.
 """
 
 from __future__ import annotations
@@ -32,24 +32,21 @@ log = logging.getLogger(__name__)
 
 # Newton-CG stops once an iteration moves the parameters by at most this much
 # on average. On the benchmark grid (corpus seeds 1-3) the final gradient
-# inf-norm is then 6e-11 to 1.2e-8, far below the default tol; with 1e-10 more
-# fits end in scipy's "precision loss" stop instead.
+# inf-norm is then 6e-11 to 1.2e-8, far below TOL; with 1e-10 more fits end in
+# scipy's "precision loss" stop instead.
 XTOL = 1e-9
+# the largest final gradient inf-norm of a converged fit
+TOL = 1e-4
+MAX_ITER = 1000
 
 
 @dataclass
 class TrainConfig:
     C: float = 1.0
-    tol: float = 1e-4
-    max_iter: int = 1000
 
     def __post_init__(self):
         if not 0 < self.C < np.inf:
             raise ValueError(f"C must be finite and positive, got {self.C}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -131,17 +128,17 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> 
         jac=True,
         hessp=hessp,
         method="Newton-CG",
-        options={"maxiter": config.max_iter, "xtol": XTOL},
+        options={"maxiter": MAX_ITER, "xtol": XTOL},
     )
     W = result.x[: K * V].reshape(K, V).copy()
     b = result.x[K * V:].copy()
     # Newton-CG's result.jac is the gradient before its last step, so take the final one
     grad_norm = np.abs(evaluate(result.x)["grad"]).max()
-    converged = bool(grad_norm <= config.tol)
+    converged = bool(grad_norm <= TOL)
     if not converged:
         log.warning("training did not converge: gradient inf-norm %.3e > tol %.3e after %d "
                     "iterations; Newton-CG stopped with: %s",
-                    grad_norm, config.tol, result.nit, result.message)
+                    grad_norm, TOL, result.nit, result.message)
     return LogisticModel(W=W, b=b, converged=converged)
 
 

@@ -87,9 +87,6 @@ def build_run_config(args) -> RunConfig:
     """
     payload = read_json(args.config, "config") if args.config else {}
     where = f"config ({args.config})" if args.config else "config"
-    if isinstance(payload.get("llm"), dict):
-        # decoding is always deterministic; old files still name it
-        payload["llm"].pop("deterministic", None)
     payload["datasets"] = _build_datasets(payload, args, where)
     flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
              "calib_fraction": args.calib_fraction, "test_size": args.test_size,
@@ -125,7 +122,7 @@ def cmd_prepare(args) -> int:
     """Freeze each raw dataset into pool/test splits plus a hashed manifest."""
     config = build_run_config(args)
     for spec in config.datasets:
-        items, space = load_dataset(spec.path, spec.fmt)
+        items, space = load_dataset(spec.path)
         test_seed = stable_seed(config.seed, "test", spec.name)
         manifest = freeze_dataset(items, space, config.data_dir / spec.name, spec.name,
                                   config.test_size, test_seed)

@@ -63,8 +63,6 @@ def calibration_from_scores(scores, alpha: float) -> ConformalCalibration:
     """Build a calibration from raw nonconformity scores in [0, 1]."""
     scores = np.sort(np.asarray(scores, dtype=float))
     n = len(scores)
-    # scores are 1 - probability; clip float spill just outside [0, 1]
-    scores = np.clip(scores, 0.0, 1.0)
     r = quantile_rank(n, alpha)
     q_hat = float(scores[r - 1]) if r <= n else 1.0
     return ConformalCalibration(scores=scores, q_hat=q_hat)

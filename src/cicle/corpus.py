@@ -43,16 +43,23 @@ class LabelSpace:
 
     labels: tuple[str, ...]
     index: dict[str, int] = field(compare=False, repr=False, default_factory=dict)
+    # each name trimmed and case-folded, as an LLM answer is matched against it
+    folded: dict[str, int] = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise DataError("label space contains duplicate class names")
+        folded: dict[str, int] = {}
+        for i, c in enumerate(self.labels):
+            j = folded.setdefault(c.strip().casefold(), i)
+            if j != i:
+                raise DataError(f"label space contains duplicate class names {self.labels[j]!r} "
+                                f"and {c!r} (equal once trimmed and case-folded)")
         if not (MIN_CLASSES <= len(self.labels) <= MAX_CLASSES):
             raise DataError(
                 f"label space must have {MIN_CLASSES}..{MAX_CLASSES} classes, "
                 f"got {len(self.labels)}"
             )
         object.__setattr__(self, "index", {c: i for i, c in enumerate(self.labels)})
+        object.__setattr__(self, "folded", folded)
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "LabelSpace":
@@ -111,8 +118,9 @@ def _read_jsonl(path: Path) -> list[LabeledText]:
     return [_dataset_row(obj, where) for where, obj in read_jsonl(path)]
 
 
-def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], LabelSpace]:
-    """Read a JSONL or CSV dataset file.
+def load_dataset(path) -> tuple[list[LabeledText], LabelSpace]:
+    """Read a JSONL or CSV dataset file; the suffix, ``.jsonl`` or ``.csv``,
+    decides the format.
 
     CSV files carry a ``text,label`` header and get synthesized row ids; rows
     of either format pass the one row check, ``_dataset_row``. Row order is
@@ -121,16 +129,12 @@ def load_dataset(path, fmt: str | None = None) -> tuple[list[LabeledText], Label
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    if fmt is None:
-        suffix = path.suffix.lower()
-        fmt = {".jsonl": "jsonl", ".csv": "csv"}.get(suffix)
-        if fmt is None:
-            raise DataError(f"cannot infer format from suffix {suffix!r}; pass fmt=")
-    if fmt not in ("jsonl", "csv"):
-        raise DataError(f"unknown dataset format {fmt!r} (expected jsonl or csv)")
+    suffix = path.suffix.lower()
+    if suffix not in (".jsonl", ".csv"):
+        raise DataError(f"{path}: unknown dataset suffix {suffix!r}; expected .jsonl or .csv")
 
     items: list[LabeledText] = []
-    if fmt == "jsonl":
+    if suffix == ".jsonl":
         items = _read_jsonl(path)
     else:
         with path.open("r", encoding="utf-8-sig", newline="") as fh:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DataError
 from .pipeline import FEWSHOT, STRATEGIES, PredictionRecord
 from .serialize import atomic_open, write_json
 
@@ -112,11 +111,8 @@ def _mean(values) -> float:
 def mean_macro_f1(per_cell: Mapping[CellKey, CellMetrics], datasets: Sequence[str],
                   sizes: Sequence[int], strategy: str) -> float:
     """Mean macro-F1 of ``strategy`` over the cells datasets x sizes, dataset-major."""
-    keys = [(dataset, size, strategy) for dataset in datasets for size in sizes]
-    for key in keys:
-        if key not in per_cell:
-            raise DataError("missing cell {}/{}/{}".format(*key))
-    return _mean(per_cell[key].macro_f1 for key in keys)
+    return _mean(per_cell[dataset, size, strategy].macro_f1
+                 for dataset in datasets for size in sizes)
 
 
 def regimes_for(sizes: Sequence[int]) -> dict[str, list[int]]:
@@ -235,13 +231,8 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     strategies = sorted({s for _, _, s in keys}, key=STRATEGIES.index)
     for dataset in datasets:
         sizes = sorted({s for d, s, _ in keys if d == dataset})
-        rows = []
-        for size in sizes:
-            row = [size]
-            for strategy in strategies:
-                m = report.per_cell.get((dataset, size, strategy))
-                row.append(None if m is None else m.macro_f1)
-            rows.append(row)
+        rows = [[size, *(report.per_cell[dataset, size, s].macro_f1 for s in strategies)]
+                for size in sizes]
         tables[f"curve_{dataset}.csv"] = (["size"] + list(strategies), rows)
 
     tables["aggregates.csv"] = (["dataset", "strategy", "macro_f1"],

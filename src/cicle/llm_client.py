@@ -203,13 +203,9 @@ def post_json(config, payload: dict, what: str, headers: dict | None = None) -> 
 
 
 def parse_label(raw: str, labels: LabelSpace) -> int | None:
-    """Trimmed, case-insensitive exact match against the label names.
+    """Trimmed, case-insensitive exact match against the trimmed label names.
 
     Returns the class index, or None (Invalid) for anything else; Invalid is
     a value scored as wrong downstream, never an error.
     """
-    norm = raw.strip().casefold()
-    for i, name in enumerate(labels.labels):
-        if name.casefold() == norm:
-            return i
-    return None
+    return labels.folded.get(raw.strip().casefold())

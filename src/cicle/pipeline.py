@@ -52,7 +52,6 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 class DatasetSpec:
     name: str
     path: str
-    fmt: str | None = None
     min_size: int = 0
     task: str = "text classification"
 

@@ -55,13 +55,8 @@ def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0, **train_kw):
 @pytest.mark.parametrize("kwargs", [
     {"C": 0.0},
     {"C": -1.0},
-    {"tol": 0.0},
-    {"tol": -1e-4},
-    {"max_iter": 0},
     {"C": float("nan")},
     {"C": float("inf")},
-    {"tol": float("nan")},
-    {"tol": float("inf")},
 ])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -71,8 +66,8 @@ def test_train_config_rejects_bad_values(kwargs):
 def test_train_config_defaults():
     config = TrainConfig()
     assert config.C == 1.0
-    assert config.tol == 1e-4
-    assert config.max_iter == 1000
+    assert classifier.TOL == 1e-4
+    assert classifier.MAX_ITER == 1000
 
 
 def test_zero_model_is_uniform():
@@ -169,39 +164,42 @@ def test_single_class_training_rejected():
         train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space(), TrainConfig())
 
 
-def test_non_convergence_is_flagged_and_logged(caplog):
+def test_non_convergence_is_flagged_and_logged(caplog, monkeypatch):
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
+    monkeypatch.setattr(classifier, "MAX_ITER", 1)
     with caplog.at_level("WARNING", logger="cicle.classifier"):
-        model = train(X, y, space, TrainConfig(max_iter=1))
+        model = train(X, y, space, TrainConfig())
     assert not model.converged
     assert any("did not converge" in rec.message for rec in caplog.records)
 
 
-def test_non_convergence_logs_stop_reason(caplog):
+def test_non_convergence_logs_stop_reason(caplog, monkeypatch):
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
-    config = TrainConfig(max_iter=2)
+    config = TrainConfig()
+    monkeypatch.setattr(classifier, "MAX_ITER", 2)
     with caplog.at_level("WARNING", logger="cicle.classifier"):
         model = train(X, y, space, config)
     [warning] = [rec.message for rec in caplog.records if "did not converge" in rec.message]
     assert "Newton-CG stopped with:" in warning and "Maximum number of iterations" in warning
     # the flag taken from the optimizer's final gradient matches a fresh gradient
     _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
-    assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
+    assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL)
 
 
-def test_converged_reads_the_gradient_at_the_returned_weights():
+def test_converged_reads_the_gradient_at_the_returned_weights(monkeypatch):
     # Newton-CG's own result.jac is the gradient before its last step; at every
     # iteration cap the flag must match a fresh gradient at the returned weights
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
     flags = []
+    config = TrainConfig()
     for max_iter in range(1, 16):
-        config = TrainConfig(max_iter=max_iter)
+        monkeypatch.setattr(classifier, "MAX_ITER", max_iter)
         model = train(X, y, space, config)
         _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
-        assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= config.tol)
+        assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL)
         flags.append(model.converged)
     assert not flags[0] and flags[-1]
 
@@ -320,10 +318,9 @@ def training_problems(draw):
 @given(training_problems())
 def test_training_reaches_the_gradient_tolerance(problem):
     X, y, K, C = problem
-    config = TrainConfig(C=C)
-    model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), config)
+    model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), TrainConfig(C=C))
     _, dW, db, _ = nll_and_grad(model.W, model.b, X, y, C)
-    assert max(np.abs(dW).max(), np.abs(db).max()) <= config.tol
+    assert max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL
     assert model.converged
 
 
@@ -369,5 +366,7 @@ def test_predict_proba_rows_are_computed_on_their_own(case):
     P = predict_proba(model, X)
     assert P.shape == (X.shape[0], len(model.b))
     assert P == pytest.approx(reference_proba(model, X), abs=1e-12)
+    # conformal calibration takes the scores 1 - p as lying in [0, 1], unclipped
+    assert ((1.0 - P) >= 0).all() and ((1.0 - P) <= 1).all()
     for i in range(X.shape[0]):
         assert P[i].tobytes() == predict_proba(model, X[[i]])[0].tobytes()

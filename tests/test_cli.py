@@ -408,7 +408,7 @@ def datasets_not_a_list(tmp_path):
      "1 failed cell(s): toy/2: cell split produced an empty train or calibration part"),
     (datasets_not_a_list, ".datasets must be a list"),
     (config_without_datasets, "at least one dataset is required"),
-    (dataset_with_format_xml, "unknown dataset format 'xml'"),
+    (dataset_with_format_xml, "unknown keys: fmt"),
     (second_row('"id": "r", "text": "t", "labels": 5'), "toy.jsonl:2: labels must be a list"),
     (second_row('"id": "r", "text": "t", "labels": "abc"'), "toy.jsonl:2: labels must be a list"),
     (second_row('"id": null, "text": "t", "label": "alpha"'), "toy.jsonl:2: empty id"),
@@ -457,16 +457,15 @@ def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
 
 
 @pytest.mark.parametrize("section,body,needle", [
-    ("train", '{"tol": NaN}', "tol must be finite and positive, got nan"),
     ("train", '{"C": 1e400}', "C must be finite and positive, got inf"),
     ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e400, "max_retries": 0}',
      "got inf and 0.5"),
     ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12, "max_retries": 0}',
      "got 1000000000000.0 and 0.5"),
-], ids=["train-tol-nan", "train-c-inf", "llm-timeout-inf", "llm-timeout-1e12"])
+], ids=["train-c-inf", "llm-timeout-inf", "llm-timeout-1e12"])
 def test_an_unusable_number_in_a_config_fails_before_any_cell(tmp_path, capsys, section, body,
                                                                needle):
-    # JSON text as written: Python's reader takes NaN and reads 1e400 as infinity
+    # JSON text as written: Python's reader reads 1e400 as infinity
     out = tmp_path / "out"
     args = base_args(write_toy(tmp_path), out, "--strategies", "base,cicle")
     assert main(["prepare", *args]) == 0
@@ -494,6 +493,11 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
     ("template", "intro"),
     ("datasets", "fmtt"),
     ("top", "k"),  # a known key with a value of the wrong type
+    # keys of removed settings
+    ("train", "tol"),
+    ("train", "max_iter"),
+    ("llm", "deterministic"),
+    ("datasets", "fmt"),
 ])
 def test_config_unknown_key_is_data_error(tmp_path, capsys, section, key):
     config_path = tmp_path / "config.json"
@@ -543,21 +547,6 @@ def test_a_config_naming_the_removed_dense_baseline_is_data_error(tmp_path, caps
     [line] = error_lines(capsys)
     assert line.startswith(f"error: data: config ({config_path})") and needle in line
     assert not (tmp_path / "out").exists()
-
-
-def test_old_config_files_may_keep_llm_deterministic(tmp_path):
-    data = write_toy(tmp_path)
-    out = tmp_path / "out"
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "datasets": [{"name": "toy", "path": str(data)}], "output": str(out),
-        "sizes": [80], "test_size": 60, "strategies": ["base"],
-        "llm": {"endpoint": "perfect", "deterministic": True},
-    }), encoding="utf-8")
-    assert main(["prepare", "--config", str(config_path)]) == 0
-    assert main(["run", "--config", str(config_path)]) == 0
-    manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
-    assert "deterministic" not in manifest["config"]["llm"]
 
 
 def test_changed_frozen_split_is_data_error(tmp_path, capsys):

@@ -96,8 +96,10 @@ def test_load_dataset_unknown_suffix(tmp_path):
 
 
 def test_label_space_validation():
-    with pytest.raises(DataError, match="duplicate"):
-        LabelSpace.from_labels(["a", "b", "a"])
+    # names an LLM answer could not tell apart: equal once trimmed and case-folded
+    for labels in (["a", "b", "a"], ["Sports", "sports"], ["a", " a"]):
+        with pytest.raises(DataError, match="duplicate"):
+            LabelSpace.from_labels(labels)
     with pytest.raises(DataError, match="classes"):
         LabelSpace.from_labels(["only"])
     space = LabelSpace.from_labels(["x", "y", "z"])

@@ -1,14 +1,12 @@
 """Tests for metrics, aggregation and report emission."""
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cicle.conformal import ConformalSet
-from cicle.errors import DataError
 from cicle.evalreport import (
     REGIME_BOUNDS,
     CellMetrics,
@@ -69,17 +67,6 @@ def brute_force_macro_f1(preds, golds, n):
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         scores.append(f1)
     return sum(scores) / len(scores)
-
-
-@pytest.mark.parametrize("trial", range(5))
-def test_macro_f1_matches_brute_force(trial):
-    rng = random.Random(trial)
-    n = rng.randint(2, 6)
-    count = rng.randint(1, 50)
-    golds = [rng.randrange(n) for _ in range(count)]
-    preds = [None if rng.random() < 0.1 else rng.randrange(n) for _ in range(count)]
-    assert macro_f1(preds, golds, n) == pytest.approx(
-        brute_force_macro_f1(preds, golds, n), abs=1e-12)
 
 
 @st.composite
@@ -172,13 +159,6 @@ def test_aggregate_all_sizes_means_per_strategy():
     assert report.aggregates == {("d", "base"): 0.5, ("d", "cicle"): 1.0}
 
 
-def test_aggregate_all_sizes_missing_cell():
-    cells = {("d", 100, "base"): [rec(0, 0)], ("d", 100, "cicle"): [rec(0, 0)],
-             ("d", 200, "cicle"): [rec(0, 0)]}
-    with pytest.raises(DataError, match="d/200/base"):
-        build_report(metrics_of(cells))
-
-
 def test_regime_aggregate_means_across_datasets():
     # float addition is not associative: summing dataset-major fixes the report's bytes
     values = {("a", 100): 0.5, ("a", 200): 0.45, ("b", 100): 0.65, ("b", 200): 0.79}
@@ -186,11 +166,6 @@ def test_regime_aggregate_means_across_datasets():
     expected = (((0.5 + 0.45) + 0.65) + 0.79) / 4
     assert expected != (((0.5 + 0.65) + 0.45) + 0.79) / 4
     assert mean_macro_f1(per_cell, ["a", "b"], [100, 200], "base") == expected
-
-
-def test_regime_aggregate_errors():
-    with pytest.raises(DataError, match="missing cell a/100/base"):
-        mean_macro_f1({}, ["a"], [100], "base")
 
 
 def test_regimes_for_default_ladder():
@@ -330,14 +305,3 @@ def test_a_second_report_leaves_no_table_of_the_first(tmp_path):
     assert not (tmp_path / "curve_beta.csv").exists()
     assert (tmp_path / "reductions.csv").read_text("utf-8").splitlines() == [
         "dataset,prompt_reduction_pct,shot_reduction_pct"]
-
-
-def test_curve_csv_blank_for_missing_cell(tmp_path):
-    report = build_report(metrics_of(synthetic_cells()))
-    del report.per_cell[("alpha", 500, "fewshot-random")]
-    del report.per_cell[("alpha", 500, "cicle")]
-    emit_report(report, tmp_path)
-    curve = (tmp_path / "curve_alpha.csv").read_text("utf-8").splitlines()
-    row = curve[2].split(",")
-    assert row[0] == "500"
-    assert row[2] == "" and row[3] == ""

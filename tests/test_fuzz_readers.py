@@ -75,7 +75,7 @@ def write_config(work: Path) -> Path:
         "llm": {"endpoint": "noisy", "max_new_tokens": 5,
                 "oracle_params": {"accuracy": {"alpha": 0.9}, "default_accuracy": 0.8,
                                   "seed": 1}},
-        "train": {"C": 1.0, "max_iter": 100},
+        "train": {"C": 1.0},
     }), encoding="utf-8")
     return path
 

@@ -104,13 +104,15 @@ def test_noisy_oracle_per_class_accuracy():
     assert client.complete("p1", world).raw == "Sports"
 
 
-LABELS = LabelSpace.from_labels(["Business", "Sports", "World"])
+# a raw label may keep surrounding whitespace, as "World " does here
+LABELS = LabelSpace.from_labels(["Business", "Sports", "World "])
 
 
 @pytest.mark.parametrize("raw,expected", [
     ("Sports", 1),
     (" sports\n", 1),
     ("WORLD", 2),
+    ("World", 2),
     ("business", 0),
     ("I think Sports", None),
     ("", None),

@@ -842,14 +842,14 @@ def test_config_defaults_and_json_view(tmp_path):
     obj = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["config"]
     assert obj["output"] == str(out)
     assert obj["sizes"] == [80]
-    assert obj["datasets"] == [{"name": "toy", "path": "unused.jsonl", "fmt": None,
-                                "min_size": 0, "task": "text classification"}]
+    assert obj["datasets"] == [{"name": "toy", "path": "unused.jsonl", "min_size": 0,
+                                "task": "text classification"}]
     assert obj["llm"] == {"endpoint": "perfect", "model_id": "default", "max_new_tokens": 5,
                           "timeout": 60.0, "max_retries": 2, "backoff": 0.5,
                           "oracle_params": {}}
     assert set(obj) == {"datasets", "output", "sizes", "seed", "alpha", "k", "strategies",
                         "calib_fraction", "template", "llm", "train", "test_size", "jobs"}
-    assert obj["train"] == {"C": 1.0, "tol": 1e-4, "max_iter": 1000}
+    assert obj["train"] == {"C": 1.0}
     assert set(obj["template"]) == {"task_intro", "example_format", "query_format",
                                     "instruction"}
     assert "force" not in obj
