@@ -49,7 +49,6 @@ class LlmConfig:
                 f"unknown oracle {self.endpoint!r}; known oracles: {', '.join(sorted(ORACLES))}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        # the retry settings post_json can use
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not (0 < self.timeout <= MAX_WAIT_S and 0 <= self.backoff <= MAX_WAIT_S):
@@ -143,6 +142,16 @@ class LlmClient:
         return LlmResponse(raw=raw, latency=time.monotonic() - start, attempts=attempts)
 
     def _complete_remote(self, prompt: str) -> tuple[str, int]:
+        """POST one chat completion until the endpoint answers 200; returns
+        (content, attempts).
+
+        Transport failures (refused, reset or timed-out connections, broken HTTP)
+        and 5xx answers are retried up to ``max_retries`` times, sleeping
+        backoff * 2**(attempt - 1) before each retry; any other status, or a
+        malformed answer, fails at once. Every TransportError carries the
+        attempts made. Proxies come from the environment (``NO_PROXY``
+        included) and certificates are verified.
+        """
         cfg = self.config
         payload = {
             "model": cfg.model_id,
@@ -150,56 +159,43 @@ class LlmClient:
             "temperature": 0,
             "max_tokens": cfg.max_new_tokens,
         }
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
-        headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
-        body, attempts = post_json(cfg, payload, "completion endpoint", headers)
-        try:
-            content = json.loads(body)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            content = None
-        # a null, number or list content is as malformed as a missing one
-        if not isinstance(content, str):
-            raise TransportError("malformed completion response", attempts=attempts)
-        return content, attempts
-
-
-def post_json(config, payload: dict, what: str, headers: dict | None = None) -> tuple[bytes, int]:
-    """POST ``payload`` as JSON to ``config.endpoint`` until it answers 200;
-    returns (response body, attempts).
-
-    Transport failures (refused, reset or timed-out connections, broken HTTP)
-    and 5xx answers are retried up to ``config.max_retries`` times, sleeping
-    backoff * 2**(attempt - 1) before each retry; any other status fails at
-    once. Every TransportError carries the attempts made. Proxies come from
-    the environment (``NO_PROXY`` included) and certificates are verified.
-    """
-    request = urllib.request.Request(
-        config.endpoint, data=json.dumps(payload).encode("utf-8"), method="POST",
-        headers={"Content-Type": "application/json", **(headers or {})})
-    last_failure = "no attempt made"
-    for attempt in range(1, config.max_retries + 2):
-        status = None
-        try:
-            with urllib.request.urlopen(request, timeout=config.timeout) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-            exc.close()
-        except (OSError, http.client.HTTPException) as exc:
-            last_failure = f"transport failure: {exc}"
-        if status == 200:
-            return body, attempt
-        if status is not None:
-            if status < 500:
-                raise TransportError(f"{what} returned {status}", attempts=attempt)
-            last_failure = f"server error {status}"
-        if attempt <= config.max_retries:
-            delay = config.backoff * (2 ** (attempt - 1))
-            log.warning("%s attempt %d/%d failed (%s); retrying in %.2fs",
-                        what, attempt, config.max_retries + 1, last_failure, delay)
-            time.sleep(delay)
-    raise TransportError(f"{what} failed after {config.max_retries + 1} attempts ({last_failure})",
-                         attempts=config.max_retries + 1)
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        request = urllib.request.Request(cfg.endpoint, data=json.dumps(payload).encode("utf-8"),
+                                         method="POST", headers=headers)
+        for attempt in range(1, cfg.max_retries + 2):
+            status = None
+            try:
+                with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                status = exc.code
+                exc.close()
+            except (OSError, http.client.HTTPException) as exc:
+                last_failure = f"transport failure: {exc}"
+            if status == 200:
+                try:
+                    content = json.loads(body)["choices"][0]["message"]["content"]
+                except (ValueError, KeyError, IndexError, TypeError):
+                    content = None
+                # a null, number or list content is as malformed as a missing one
+                if not isinstance(content, str):
+                    raise TransportError("malformed completion response", attempts=attempt)
+                return content, attempt
+            if status is not None:
+                if status < 500:
+                    raise TransportError(f"completion endpoint returned {status}",
+                                         attempts=attempt)
+                last_failure = f"server error {status}"
+            if attempt <= cfg.max_retries:
+                delay = cfg.backoff * (2 ** (attempt - 1))
+                log.warning("completion endpoint attempt %d/%d failed (%s); retrying in %.2fs",
+                            attempt, cfg.max_retries + 1, last_failure, delay)
+                time.sleep(delay)
+        raise TransportError(f"completion endpoint failed after {cfg.max_retries + 1} attempts "
+                             f"({last_failure})", attempts=cfg.max_retries + 1)
 
 
 def parse_label(raw: str, labels: LabelSpace) -> int | None:

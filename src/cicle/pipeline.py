@@ -19,8 +19,9 @@ import json
 import logging
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -359,16 +360,16 @@ def _select(res: CellResources, strategy: str, rows: list[int],
 
 
 def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
-    # transport failures score as Invalid; the run keeps going
-    record = call.record
-    try:
-        resp = llm.complete(call.prompt, call.meta)
-    except TransportError as exc:
-        record.error = f"{exc} (item {record.item_id})"
-        log.warning("%s", record.error)
-        return
-    record.llm_raw = resp.raw
-    record.final_label = parse_label(resp.raw, labels)
+    resp = llm.complete(call.prompt, call.meta)
+    call.record.llm_raw = resp.raw
+    call.record.final_label = parse_label(resp.raw, labels)
+
+
+def _cancel_on_failure(futures: list, future) -> None:
+    """Done-callback: once one of a (cell, strategy)'s calls fails, cancel those not yet started."""
+    if not future.cancelled() and future.exception() is not None:
+        for other in futures:
+            other.cancel()
 
 
 def cell_calls(res: CellResources, strategy: str,
@@ -461,9 +462,10 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
     existing cell file is kept when ``stale_reason`` finds none, unless
     ``force`` is set; any other file is recomputed with a warning naming the
     reason. The manifest is rewritten after each file, so an interrupted run
-    keeps its finished files. A failed cell is logged and skipped; once every
-    cell has run, any failure raises one error naming each failed cell: a
-    TransportError if one of them was, else a DataError.
+    keeps its finished files. A failed cell, or a (cell, strategy) whose LLM
+    call still fails after its retries, makes no further calls and writes no
+    file; once every cell has run, any failure raises one error naming each
+    failed cell: a TransportError if one of them was, else a DataError.
 
     With ``jobs`` 1 each (cell, strategy) completes its calls one by one and
     writes its file before the next one starts. With more, one pool of
@@ -492,10 +494,9 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
         nonlocal n_records
         # futures in submission order, so the first failing call is the one named
         try:
-            wait(done)
             for future in done:
                 future.result()
-        except (CicleError, ValueError, OSError) as exc:
+        except TransportError as exc:
             failed(cell, exc)
             return
         write_records(records, path)
@@ -545,8 +546,10 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
                             records, calls = cell_calls(res, strategy, config)
                             done = [pool.submit(_complete_into, call, llm_client, space)
                                     for call in calls]
+                            for future in done:
+                                future.add_done_callback(partial(_cancel_on_failure, done))
                             del calls  # each prompt goes once its call completes
-                    except (CicleError, ValueError, OSError) as exc:
+                    except TransportError as exc:
                         failed(cell, exc)
                         continue
                     in_flight.append((cell, paths[strategy], key, records, done))

@@ -11,12 +11,11 @@ import pytest
 
 from cicle.cli import build_parser, build_run_config, main
 from cicle.corpus import file_sha256, load_frozen, write_jsonl
-from cicle.errors import TransportError
 from cicle.llm_client import ORACLES, LlmConfig
 from cicle import cli, pipeline
 from cicle.pipeline import record_filename
 
-from conftest import make_items
+from conftest import make_items, scripted_chat_app
 
 
 def write_toy(tmp_path, n=240, overlap=0.75, name="toy"):
@@ -833,26 +832,73 @@ def test_failed_cell_fails_the_run_after_the_other_cells(tmp_path, capsys):
     assert sorted(manifest["records"]) == ["toy_100_0_base.jsonl", "toy_100_0_cicle.jsonl"]
 
 
-def test_transport_failure_in_a_cell_exits_4(tmp_path, capsys, monkeypatch):
-    real = pipeline.classify_cell
+def endpoint_args(tmp_path, url, sizes, strategies):
+    """Flags for the toy corpus against ``url``, one attempt per call."""
+    config = tmp_path / "llm.json"
+    config.write_text(json.dumps({"llm": {"endpoint": url, "max_retries": 0}}), encoding="utf-8")
+    return ["--dataset", f"toy={write_toy(tmp_path)}", "--output", str(tmp_path / "out"),
+            "--sizes", sizes, "--test-size", "60", "--strategies", strategies,
+            "--config", str(config)]
 
-    def flaky(res, strategy, *args, **kwargs):
-        if strategy == "cicle":
-            raise TransportError("endpoint gone")
-        return real(res, strategy, *args, **kwargs)
 
-    data = write_toy(tmp_path)
-    out = tmp_path / "out"
-    args = ["--dataset", f"toy={data}", "--output", str(out), "--sizes", "2,100",
-            "--test-size", "60", "--strategies", "base,cicle"]
+def test_transport_failure_in_a_cell_exits_4(tmp_path, capsys, caplog, serve):
+    url = serve(scripted_chat_app([(500, ""), (200, "alpha")]))
+    args = endpoint_args(tmp_path, url, "100", "base,cicle")
+    records = tmp_path / "out" / "records"
+    base, cicle = (record_filename("toy", 100, 0, s) for s in ("base", "cicle"))
     assert main(["prepare", *args]) == 0
-    monkeypatch.setattr(pipeline, "classify_cell", flaky)
     capsys.readouterr()
     assert main(["run", *args]) == 4
+    assert error_lines(capsys) == ["error: transport: 1 failed cell(s): toy/100/cicle: "
+                                   "completion endpoint failed after 1 attempts (server error 500)"]
+    assert (records / base).exists() and not (records / cicle).exists()
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["records"]) == sorted(manifest["keys"]) == [base]
+
+    assert main(["report", *args]) == 3
+    assert error_lines(capsys) == [f"error: data: missing record files: {cicle}"]
+
+    caplog.clear()
+    with caplog.at_level("INFO", logger="cicle.pipeline"):
+        assert main(["run", *args]) == 0
+    assert [rec.message for rec in caplog.records if "reusing" in rec.message] == [
+        f"cell file matches run_manifest.json, reusing: {base}"]
+    assert (records / cicle).exists()
+
+
+def test_a_serial_run_stops_each_cell_at_its_first_failed_call(tmp_path, capsys, serve):
+    calls = []
+    url = serve(scripted_chat_app([(500, "")], calls))
+    args = endpoint_args(tmp_path, url, "80,120", "base,cicle,fewshot-random,fewshot-sparse")
+    assert main(["prepare", *args]) == 0
+    capsys.readouterr()
+    assert main(["run", *args, "--jobs", "1"]) == 4
     [line] = error_lines(capsys)
-    assert line.startswith("error: transport: 2 failed cell(s): toy/2: ")
-    assert line.endswith("; toy/100/cicle: endpoint gone")
-    assert (out / "records" / record_filename("toy", 100, 0, "base")).exists()
+    failed = re.findall(r"toy/\d+/[a-z-]+(?=: )", line)
+    assert failed == [f"toy/{size}/{s}" for size in (80, 120)
+                      for s in ("cicle", "fewshot-random", "fewshot-sparse")]
+    assert len(calls) == len(failed)
+
+
+def test_a_failed_run_does_not_depend_on_jobs(tmp_path, capsys, serve):
+    url = serve(scripted_chat_app([(500, "")]))
+    runs = {}
+    for jobs in (1, 3):
+        base = tmp_path / f"jobs{jobs}"
+        base.mkdir()
+        args = endpoint_args(base, url, "80,120", "base,cicle,fewshot-sparse")
+        assert main(["prepare", *args]) == 0
+        capsys.readouterr()
+        assert main(["run", *args, "--jobs", str(jobs)]) == 4
+        [line] = error_lines(capsys)
+        files = {p.name: p.read_bytes() for p in (base / "out" / "records").glob("*.jsonl")}
+        manifest = json.loads((base / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+        runs[jobs] = line, files, {t: manifest[t] for t in ("records", "keys", "datasets")}
+    assert runs[1] == runs[3]
+    line, files, tables = runs[1]
+    assert line.startswith("error: transport: ")
+    assert set(files) == set(tables["records"])
+    assert {"toy_80_0_base.jsonl", "toy_120_0_base.jsonl"} <= set(files)
 
 
 def drop_required(name, text):

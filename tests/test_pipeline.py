@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from cicle.conformal import ConformalSet
 from cicle import pipeline
 from cicle.corpus import (file_sha256, freeze_dataset, load_frozen, stable_seed,
                           stratified_split, stratified_subsample)
-from cicle.errors import DataError
+from cicle.errors import DataError, TransportError
 from cicle.evalreport import build_report, cell_metrics, emit_report
 from cicle.llm_client import ORACLES, LlmClient, LlmConfig
 from cicle.pipeline import (
@@ -215,21 +216,6 @@ def test_no_prompted_call_shows_its_own_item(seed, overlap, size, k):
         assert call.meta.gold_label == gold[query]
 
 
-def test_transport_failure_yields_invalid_records(serve):
-    from conftest import scripted_chat_app
-
-    url = serve(scripted_chat_app([(500, "")]))
-    space, config, res, test = built_cell(["base", "cicle"], overlap=0.75, n=200)
-    llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
-    records = classify_cell(res, "cicle", llm, config)
-    prompted = [r for r in records if not r.bypassed]
-    assert prompted
-    for rec in prompted:
-        assert rec.final_label is None
-        assert rec.llm_raw is None
-        assert rec.error is not None and "attempt" in rec.error
-
-
 def malformed_chat_app(handler):
     from conftest import read_json, respond_json
 
@@ -242,23 +228,19 @@ def malformed_chat_app(handler):
     ((403, ""), "completion endpoint returned 403"),
     (None, "malformed completion response"),
 ], ids=["500", "403", "malformed"])
-def test_a_failed_call_records_its_error_naming_the_item(serve, reply, error):
+def test_a_failed_call_fails_its_cell(tmp_path, serve, reply, error):
     from conftest import scripted_chat_app
 
     url = serve(malformed_chat_app if reply is None else scripted_chat_app([reply]))
-    space, config, res, test = built_cell(["fewshot-random"])
-    llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
-    records = classify_cell(res, "fewshot-random", llm, config)
-    assert [r.error for r in records] == [f"{error} (item {item.id})" for item in test]
-
-
-def test_a_failed_call_logs_its_record_error_once(serve, caplog):
-    url = serve(malformed_chat_app)
-    space, config, res, test = built_cell(["fewshot-random"])
-    llm = LlmClient(LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
-    with caplog.at_level("WARNING", logger="cicle.pipeline"):
-        records = classify_cell(res, "fewshot-random", llm, config)
-    assert [rec.message for rec in caplog.records] == [r.error for r in records]
+    out = tmp_path / "run"
+    prepare(out)
+    config = make_config(output=out, strategies=["fewshot-random"],
+                         llm=LlmConfig(endpoint=url, max_retries=0, backoff=0.0))
+    with pytest.raises(TransportError) as exc:
+        run_experiment(config)
+    assert str(exc.value) == f"1 failed cell(s): toy/80/fewshot-random: {error}"
+    assert not list((out / "records").glob("*.jsonl"))
+    assert json.loads(config.manifest_path.read_text(encoding="utf-8"))["records"] == {}
 
 
 def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(monkeypatch):
@@ -805,7 +787,7 @@ def test_jobs_bounds_in_flight_llm_calls(tmp_path, monkeypatch):
 def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
     def flaky(prompt, meta, params):
         if prompt == "raise":
-            raise ValueError("oracle broke")
+            raise TransportError("oracle broke", attempts=1)
         return ORACLES["noisy"](prompt, meta, params)
 
     def tag(n, strategy, call):
@@ -818,7 +800,7 @@ def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
     test_ids = [item.id for item in read_test(out)]
     monkeypatch.setitem(ORACLES, "flaky", flaky)
     tag_calls(monkeypatch, tag)
-    with pytest.raises(DataError) as exc:
+    with pytest.raises(TransportError) as exc:
         run_experiment(golden_config(out, jobs=3, llm=LlmConfig(endpoint="flaky")))
     assert str(exc.value) == "1 failed cell(s): toy/80/fewshot-random: oracle broke"
     failed = record_filename("toy", 80, 0, "fewshot-random")
@@ -826,6 +808,43 @@ def test_a_failing_completion_fails_only_its_cell(tmp_path, monkeypatch):
     assert digests == {name: sha for name, sha in GOLDEN_RECORDS.items() if name != failed}
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["records"] == digests
+
+
+def test_a_failed_call_cancels_the_calls_of_its_cell_not_yet_started(tmp_path, monkeypatch):
+    raised = threading.Event()
+    made = []  # calls made for toy/80/fewshot-random, whose first item fails
+
+    def failing(prompt, meta, params):
+        if prompt == "raise":
+            made.append(prompt)
+            raised.set()
+            raise TransportError("oracle broke", attempts=1)
+        if prompt.startswith("first:"):
+            made.append(prompt)
+            raised.wait(timeout=1.0)
+            time.sleep(0.1)  # the other worker runs the failed call's callback meanwhile
+        return meta.gold_label
+
+    def tag(n, strategy, call):
+        if n == 0:
+            call.prompt = ("raise" if call.record.item_id == test_ids[0]
+                           else f"first:{call.prompt}")
+
+    out = tmp_path / "run"
+    prepare(out)
+    test_ids = [item.id for item in read_test(out)]
+    monkeypatch.setitem(ORACLES, "failing", failing)
+    tag_calls(monkeypatch, tag)
+    # the calls of toy/160 queue behind those of toy/80 in the one pool
+    config = make_config(output=out, sizes=[80, 160], strategies=["fewshot-random"], jobs=2,
+                         llm=LlmConfig(endpoint="failing"))
+    with pytest.raises(TransportError) as exc:
+        run_experiment(config)
+    assert str(exc.value) == "1 failed cell(s): toy/80/fewshot-random: oracle broke"
+    # the failed call and at most one call per other worker, of 60 queued
+    assert "raise" in made and len(made) <= config.jobs + 1
+    assert [p.name for p in (out / "records").glob("*.jsonl")] == [
+        record_filename("toy", 160, 0, "fewshot-random")]
 
 
 def test_run_experiment_requires_prepared_data(tmp_path):
