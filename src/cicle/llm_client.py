@@ -4,9 +4,6 @@ The endpoint field of LlmConfig selects the route: anything containing
 "://" is treated as a chat-completions-compatible URL; anything else must
 name a registered oracle. Oracles are deterministic functions of the prompt
 and its metadata, which makes whole runs reproducible without a network.
-
-Retries happen only on transport failures and 5xx responses, with
-exponential backoff; a well-formed response is never retried.
 """
 
 from __future__ import annotations
@@ -145,20 +142,16 @@ class LlmClient:
         """POST one chat completion until the endpoint answers 200; returns
         (content, attempts).
 
-        Transport failures (refused, reset or timed-out connections, broken HTTP)
-        and 5xx answers are retried up to ``max_retries`` times, sleeping
-        backoff * 2**(attempt - 1) before each retry; any other status, or a
-        malformed answer, fails at once. Every TransportError carries the
-        attempts made. Proxies come from the environment (``NO_PROXY``
-        included) and certificates are verified.
+        Transport failures (refused, reset or timed-out connections, broken HTTP,
+        a host name the IDNA codec rejects) and 5xx answers are retried up to
+        ``max_retries`` times, sleeping backoff * 2**(attempt - 1) before each
+        retry; any other status, or a malformed answer, fails at once. Every
+        TransportError carries the attempts made. Proxies come from the
+        environment (``NO_PROXY`` included) and certificates are verified.
         """
         cfg = self.config
-        payload = {
-            "model": cfg.model_id,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": 0,
-            "max_tokens": cfg.max_new_tokens,
-        }
+        payload = {"model": cfg.model_id, "messages": [{"role": "user", "content": prompt}],
+                   "temperature": 0, "max_tokens": cfg.max_new_tokens}
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -173,7 +166,7 @@ class LlmClient:
             except urllib.error.HTTPError as exc:
                 status = exc.code
                 exc.close()
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, http.client.HTTPException, UnicodeError) as exc:
                 last_failure = f"transport failure: {exc}"
             if status == 200:
                 try:

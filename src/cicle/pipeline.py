@@ -19,7 +19,8 @@ import json
 import logging
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -366,10 +367,18 @@ def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
 
 
 def _cancel_on_failure(futures: list, future) -> None:
-    """Done-callback: once one of a (cell, strategy)'s calls fails, cancel those not yet started."""
+    """Done-callback: when a (cell, strategy)'s call fails, cancel its calls not yet started."""
     if not future.cancelled() and future.exception() is not None:
         for other in futures:
             other.cancel()
+
+
+def _await_calls(futures: list) -> None:
+    """Wait for a (cell, strategy)'s calls in submission order and raise the first
+    failure; a call is cancelled only once another has failed, so it is skipped."""
+    for future in futures:
+        with suppress(CancelledError):  # before or while it is waited on
+            future.result()
 
 
 def cell_calls(res: CellResources, strategy: str,
@@ -492,10 +501,8 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
     def finish(cell: str, path: Path, key: str, records: list[PredictionRecord],
                done: list) -> None:
         nonlocal n_records
-        # futures in submission order, so the first failing call is the one named
         try:
-            for future in done:
-                future.result()
+            _await_calls(done)
         except TransportError as exc:
             failed(cell, exc)
             return

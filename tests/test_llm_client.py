@@ -202,6 +202,18 @@ def test_remote_connection_refused_retries_then_fails():
     assert "transport failure" in str(exc.value)
 
 
+def test_remote_host_the_idna_codec_rejects_is_a_transport_failure(monkeypatch):
+    for var in [k for k in os.environ if k.lower().endswith("_proxy")]:
+        monkeypatch.delenv(var)
+    # a 64-character label fails to encode before any name lookup
+    client = LlmClient(LlmConfig(endpoint=f"http://{'é' * 64}.invalid/v1", max_retries=0,
+                                 timeout=1.0))
+    with pytest.raises(TransportError, match=r"^completion endpoint failed after 1 attempts "
+                                             r"\(transport failure: .*idna") as exc:
+        client.complete("p", META)
+    assert exc.value.attempts == 1
+
+
 def test_api_key_header(serve, monkeypatch):
     seen = {}
 

@@ -1,10 +1,12 @@
 """Tests for the experiment pipeline: cells, records, orchestration."""
 
 import json
+import os
 import re
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,6 +243,22 @@ def test_a_failed_call_fails_its_cell(tmp_path, serve, reply, error):
     assert str(exc.value) == f"1 failed cell(s): toy/80/fewshot-random: {error}"
     assert not list((out / "records").glob("*.jsonl"))
     assert json.loads(config.manifest_path.read_text(encoding="utf-8"))["records"] == {}
+
+
+def test_an_endpoint_host_that_does_not_encode_fails_its_cell(tmp_path, monkeypatch):
+    for var in [k for k in os.environ if k.lower().endswith("_proxy")]:
+        monkeypatch.delenv(var)
+    out = tmp_path / "run"
+    prepare(out)
+    # a 64-character label fails to encode before any name lookup
+    config = make_config(output=out, strategies=["fewshot-random"],
+                         llm=LlmConfig(endpoint=f"http://{'é' * 64}.invalid/v1",
+                                       max_retries=0, timeout=1.0))
+    with pytest.raises(TransportError, match=r"^1 failed cell\(s\): toy/80/fewshot-random: "
+                                             r"completion endpoint failed after 1 attempts "
+                                             r"\(transport failure: .*idna"):
+        run_experiment(config)
+    assert not list((out / "records").glob("*.jsonl"))
 
 
 def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(monkeypatch):
@@ -845,6 +863,31 @@ def test_a_failed_call_cancels_the_calls_of_its_cell_not_yet_started(tmp_path, m
     assert "raise" in made and len(made) <= config.jobs + 1
     assert [p.name for p in (out / "records").glob("*.jsonl")] == [
         record_filename("toy", 160, 0, "fewshot-random")]
+
+
+def test_awaiting_calls_skips_one_cancelled_before_a_later_call_failed():
+    # a worker takes a call off the queue before marking it running, so a later
+    # call that fails at once can cancel it
+    cancelled, failed = Future(), Future()
+    cancelled.cancel()
+    failed.set_exception(TransportError("oracle broke", attempts=1))
+    with pytest.raises(TransportError, match="^oracle broke$"):
+        pipeline._await_calls([cancelled, failed])
+
+
+def test_awaiting_calls_skips_one_cancelled_while_waited_on():
+    waited, failed = Future(), Future()
+
+    def fail_then_cancel():
+        time.sleep(0.05)
+        failed.set_exception(TransportError("oracle broke", attempts=1))
+        waited.cancel()
+
+    thread = threading.Thread(target=fail_then_cancel)
+    thread.start()
+    with pytest.raises(TransportError, match="^oracle broke$"):
+        pipeline._await_calls([waited, failed])
+    thread.join()
 
 
 def test_run_experiment_requires_prepared_data(tmp_path):
