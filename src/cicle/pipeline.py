@@ -213,7 +213,8 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str],
 # The version of the program's record bytes. It is part of every configuration
 # key, so files written before a change to what the same configuration and
 # data produce (say, a new solver) are recomputed once. Version 2: Newton-CG.
-RECORDS_VERSION = 2
+# Version 3: the solver runs in one BLAS thread.
+RECORDS_VERSION = 3
 # RunConfig fields that shape no record byte, or that the record file name
 # holds. run reads the frozen split, whose sha256 is keyed, never test_size.
 _UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "test_size")

@@ -1,6 +1,10 @@
 """Tests for the multinomial logistic regression classifier."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +374,76 @@ def test_predict_proba_rows_are_computed_on_their_own(case):
     assert ((1.0 - P) >= 0).all() and ((1.0 - P) <= 1).all()
     for i in range(X.shape[0]):
         assert P[i].tobytes() == predict_proba(model, X[[i]])[0].tobytes()
+
+
+# -- the solver's BLAS threads ------------------------------------------------
+
+# Fits a problem whose K*V+K parameters are past OpenBLAS's 10,000-entry split
+# of a dot product, and prints the sha256 of the weights.
+WEIGHTS_CHILD = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from cicle.classifier import TrainConfig, train
+from cicle.corpus import LabelSpace
+
+n, V, K = 600, 2500, 6
+rng = np.random.default_rng(7)
+y = np.arange(n) % K
+cols = np.concatenate([rng.choice(V, size=20, replace=False) for _ in range(n)])
+# every fourth entry falls in its row's class band of 400 columns
+cols[::4] = (y.repeat(5) * 400 + cols[::4] % 400) % V
+X = sp.csr_matrix((rng.uniform(0.1, 1.0, size=n * 20), (np.arange(n).repeat(20), cols)),
+                  shape=(n, V))
+model = train(X, y, LabelSpace.from_labels([str(k) for k in range(K)]), TrainConfig())
+print(hashlib.sha256(model.W.tobytes() + model.b.tobytes()).hexdigest())
+"""
+
+
+def test_weights_do_not_depend_on_the_blas_thread_count():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs for a second BLAS thread")
+    if not classifier._openblas_thread_controls():
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+    src = str(Path(classifier.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", WEIGHTS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("solver_raises", [False, True])
+def test_train_leaves_each_openblas_thread_count_as_it_found_it(monkeypatch, solver_raises):
+    controls = classifier._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+    _, _, _, X, y, _ = fitted_toy(n=60)
+    space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
+    solve = classifier.minimize
+    during = []
+
+    def spy(*args, **kwargs):
+        during.append([get() for get, _ in controls])
+        if solver_raises:
+            raise RuntimeError("solver failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "minimize", spy)
+    found = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        before = [get() for get, _ in controls]
+        if solver_raises:
+            with pytest.raises(RuntimeError, match="solver failed"):
+                train(X, y, space, TrainConfig())
+        else:
+            train(X, y, space, TrainConfig())
+        assert during == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == before
+    finally:
+        for (_, set_), n in zip(controls, found):
+            set_(n)
