@@ -3,8 +3,9 @@
 Every strategy selects for a batch of queries at once and picks up to k shots
 per class for each query, preserving that query's class order exactly: the
 conformal pipeline passes classes in descending base-probability order, the
-plain few-shot baselines pass label order. Similarity ties go to the lower pool
-index. No query is a pool item, as ``corpus.load_frozen`` rejects a repeated id.
+plain few-shot baselines pass label order. Sparse selection takes k ``argmax``
+rounds per class; the first maximum wins, so similarity ties go to the lower
+pool index. No query is a pool item, as ``corpus.load_frozen`` rejects repeats.
 """
 
 from __future__ import annotations
@@ -115,25 +116,15 @@ def sparse_similarities(pool_vectors: sp.csr_matrix,
 
 
 def _top_k(sims: np.ndarray, idxs: np.ndarray, k: int) -> list[list[int]]:
-    """Per row, the k of the candidates ``idxs`` (ascending pool indices) most
-    similar, ties to the lower index; ``sims[row, j]`` is the similarity of
-    ``idxs[j]``. Each row is exactly ``idxs[np.argsort(-sims[row], kind="stable")[:k]]``."""
-    neg = -sims
-    if len(idxs) <= k:
-        return idxs[np.argsort(neg, axis=1, kind="stable")].tolist()
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    keep = neg <= kth
-    crowded = np.flatnonzero(keep.sum(axis=1) > k)
-    if len(crowded):
-        # ties at the k-th place: every strictly better candidate, then the
-        # lowest-index ties up to k
-        ties = neg[crowded] == kth[crowded]
-        better = keep[crowded] & ~ties
-        fill = k - better.sum(axis=1, keepdims=True)
-        keep[crowded] = better | (ties & (np.cumsum(ties, axis=1) <= fill))
-    cols = np.nonzero(keep)[1].reshape(len(neg), k)
-    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
-    return idxs[np.take_along_axis(cols, order, axis=1)].tolist()
+    """Per row, the k of the candidates ``idxs`` (ascending pool indices) most similar;
+    ``sims[row, j]``, overwritten here, is the similarity of ``idxs[j]``. Each round rules
+    out every row's ``argmax`` with -inf; ``argmax`` returns the first maximum, so ties
+    fall to the lower pool index, as in ``idxs[np.argsort(-sims[row], kind="stable")[:k]]``."""
+    cols = np.empty((len(sims), min(k, len(idxs))), dtype=np.intp)
+    for rank in range(cols.shape[1]):
+        cols[:, rank] = taken = sims.argmax(axis=1)
+        sims[np.arange(len(sims)), taken] = -np.inf
+    return idxs[cols].tolist()
 
 
 def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_matrix,
@@ -146,18 +137,15 @@ def select_sparse(pool: ShotPool, pool_vectors: sp.csr_matrix, queries: sp.csr_m
     """
     shot_sets: list[ShotSet] = []
     for block in sparse_similarities(pool_vectors, queries):
-        start = len(shot_sets)
-        orders = classes[start:start + len(block)]
+        orders = classes[len(shot_sets):len(shot_sets) + len(block)]
         ranked: dict[tuple[int, str], list[int]] = {}
         for cls in dict.fromkeys(c for order in orders for c in order):
             rows = [r for r, order in enumerate(orders) if cls in order]
             idxs = pool.candidates(cls)
-            picks = _top_k(block[:, idxs][rows], idxs, k)
+            picks = _top_k(block[np.ix_(rows, idxs)], idxs, k)
             ranked.update(((r, cls), p) for r, p in zip(rows, picks))
-        for r, order in enumerate(orders):
-            per_class: list[tuple[str, list[LabeledText]]] = []
-            for cls in order:
-                per_class.append((cls, [pool.items[i] for i in ranked[r, cls]]))
-            shot_sets.append(ShotSet(per_class=per_class))
+        shot_sets.extend(
+            ShotSet(per_class=[(cls, [pool.items[i] for i in ranked[r, cls]]) for cls in order])
+            for r, order in enumerate(orders))
     _warn_short(pool, classes, k)
     return shot_sets
