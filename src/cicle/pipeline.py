@@ -19,11 +19,10 @@ import json
 import logging
 import re
 from collections import deque
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from contextlib import suppress
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
+from threading import Event
 from typing import Sequence
 
 import numpy as np
@@ -361,25 +360,17 @@ def _select(res: CellResources, strategy: str, rows: list[int],
                          config.k)
 
 
-def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace) -> None:
-    resp = llm.complete(call.prompt, call.meta)
+def _complete_into(call: LlmCall, llm: LlmClient, labels: LabelSpace, stop: Event) -> None:
+    """Fill ``call``'s record in from its completion unless ``stop`` is set; a failure sets it."""
+    if stop.is_set():
+        return
+    try:
+        resp = llm.complete(call.prompt, call.meta)
+    except BaseException:
+        stop.set()
+        raise
     call.record.llm_raw = resp.raw
     call.record.final_label = parse_label(resp.raw, labels)
-
-
-def _cancel_on_failure(futures: list, future) -> None:
-    """Done-callback: when a (cell, strategy)'s call fails, cancel its calls not yet started."""
-    if not future.cancelled() and future.exception() is not None:
-        for other in futures:
-            other.cancel()
-
-
-def _await_calls(futures: list) -> None:
-    """Wait for a (cell, strategy)'s calls in submission order and raise the first
-    failure; a call is cancelled only once another has failed, so it is skipped."""
-    for future in futures:
-        with suppress(CancelledError):  # before or while it is waited on
-            future.result()
 
 
 def cell_calls(res: CellResources, strategy: str,
@@ -414,16 +405,6 @@ def cell_calls(res: CellResources, strategy: str,
         meta = PromptMeta(classes=tuple(shots.classes()), gold_label=item.label)
         calls.append(LlmCall(record=record, prompt=prompt, meta=meta))
     return records, calls
-
-
-def classify_cell(res: CellResources, strategy: str, llm: LlmClient,
-                  config: RunConfig) -> list[PredictionRecord]:
-    """Classify the cell's test set under one strategy, one LLM call at a time;
-    records come in test order."""
-    records, calls = cell_calls(res, strategy, config)
-    for call in calls:
-        _complete_into(call, llm, res.label_space)
-    return records
 
 
 def record_filename(dataset: str, size: int, seed: int, strategy: str) -> str:
@@ -477,11 +458,13 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
     file; once every cell has run, any failure raises one error naming each
     failed cell: a TransportError if one of them was, else a DataError.
 
-    With ``jobs`` 1 each (cell, strategy) completes its calls one by one and
-    writes its file before the next one starts. With more, one pool of
-    ``jobs`` threads serves the whole run: while one (cell, strategy)'s calls
-    complete, this thread runs the next one's CPU stage, then waits for the
-    previous calls and writes their file.
+    Both ``jobs`` paths run a (cell, strategy)'s CPU stage, ``cell_calls``, on
+    this thread, and its calls share one stop flag that a failed call sets.
+    With ``jobs`` 1 they complete one by one there, and the file is written
+    before the next one starts. With more, one pool of ``jobs`` threads serves
+    the whole run: while one (cell, strategy)'s calls complete, this thread
+    runs the next one's CPU stage, then reads the previous calls' results in
+    submission order and writes their file.
     """
     llm_client = LlmClient(config.llm)
     n_records = 0
@@ -503,7 +486,8 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
                done: list) -> None:
         nonlocal n_records
         try:
-            _await_calls(done)
+            for future in done:
+                future.result()
         except TransportError as exc:
             failed(cell, exc)
             return
@@ -517,6 +501,7 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
     # (cell, path, key, records, futures) not yet written; a pooled run keeps one waiting
     in_flight: deque = deque()
     lag = 0 if pool is None else 1
+    stops: list[Event] = []  # one per (cell, strategy)
     try:
         for spec in config.datasets:
             pool_items, test, space, data_manifest = load_frozen(config.data_dir / spec.name)
@@ -546,20 +531,21 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
                     continue
                 for strategy in pending:
                     cell = f"{spec.name}/{size}/{strategy}"
+                    records, calls = cell_calls(res, strategy, config)
+                    stop = Event()
+                    stops.append(stop)
                     try:
                         if pool is None:
-                            records = classify_cell(res, strategy, llm_client, config)
+                            for call in calls:
+                                _complete_into(call, llm_client, space, stop)
                             done = []
                         else:
-                            records, calls = cell_calls(res, strategy, config)
-                            done = [pool.submit(_complete_into, call, llm_client, space)
+                            done = [pool.submit(_complete_into, call, llm_client, space, stop)
                                     for call in calls]
-                            for future in done:
-                                future.add_done_callback(partial(_cancel_on_failure, done))
-                            del calls  # each prompt goes once its call completes
                     except TransportError as exc:
                         failed(cell, exc)
                         continue
+                    del calls  # each prompt goes once its call completes
                     in_flight.append((cell, paths[strategy], key, records, done))
                     del records  # the queue holds the only reference until the file is written
                     while len(in_flight) > lag:
@@ -567,8 +553,10 @@ def run_experiment(config: RunConfig, force: bool = False) -> int:
         while in_flight:
             finish(*in_flight.popleft())
     finally:
+        for stop in stops:  # a run that raises starts no further call
+            stop.set()
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
 
     write_manifest()
     if failures:

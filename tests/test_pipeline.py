@@ -6,7 +6,6 @@ import re
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from cicle.pipeline import (
     PredictionRecord,
     RunConfig,
     build_cell,
-    classify_cell,
     read_records,
     record_filename,
     run_experiment,
@@ -79,6 +77,14 @@ def run_records(config, name="toy"):
     return [record for size in config.sizes for s in config.strategies
             for record in read_records(config.records_dir
                                        / record_filename(name, size, config.seed, s))]
+
+
+def classify_cell(res, strategy, llm, config):
+    """One strategy's records over the cell's test set, its calls completed one by one."""
+    records, calls = pipeline.cell_calls(res, strategy, config)
+    for call in calls:
+        pipeline._complete_into(call, llm, res.label_space, threading.Event())
+    return records
 
 
 def perfect():
@@ -670,6 +676,35 @@ def test_an_interrupted_run_keeps_its_finished_files(tmp_path, monkeypatch, capl
     assert not caplog.records
 
 
+def test_an_interrupted_pooled_run_starts_no_queued_call(tmp_path, monkeypatch):
+    interrupted = threading.Event()
+    made = []
+
+    def holding(prompt, meta, params):
+        interrupted.wait(timeout=5.0)
+        made.append(prompt)
+        return meta.gold_label
+
+    def tag(n, strategy, call):
+        # building the second pair's prompts is interrupted while the first
+        # pair's calls are held or queued in the pool
+        if n == 1:
+            interrupted.set()
+            raise KeyboardInterrupt
+
+    out = tmp_path / "run"
+    prepare(out)
+    monkeypatch.setitem(ORACLES, "holding", holding)
+    tag_calls(monkeypatch, tag)
+    config = make_config(output=out, sizes=[80, 160], strategies=["fewshot-random"], jobs=2,
+                         llm=LlmConfig(endpoint="holding"))
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config)
+    # at most the calls already running when the interrupt came, of 60
+    assert len(made) <= config.jobs
+    assert not list((out / "records").glob("*.jsonl"))
+
+
 def test_run_experiment_parallel_is_byte_identical(tmp_path):
     outputs = []
     for jobs in (1, 4):
@@ -865,29 +900,44 @@ def test_a_failed_call_cancels_the_calls_of_its_cell_not_yet_started(tmp_path, m
         record_filename("toy", 160, 0, "fewshot-random")]
 
 
-def test_awaiting_calls_skips_one_cancelled_before_a_later_call_failed():
-    # a worker takes a call off the queue before marking it running, so a later
-    # call that fails at once can cancel it
-    cancelled, failed = Future(), Future()
-    cancelled.cancel()
-    failed.set_exception(TransportError("oracle broke", attempts=1))
-    with pytest.raises(TransportError, match="^oracle broke$"):
-        pipeline._await_calls([cancelled, failed])
+def test_a_later_failed_call_stops_its_queued_siblings_and_is_the_one_raised(tmp_path,
+                                                                            monkeypatch):
+    made = []  # oracle calls made for toy/80/fewshot-random
+    next_pair = threading.Event()
 
+    def failing(prompt, meta, params):
+        if prompt.startswith("80:"):
+            made.append(prompt)
+            if prompt == "80:hold":
+                # held until a call of toy/160 runs, so every queued call of
+                # toy/80 has been taken off the queue past the stop flag by then
+                next_pair.wait(timeout=5.0)
+            elif prompt == "80:raise":
+                raise TransportError("oracle broke", attempts=1)
+        else:
+            next_pair.set()
+        return meta.gold_label
 
-def test_awaiting_calls_skips_one_cancelled_while_waited_on():
-    waited, failed = Future(), Future()
+    def tag(n, strategy, call):
+        if n == 0:
+            item = call.record.item_id
+            call.prompt = {test_ids[0]: "80:hold", test_ids[1]: "80:raise"}.get(
+                item, f"80:{call.prompt}")
 
-    def fail_then_cancel():
-        time.sleep(0.05)
-        failed.set_exception(TransportError("oracle broke", attempts=1))
-        waited.cancel()
-
-    thread = threading.Thread(target=fail_then_cancel)
-    thread.start()
-    with pytest.raises(TransportError, match="^oracle broke$"):
-        pipeline._await_calls([waited, failed])
-    thread.join()
+    out = tmp_path / "run"
+    prepare(out)
+    test_ids = [item.id for item in read_test(out)]
+    monkeypatch.setitem(ORACLES, "failing", failing)
+    tag_calls(monkeypatch, tag)
+    # the second call fails while the first is held and the other 58 are queued
+    config = make_config(output=out, sizes=[80, 160], strategies=["fewshot-random"], jobs=2,
+                         llm=LlmConfig(endpoint="failing"))
+    with pytest.raises(TransportError) as exc:
+        run_experiment(config)
+    assert str(exc.value) == "1 failed cell(s): toy/80/fewshot-random: oracle broke"
+    assert sorted(made) == ["80:hold", "80:raise"]
+    assert [p.name for p in (out / "records").glob("*.jsonl")] == [
+        record_filename("toy", 160, 0, "fewshot-random")]
 
 
 def test_run_experiment_requires_prepared_data(tmp_path):
