@@ -47,18 +47,11 @@ XTOL = 1e-9
 # the largest final gradient inf-norm of a converged fit
 TOL = 1e-4
 MAX_ITER = 1000
+# the inverse regularization strength
+C = 1.0
 # (prefix, suffix) of the thread-count functions: numpy's wheel, scipy's wheel,
 # a system OpenBLAS; each library's first pair that exists is the one used
 _OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
-
-
-@dataclass
-class TrainConfig:
-    C: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.C < np.inf:
-            raise ValueError(f"C must be finite and positive, got {self.C}")
 
 
 @dataclass
@@ -135,18 +128,20 @@ def _one_blas_thread():
             set_(n)
 
 
-def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> LogisticModel:
+def train(X: sp.csr_matrix, y, label_space: LabelSpace) -> LogisticModel:
     """Fit the model on the CSR rows of X and their class indices y.
 
-    Training data must contain at least two distinct classes. A model whose
-    final gradient is above the tolerance is still returned, flagged with
-    ``converged=False`` and a logged warning.
+    Training data must contain at least two distinct classes. Only the classes
+    y holds are fitted; any other class gets zero weights and a bias of -inf,
+    so its probability is exactly 0. A model whose final gradient is above the
+    tolerance is still returned, flagged with ``converged=False`` and a logged
+    warning.
     """
-    y = np.asarray(y, dtype=np.int64)
-    K = len(label_space)
-    if len(np.unique(y)) < 2:
+    classes, y = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
+    if len(classes) < 2:
         raise ValueError("training data contains a single class; need at least two")
-    V = X.shape[1]
+    # C is read once, so the closures below keep this solve's strength
+    K, V, strength = len(classes), X.shape[1], C
     # the latest evaluated point, so that the Hessian products and the final
     # check reuse its softmax and gradient instead of recomputing them
     last: dict = {"params": None}
@@ -154,7 +149,7 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> 
     def evaluate(params: np.ndarray) -> dict:
         if not np.array_equal(params, last["params"]):
             loss, dW, db, P = nll_and_grad(params[: K * V].reshape(K, V), params[K * V:],
-                                           X, y, config.C)
+                                           X, y, strength)
             last.update(params=params.copy(), loss=loss,
                         grad=np.concatenate([dW.ravel(), db]), P=P)
         return last
@@ -171,7 +166,7 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> 
         dW = v[: K * V].reshape(K, V)
         PA = P * (X @ dW.T + v[K * V:])
         G = PA - P * PA.sum(axis=1, keepdims=True)
-        return np.concatenate([((X.T @ G).T + dW / config.C).ravel(), G.sum(axis=0)])
+        return np.concatenate([((X.T @ G).T + dW / strength).ravel(), G.sum(axis=0)])
 
     with _one_blas_thread():
         result = minimize(
@@ -182,8 +177,10 @@ def train(X: sp.csr_matrix, y, label_space: LabelSpace, config: TrainConfig) -> 
             method="Newton-CG",
             options={"maxiter": MAX_ITER, "xtol": XTOL},
         )
-    W = result.x[: K * V].reshape(K, V).copy()
-    b = result.x[K * V:].copy()
+    W = np.zeros((len(label_space), V))
+    W[classes] = result.x[: K * V].reshape(K, V)
+    b = np.full(len(label_space), -np.inf)
+    b[classes] = result.x[K * V:]
     # Newton-CG's result.jac is the gradient before its last step, so take the final one
     grad_norm = np.abs(evaluate(result.x)["grad"]).max()
     converged = bool(grad_norm <= TOL)

@@ -89,8 +89,7 @@ def build_run_config(args) -> RunConfig:
     where = f"config ({args.config})" if args.config else "config"
     payload["datasets"] = _build_datasets(payload, args, where)
     flags = {"output": args.output, "seed": args.seed, "alpha": args.alpha, "k": args.k,
-             "calib_fraction": args.calib_fraction, "test_size": args.test_size,
-             "jobs": args.jobs}
+             "test_size": args.test_size, "jobs": args.jobs}
     merged = {**payload, **{key: value for key, value in flags.items() if value is not None}}
     if args.sizes:
         merged["sizes"] = _parse_int_list(args.sizes, "--sizes")
@@ -199,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, help="shots per candidate class (default 2)")
     g.add_argument("--strategies", metavar="S,S,...",
                    help=f"strategies to run, from: {', '.join(STRATEGIES)}")
-    g.add_argument("--calib-fraction", type=float,
-                   help="calibration share of each subsample (default 0.2)")
     g.add_argument("--template", metavar="PATH", help="prompt template JSON file")
     g.add_argument("--oracle", metavar="NAME",
                    help=f"mock oracle instead of a live endpoint: {', '.join(sorted(ORACLES))}")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .classifier import TrainConfig, predict_proba, train
+from .classifier import predict_proba, train
 from .conformal import ConformalCalibration, ConformalSet, calibrate, predict_set
 from .corpus import (LabeledText, LabelSpace, file_sha256, load_frozen, stable_seed,
                      stratified_split, stratified_subsample)
@@ -45,6 +45,8 @@ log = logging.getLogger(__name__)
 FEWSHOT = ("fewshot-random", "fewshot-sparse")
 STRATEGIES = ("base", *FEWSHOT, "cicle")
 DEFAULT_SIZES = (100, 200, 300, 400, 500, 1000, 2000, 3000, 4000, 5000)
+# the calibration share of each cell's subsample
+CALIB_FRACTION = 0.2
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
@@ -72,10 +74,8 @@ class RunConfig:
     alpha: float = 0.05
     k: int = 2
     strategies: Sequence[str] = STRATEGIES
-    calib_fraction: float = 0.2
     template: PromptTemplate = DEFAULT_TEMPLATE
     llm: LlmConfig = field(default_factory=LlmConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
     test_size: int = 1000
     jobs: int = 1
 
@@ -100,8 +100,6 @@ class RunConfig:
         self.strategies = strategies
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (0.0 < self.calib_fraction < 1.0):
-            raise ValueError(f"calib_fraction must be in (0, 1), got {self.calib_fraction}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.jobs < 1:
@@ -212,11 +210,15 @@ def recorded_entries(manifest_path) -> tuple[dict[str, str], dict[str, str],
 # The version of the program's record bytes. It is part of every configuration
 # key, so files written before a change to what the same configuration and
 # data produce (say, a new solver) are recomputed once. Version 2: Newton-CG.
-# Version 3: the solver runs in one BLAS thread.
-RECORDS_VERSION = 3
+# Version 3: the solver runs in one BLAS thread. Version 4: a class with no
+# training row gets probability 0.
+RECORDS_VERSION = 4
 # RunConfig fields that shape no record byte, or that the record file name
 # holds. run reads the frozen split, whose sha256 is keyed, never test_size.
 _UNKEYED = ("output", "jobs", "sizes", "strategies", "datasets", "test_size")
+# LlmConfig fields that shape no record byte: a call that still fails after its
+# retries fails its (cell, strategy), which then writes no file
+_UNKEYED_LLM = ("timeout", "max_retries", "backoff")
 
 
 def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
@@ -224,6 +226,7 @@ def config_key(config: RunConfig, spec: DatasetSpec, data_sha256: dict) -> str:
     record files: the records version, the run configuration, the dataset's
     task and its frozen splits."""
     shaping = {k: v for k, v in vars(config).items() if k not in _UNKEYED}
+    shaping["llm"] = {k: v for k, v in vars(config.llm).items() if k not in _UNKEYED_LLM}
     blob = json.dumps([RECORDS_VERSION, shaping, spec.task, data_sha256], **JSON_STYLE)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -269,14 +272,14 @@ def build_cell(subsample: Sequence[LabeledText], test: Sequence[LabeledText],
         test_texts = texts.take(range(len(subsample), len(texts)))
 
     if "base" in strategies or "cicle" in strategies:
-        split = stratified_split(subsample, config.calib_fraction, cell_seed)
+        split = stratified_split(subsample, CALIB_FRACTION, cell_seed)
         if not split.train or not split.calibration:
             raise DataError("cell split produced an empty train or calibration part")
         train_texts = texts.take(row[t.id] for t in split.train)
         tfidf = fit_tfidf(train_texts)
         X = transform_many(tfidf, train_texts)
         y = [label_space.position(t.label) for t in split.train]
-        model = train(X, y, label_space, config.train)
+        model = train(X, y, label_space)
         test_vectors = transform_many(tfidf, test_texts)
         res.test_probs = predict_proba(model, test_vectors)
         if "cicle" in strategies:

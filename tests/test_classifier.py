@@ -5,16 +5,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cicle import classifier
 from cicle.classifier import (
     LogisticModel,
-    TrainConfig,
     nll_and_grad,
     predict_proba,
     train,
@@ -45,31 +46,24 @@ def binary_space():
     return LabelSpace.from_labels(["no", "yes"])
 
 
-def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0, **train_kw):
+def fitted_toy(n=80, n_classes=3, seed=0, overlap=0.0):
     items = make_items(n, n_classes=n_classes, seed=seed, overlap=overlap)
     space = space_for(items)
     texts = encode([it.text for it in items])
     tfidf = fit_tfidf(texts)
     X = transform_many(tfidf, texts)
     y = [space.position(it.label) for it in items]
-    model = train(X, y, space, TrainConfig(**train_kw))
+    model = train(X, y, space)
     return items, space, tfidf, X, y, model
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"C": 0.0},
-    {"C": -1.0},
-    {"C": float("nan")},
-    {"C": float("inf")},
-])
-def test_train_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        TrainConfig(**kwargs)
+def strength(C):
+    """A context in which ``train`` fits at inverse regularization strength C."""
+    return patch.object(classifier, "C", C)
 
 
 def test_train_config_defaults():
-    config = TrainConfig()
-    assert config.C == 1.0
+    assert classifier.C == 1.0
     assert classifier.TOL == 1e-4
     assert classifier.MAX_ITER == 1000
 
@@ -122,7 +116,8 @@ def test_probabilities_sum_to_one():
 
 def test_separable_training_recovers_labels():
     X = vec(4, {0: 1.0}, {2: 1.0})
-    model = train(X, [0, 1], binary_space(), TrainConfig(C=10.0))
+    with strength(10.0):
+        model = train(X, [0, 1], binary_space())
     assert predict(model, X) == [0, 1]
     P = predict_proba(model, X)
     assert P[0, 0] > 0.7
@@ -140,8 +135,8 @@ def test_training_fits_easy_corpus():
 def test_training_is_deterministic():
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
-    m1 = train(X, y, space, TrainConfig())
-    m2 = train(X, y, space, TrainConfig())
+    m1 = train(X, y, space)
+    m2 = train(X, y, space)
     assert np.array_equal(m1.W, m2.W)
     assert np.array_equal(m1.b, m2.b)
 
@@ -158,14 +153,16 @@ def test_trained_loss_beats_zero_init():
 def test_stronger_regularization_shrinks_weights():
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
-    loose = train(X, y, space, TrainConfig(C=10.0))
-    tight = train(X, y, space, TrainConfig(C=0.01))
+    with strength(10.0):
+        loose = train(X, y, space)
+    with strength(0.01):
+        tight = train(X, y, space)
     assert np.abs(tight.W).sum() < np.abs(loose.W).sum()
 
 
 def test_single_class_training_rejected():
     with pytest.raises(ValueError, match="single class"):
-        train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space(), TrainConfig())
+        train(vec(3, {0: 1.0}, {1: 1.0}), [1, 1], binary_space())
 
 
 def test_non_convergence_is_flagged_and_logged(caplog, monkeypatch):
@@ -173,7 +170,7 @@ def test_non_convergence_is_flagged_and_logged(caplog, monkeypatch):
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
     monkeypatch.setattr(classifier, "MAX_ITER", 1)
     with caplog.at_level("WARNING", logger="cicle.classifier"):
-        model = train(X, y, space, TrainConfig())
+        model = train(X, y, space)
     assert not model.converged
     assert any("did not converge" in rec.message for rec in caplog.records)
 
@@ -181,14 +178,13 @@ def test_non_convergence_is_flagged_and_logged(caplog, monkeypatch):
 def test_non_convergence_logs_stop_reason(caplog, monkeypatch):
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
-    config = TrainConfig()
     monkeypatch.setattr(classifier, "MAX_ITER", 2)
     with caplog.at_level("WARNING", logger="cicle.classifier"):
-        model = train(X, y, space, config)
+        model = train(X, y, space)
     [warning] = [rec.message for rec in caplog.records if "did not converge" in rec.message]
     assert "Newton-CG stopped with:" in warning and "Maximum number of iterations" in warning
     # the flag taken from the optimizer's final gradient matches a fresh gradient
-    _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+    _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), classifier.C)
     assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL)
 
 
@@ -198,11 +194,10 @@ def test_converged_reads_the_gradient_at_the_returned_weights(monkeypatch):
     _, _, _, X, y, _ = fitted_toy(n=60)
     space = LabelSpace.from_labels(["alpha", "bravo", "charlie"])
     flags = []
-    config = TrainConfig()
     for max_iter in range(1, 16):
         monkeypatch.setattr(classifier, "MAX_ITER", max_iter)
-        model = train(X, y, space, config)
-        _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), config.C)
+        model = train(X, y, space)
+        _, dW, db, _ = nll_and_grad(model.W, model.b, X, np.asarray(y), classifier.C)
         assert model.converged == bool(max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL)
         flags.append(model.converged)
     assert not flags[0] and flags[-1]
@@ -267,7 +262,8 @@ def random_problem(rng):
 
 
 def solver_callables(monkeypatch, X, y, K, C):
-    """The objective and hessp that ``train`` hands to scipy's minimize."""
+    """The objective and hessp that ``train`` hands to scipy's minimize, fitting
+    at strength C; ``classifier.C`` is back at its default when they return."""
     seen = {}
     real = classifier.minimize
 
@@ -276,7 +272,8 @@ def solver_callables(monkeypatch, X, y, K, C):
         return real(fun, x0, **kwargs)
 
     monkeypatch.setattr(classifier, "minimize", spy)
-    train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), TrainConfig(C=C))
+    with strength(C):
+        train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]))
     return seen["fun"], seen["hessp"]
 
 
@@ -322,10 +319,37 @@ def training_problems(draw):
 @given(training_problems())
 def test_training_reaches_the_gradient_tolerance(problem):
     X, y, K, C = problem
-    model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]), TrainConfig(C=C))
+    with strength(C):
+        model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]))
     _, dW, db, _ = nll_and_grad(model.W, model.b, X, y, C)
     assert max(np.abs(dW).max(), np.abs(db).max()) <= classifier.TOL
     assert model.converged
+
+
+@pytest.mark.parametrize("seed", [123, 157, 233])
+def test_a_class_with_no_training_row_gets_probability_zero_in_few_iterations(seed,
+                                                                             monkeypatch):
+    # drawn so that class K-1 (and, for seed 157, class 0) has no row: fitting
+    # its bias toward -inf used to run Newton-CG to its 1,000-iteration cap
+    rng = np.random.default_rng(seed)
+    n, V, K = rng.integers(4, 30), rng.integers(2, 12), rng.integers(3, 6)
+    X = sp.csr_matrix((rng.random((n, V)) < 0.3) * rng.uniform(0.1, 3, (n, V)))
+    y = rng.integers(0, K - 1, n)
+    iterations = []
+    real = classifier.minimize
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.nit)
+        return result
+
+    monkeypatch.setattr(classifier, "minimize", spy)
+    model = train(X, y, LabelSpace.from_labels([f"c{i}" for i in range(K)]))
+    assert model.converged and iterations[0] < 100
+    absent = sorted(set(range(K)) - set(y.tolist()))
+    P = predict_proba(model, X)
+    assert absent and (P[:, absent] == 0.0).all()
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_predict_dimension_mismatch():
@@ -384,7 +408,7 @@ WEIGHTS_CHILD = """
 import hashlib
 import numpy as np
 import scipy.sparse as sp
-from cicle.classifier import TrainConfig, train
+from cicle.classifier import train
 from cicle.corpus import LabelSpace
 
 n, V, K = 600, 2500, 6
@@ -395,7 +419,7 @@ cols = np.concatenate([rng.choice(V, size=20, replace=False) for _ in range(n)])
 cols[::4] = (y.repeat(5) * 400 + cols[::4] % 400) % V
 X = sp.csr_matrix((rng.uniform(0.1, 1.0, size=n * 20), (np.arange(n).repeat(20), cols)),
                   shape=(n, V))
-model = train(X, y, LabelSpace.from_labels([str(k) for k in range(K)]), TrainConfig())
+model = train(X, y, LabelSpace.from_labels([str(k) for k in range(K)]))
 print(hashlib.sha256(model.W.tobytes() + model.b.tobytes()).hexdigest())
 """
 
@@ -439,9 +463,9 @@ def test_train_leaves_each_openblas_thread_count_as_it_found_it(monkeypatch, sol
         before = [get() for get, _ in controls]
         if solver_raises:
             with pytest.raises(RuntimeError, match="solver failed"):
-                train(X, y, space, TrainConfig())
+                train(X, y, space)
         else:
-            train(X, y, space, TrainConfig())
+            train(X, y, space)
         assert during == [[1] * len(controls)]
         assert [get() for get, _ in controls] == before
     finally:

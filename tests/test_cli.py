@@ -13,7 +13,7 @@ from cicle.cli import build_parser, build_run_config, main
 from cicle.corpus import file_sha256, load_frozen, write_jsonl
 from cicle.llm_client import ORACLES, LlmConfig
 from cicle import cli, pipeline
-from cicle.pipeline import record_filename
+from cicle.pipeline import STRATEGIES, record_filename
 
 from conftest import make_items, scripted_chat_app
 
@@ -456,12 +456,11 @@ def test_malformed_oracle_params_fail_before_any_cell(tmp_path, capsys, params):
 
 
 @pytest.mark.parametrize("section,body,needle", [
-    ("train", '{"C": 1e400}', "C must be finite and positive, got inf"),
     ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e400, "max_retries": 0}',
      "got inf and 0.5"),
     ("llm", '{"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12, "max_retries": 0}',
      "got 1000000000000.0 and 0.5"),
-], ids=["train-c-inf", "llm-timeout-inf", "llm-timeout-1e12"])
+], ids=["llm-timeout-inf", "llm-timeout-1e12"])
 def test_an_unusable_number_in_a_config_fails_before_any_cell(tmp_path, capsys, section, body,
                                                                needle):
     # JSON text as written: Python's reader reads 1e400 as infinity
@@ -488,13 +487,12 @@ def test_config_not_json_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("section,key", [
     ("llm", "concurrency_limit"),
     ("top", "alpah"),
-    ("train", "c"),
     ("template", "intro"),
     ("datasets", "fmtt"),
     ("top", "k"),  # a known key with a value of the wrong type
     # keys of removed settings
-    ("train", "tol"),
-    ("train", "max_iter"),
+    ("top", "train"),
+    ("top", "calib_fraction"),
     ("llm", "deterministic"),
     ("datasets", "fmt"),
 ])
@@ -780,6 +778,38 @@ def test_run_with_another_test_size_reuses_the_files(tmp_path, capsys, caplog, m
     assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
     assert sorted(before) == [record_filename("toy", 80, 0, s) for s in ("base", "cicle")]
     assert main(["report", *other]) == 0
+
+
+def test_run_with_other_retry_settings_reuses_every_file(tmp_path, caplog, monkeypatch):
+    # a call that still fails after its retries fails its (cell, strategy), which
+    # writes no file, so timeout, max_retries and backoff are not keyed
+    calls = []
+    noisy = ORACLES["noisy"]
+
+    def counting(prompt, meta, params):
+        calls.append(prompt)
+        return noisy(prompt, meta, params)
+
+    monkeypatch.setitem(ORACLES, "counting", counting)
+    out = tmp_path / "out"
+    args = base_args(write_toy(tmp_path), out, "--oracle", "counting")
+    assert main(["prepare", *args]) == 0
+    assert main(["run", *args]) == 0
+    assert calls
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+              for p in (out / "records").iterdir()}
+    config = tmp_path / "retries.json"
+    config.write_text(json.dumps({"llm": {"timeout": 5.0, "max_retries": 0, "backoff": 0.0}}),
+                      encoding="utf-8")
+    calls.clear()
+    with caplog.at_level("INFO", logger="cicle.pipeline"):
+        assert main(["run", *args, "--config", str(config)]) == 0
+    assert calls == []
+    assert sorted(rec.message for rec in caplog.records) == [
+        f"cell file matches run_manifest.json, reusing: {name}" for name in sorted(before)]
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in (out / "records").iterdir()} == before
+    assert sorted(before) == sorted(record_filename("toy", 80, 0, s) for s in STRATEGIES)
 
 
 def test_runs_over_strategy_subsets_add_up_to_one_manifest(tmp_path, capsys):

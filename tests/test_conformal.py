@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cicle.classifier import TrainConfig, predict_proba, train
+from cicle.classifier import predict_proba, train
 from cicle.conformal import (
     calibrate,
     calibration_from_scores,
@@ -194,7 +194,7 @@ def fitted_model_and_split(overlap=0.6, n=200, seed=3):
     tfidf = fit_tfidf(train_texts)
     X = transform_many(tfidf, train_texts)
     y = [space.position(it.label) for it in split.train]
-    model = train(X, y, space, TrainConfig())
+    model = train(X, y, space)
     return space, split, tfidf, model
 
 

@@ -69,13 +69,12 @@ def write_config(work: Path) -> Path:
     path.write_text(json.dumps({
         "datasets": [{"name": "toy", "path": str(work / "raw.jsonl"), "min_size": 10}],
         "output": str(work / "out"), "sizes": [24], "test_size": 12, "seed": 0,
-        "alpha": 0.2, "k": 1, "calib_fraction": 0.25, "jobs": 1,
+        "alpha": 0.2, "k": 1, "jobs": 1,
         "strategies": ["base", "fewshot-sparse", "cicle"],
         "template": str(work / "template.json"),
         "llm": {"endpoint": "noisy", "max_new_tokens": 5,
                 "oracle_params": {"accuracy": {"alpha": 0.9}, "default_accuracy": 0.8,
                                   "seed": 1}},
-        "train": {"C": 1.0},
     }), encoding="utf-8")
     return path
 

@@ -1,18 +1,23 @@
-"""The benchmark's tracer must find every name it wraps.
+"""The benchmark's tracer must find every name it wraps, and its copies of the
+program's constants must match the program.
 
 ``perfbench/spans.py`` wraps cicle's functions by name, in the namespaces that
 call them (mostly ``cicle.pipeline``). A name that stops being bound there
 makes every traced benchmark run fail. This runs a small traced
 prepare/run/report through ``perfbench/child.py`` and checks the tracer's own
-accounting.
+accounting. ``perfbench/run.py`` keeps its own α, calibration share and
+conformal rank, from which it derives every coverage floor it checks.
 """
 
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from cicle.corpus import write_jsonl
+from cicle import conformal, pipeline
+from cicle.corpus import stratified_split, write_jsonl
 
 from conftest import make_items
 
@@ -50,3 +55,22 @@ def test_traced_run_finds_every_wrapped_name(tmp_path):
                    for line in path.read_text(encoding="utf-8").splitlines())
     assert prompted > 0
     assert result["layers"]["llm_client.complete_calls"] == prompted
+
+
+def test_the_benchmark_copies_of_program_constants_match_the_program(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    [alpha] = [f.default for f in dataclasses.fields(pipeline.RunConfig) if f.name == "alpha"]
+    assert bench.ALPHA == alpha
+    assert bench.CALIB_FRACTION == pipeline.CALIB_FRACTION
+    for a in (0.01, 0.05, 0.1, 0.2, 0.5):
+        for n in range(1, 2001):
+            assert bench.quantile_rank(n, a) == conformal.quantile_rank(n, a), (n, a)
+    sizes = sorted({size for w in bench.WORKLOADS.values() for size in w.sizes})
+    for size in sizes:
+        split = stratified_split(make_items(size, n_classes=6), pipeline.CALIB_FRACTION, 0)
+        assert int(bench.CALIB_FRACTION * size + 0.5) == len(split.calibration), size

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cicle.classifier import TrainConfig
 from cicle.conformal import ConformalSet
 from cicle import pipeline
 from cicle.corpus import (file_sha256, freeze_dataset, load_frozen, stable_seed,
@@ -276,7 +275,7 @@ def test_cicle_skips_calibration_items_and_baselines_draw_from_the_subsample(mon
     config = make_config(sizes=[200], strategies=strategies)
     res = build_cell(items, test, space_for(items), config, cell_seed=3,
                      task="text classification", strategies=strategies)
-    split = stratified_split(items, config.calib_fraction, 3)
+    split = stratified_split(items, pipeline.CALIB_FRACTION, 3)
     train_ids = {t.id for t in split.train}
     cal_ids = {t.id for t in split.calibration}
     drawn = []
@@ -586,15 +585,13 @@ def keyed_config(out, **kw):
 @pytest.mark.parametrize("change", [
     {"alpha": 0.3},
     {"k": 1},
-    {"calib_fraction": 0.3},
     {"template": replace(DEFAULT_TEMPLATE, instruction="Reply with one label.")},
     {"datasets": [spec(task="topic labelling")]},
     {"llm": LlmConfig(endpoint="perfect")},
     {"llm": LlmConfig(endpoint="noisy", oracle_params={"default_accuracy": 0.5})},
-    {"train": TrainConfig(C=0.5)},
     {"test_size": 50},
-], ids=["alpha", "k", "calib_fraction", "template", "task", "llm-endpoint", "oracle-params",
-        "train-C", "re-prepared-test-size"])
+], ids=["alpha", "k", "template", "task", "llm-endpoint", "oracle-params",
+        "re-prepared-test-size"])
 def test_run_experiment_recomputes_a_file_when_its_key_changes(tmp_path, monkeypatch, caplog,
                                                                change):
     out = tmp_path / "run"
@@ -960,8 +957,7 @@ def test_config_defaults_and_json_view(tmp_path):
                           "timeout": 60.0, "max_retries": 2, "backoff": 0.5,
                           "oracle_params": {}}
     assert set(obj) == {"datasets", "output", "sizes", "seed", "alpha", "k", "strategies",
-                        "calib_fraction", "template", "llm", "train", "test_size", "jobs"}
-    assert obj["train"] == {"C": 1.0}
+                        "template", "llm", "test_size", "jobs"}
     assert set(obj["template"]) == {"task_intro", "example_format", "query_format",
                                     "instruction"}
     assert "force" not in obj
@@ -978,7 +974,7 @@ def test_config_defaults_and_json_view(tmp_path):
     {"strategies": ["zero-shot"]},
     {"alpha": 0.0},
     {"alpha": 1.0},
-    {"calib_fraction": 1.0},
+    {"alpha": float("nan")},
     {"k": 0},
     {"jobs": 0},
     {"test_size": 0},
